@@ -32,13 +32,17 @@ def _add_common(parser):
     parser.add_argument("--devices", type=int, help="number of devices K")
     parser.add_argument("--tau", type=float)
     parser.add_argument("--half-length", type=float, help="unit half-length L")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="processes for the (M or L, drop) tasks, capped at the task "
+             "count and the usable CPUs; BLAS threads per task follow the "
+             "task count, so the output never depends on this value")
 
 
 def _build_config(args) -> ScenarioConfig:
     m_grid = None
-    if args.m_grid:
-        m_grid = tuple(int(v) for v in args.m_grid.split(","))
+    if args.m_grid is not None:
+        m_grid = experiments.parse_int_tuple(args.m_grid)
     return experiments.config_from_sources(
         file_path=args.config, seed=args.seed, m_grid=m_grid,
         drops=args.drops, realizations=args.realizations, mode=args.mode,

@@ -4,9 +4,14 @@ the surface-size search, and CSV emission."""
 from __future__ import annotations
 
 import csv
+import ctypes
 import dataclasses
+import functools
 import math
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +72,9 @@ class ScenarioConfig:
         if self.half_length <= 0 or self.frequency <= 0 or self.d_c <= 0 \
                 or self.d_m <= 0:
             raise ConfigError("lengths and frequencies must be positive")
+        if not self.m_grid or min(self.m_grid) < 1:
+            raise ConfigError("m_grid must list one or more positive "
+                              "antenna counts")
         for m in self.m_grid:
             if math.isqrt(m) ** 2 != m and self.kind != "mimo-baseline":
                 raise ConfigError(f"M = {m} is not a perfect square")
@@ -185,6 +193,100 @@ def make_drop(config: ScenarioConfig, drop_index: int,
 
 
 # ---------------------------------------------------------------------------
+#  Task fan-out
+# ---------------------------------------------------------------------------
+
+# OpenBLAS's thread-count entry points under the names numpy builds export:
+# scipy-openblas with 64- and 32-bit integers (numpy 2), then numpy 1.x.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions as linked into numpy's
+    compiled core module, or None when numpy uses another BLAS."""
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if path is None:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def _set_blas_threads(n: int) -> None:
+    control = _blas_thread_control()
+    if control is not None:
+        control[1](n)
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Run the body with `n` BLAS threads, then restore the previous count."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(n)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
+    """(processes, BLAS threads per task) for `tasks` >= 1 tasks on `cpus`
+    CPUs with at most `workers` processes.
+
+    The thread count follows the task count and never `workers`: BLAS
+    results differ in the last bits between thread counts, so this keeps
+    the output identical for any worker count.  Threads beyond one per task
+    would only wait for cores taken by other tasks."""
+    return min(workers, tasks, cpus), max(1, cpus // min(tasks, cpus))
+
+
+def _fan_out(fn, args: list[tuple], workers: int) -> list:
+    """`[fn(*a) for a in args]`, in order, on at most `workers` processes;
+    a single process runs the tasks here, without a pool."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not args:
+        return []
+    processes, threads = _fan_out_plan(len(args), _usable_cpus(), workers)
+    if processes <= 1:
+        with _blas_threads(threads):
+            return [fn(*a) for a in args]
+    with ProcessPoolExecutor(max_workers=processes,
+                             initializer=_set_blas_threads,
+                             initargs=(threads,)) as pool:
+        futures = [pool.submit(fn, *a) for a in args]
+        return [f.result() for f in futures]
+
+
+# ---------------------------------------------------------------------------
 #  Scenario execution
 # ---------------------------------------------------------------------------
 
@@ -209,14 +311,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
     fixed (config, seed) regardless of the worker count."""
     config.validate()
     tasks = [(m, d) for m in config.m_grid for d in range(config.drops)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_drop_task,
-                                 [config] * len(tasks),
-                                 [m for m, _ in tasks],
-                                 [d for _, d in tasks]))
-    else:
-        rows = [_drop_task(config, m, d) for m, d in tasks]
+    rows = _fan_out(_drop_task, [(config, m, d) for m, d in tasks], workers)
     results = dict(zip(tasks, rows))
 
     reports = []
@@ -266,13 +361,7 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
     if not len(l_grid):
         raise ConfigError("l_grid must be nonempty")
     tasks = [(hl, d) for hl in l_grid for d in range(config.drops)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(_l_task, [config] * len(tasks),
-                                 [hl for hl, _ in tasks],
-                                 [d for _, d in tasks]))
-    else:
-        vals = [_l_task(config, hl, d) for hl, d in tasks]
+    vals = _fan_out(_l_task, [(config, hl, d) for hl, d in tasks], workers)
     results = dict(zip(tasks, vals))
 
     curve = []
@@ -295,6 +384,17 @@ _INT_FIELDS = {"num_devices", "drops", "realizations", "seed"}
 _STR_FIELDS = {"kind", "mode", "log_base"}
 
 
+def parse_int_tuple(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; blank text is the empty tuple."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(
+            f"expected comma-separated integers, got {text!r}") from exc
+
+
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines with '#' comments; keys match ScenarioConfig."""
     known = {f.name for f in dataclasses.fields(ScenarioConfig)}
@@ -310,7 +410,7 @@ def parse_config_file(path) -> dict:
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in _TUPLE_FIELDS:
-                out[key] = tuple(int(v) for v in value.split(","))
+                out[key] = parse_int_tuple(value)
             elif key in _INT_FIELDS:
                 out[key] = int(value)
             elif key in _STR_FIELDS:

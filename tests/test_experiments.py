@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from lisrate import cli
+from lisrate import cli, experiments
 from lisrate.experiments import (
     ConfigError,
     ScenarioConfig,
+    _fan_out,
+    _fan_out_plan,
     config_from_sources,
     los_probability,
     make_drop,
@@ -31,6 +33,7 @@ class TestConfig:
         ("kind", "hexagon"), ("mode", "sometimes"), ("tau", 1.0),
         ("tau", -0.1), ("drops", 0), ("realizations", 1),
         ("half_length", 0.0), ("d_m", -1.0), ("m_grid", (10,)),
+        ("m_grid", ()), ("m_grid", (0,)),
     ])
     def test_validation(self, field, value):
         cfg = ScenarioConfig(**{**FAST, field: value})
@@ -170,6 +173,57 @@ class TestRunScenario:
         assert seq == par
 
 
+def _blas_threads_now() -> int:
+    return experiments._blas_thread_control()[0]()
+
+
+needs_blas_control = pytest.mark.skipif(
+    experiments._blas_thread_control() is None,
+    reason="no run-time control of the BLAS thread count")
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("tasks,cpus,workers,plan", [
+        (1, 2, 2, (1, 2)), (8, 2, 2, (2, 1)),
+        (3, 8, 64, (3, 2)), (10, 2, 64, (2, 1)),
+    ])
+    def test_plan(self, tasks, cpus, workers, plan):
+        assert _fan_out_plan(tasks, cpus, workers) == plan
+
+    def test_results_in_task_order(self):
+        args = [(b, 3) for b in range(9, -1, -1)]
+        assert _fan_out(pow, args, workers=2) == [b ** 3 for b, _ in args]
+
+    def test_no_tasks(self):
+        assert _fan_out(pow, [], workers=2) == []
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            _fan_out(pow, [(2, 2)], workers=workers)
+
+    @needs_blas_control
+    def test_tasks_run_with_planned_threads(self):
+        cpus = experiments._usable_cpus()
+        for tasks, workers in ((1, 1), (cpus, 1), (2 * cpus, 2)):
+            threads = _fan_out_plan(tasks, cpus, workers)[1]
+            seen = _fan_out(_blas_threads_now, [()] * tasks, workers)
+            assert seen == [threads] * tasks
+
+    @needs_blas_control
+    def test_run_scenario_restores_thread_count(self):
+        cfg = ScenarioConfig(**FAST)
+        planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(), 1)[1]
+        # Start from a count other than the planned one, so that a missed
+        # restore shows.
+        before = 2 if planned == 1 else 1
+        with experiments._blas_threads(before):
+            if _blas_threads_now() != before:
+                pytest.skip("BLAS ignores the requested thread count")
+            run_scenario(cfg, workers=1)
+            assert _blas_threads_now() == before
+
+
 class TestOptimalL:
     def test_tie_break_prefers_smaller(self):
         cfg = ScenarioConfig(**FAST)
@@ -180,6 +234,12 @@ class TestOptimalL:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             optimal_l_search(ScenarioConfig(**FAST), [])
+
+    def test_workers_do_not_change_curve(self):
+        cfg = ScenarioConfig(**FAST)
+        grid = [0.2, 0.3, 0.4]
+        assert optimal_l_search(cfg, grid, workers=1) == \
+            optimal_l_search(cfg, grid, workers=2)
 
     def test_curve_length(self):
         cfg = ScenarioConfig(**FAST)
@@ -202,6 +262,18 @@ class TestCli:
         rc = cli.main(["run", "--m-grid", "10", "--devices", "4",
                        "--drops", "1", "--realizations", "64"])
         assert rc == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,flags", [
+        ("run", ["--workers", "0"]), ("run", ["--workers", "-2"]),
+        ("sweep-L", ["--workers", "0", "--l-grid", "0.2"]),
+        ("run", ["--m-grid", ""]), ("run", ["--m-grid", "16,x"]),
+    ])
+    def test_bad_input_exit_code(self, command, flags, capsys):
+        rc = cli.main([command, "--scenario", "uniform-room", "--devices",
+                       "4", "--drops", "1", "--realizations", "64", *flags])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_io_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--scenario", "uniform-room", "--devices", "4",
