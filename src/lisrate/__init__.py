@@ -25,12 +25,9 @@ from .asymptotics import (
     rate_bound,
 )
 from .channel import (
-    CorrelationFactor,
     PathSet,
-    RicianLink,
     correlation_factor,
     los_channel,
-    rician_channel,
     ula_steering,
     upa_steering,
 )
@@ -44,10 +41,9 @@ from .geometry import (
     place_devices_uniform,
 )
 from .mc_engine import (
-    DesiredLink,
     Drop,
     FadingRealization,
-    InterferenceLink,
+    Link,
     MomentEstimate,
     SinrSample,
     draw_fading,

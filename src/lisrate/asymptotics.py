@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc_engine import Drop, InterferenceLink
+from .mc_engine import Drop, Link
 
 UNBOUNDED = math.inf
 
@@ -115,23 +115,20 @@ def error_leak_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
     return MomentPair(mean=b4, variance=b4**2)
 
 
-def interference_term_moments(drop: Drop, link: InterferenceLink) -> LinkMoments:
+def interference_term_moments(drop: Drop, link: Link) -> LinkMoments:
     """Deterministic moments of one interference term."""
     h = _require_los_desired(drop)
     tau = drop.tau
-    k = link.kappa
+    a, b = link.weights
     beta_k2 = np.abs(h) ** 2
     beta_j2 = np.abs(link.h_los) ** 2
 
-    mu_los = math.sqrt(k * (1 - tau**2) / (k + 1)) * complex(h.conj() @ link.h_los)
-    s_los = k * tau**2 / (k + 1) * float(np.sum(beta_k2 * beta_j2))
-    if link.num_paths:
-        s_n1 = (1 - tau**2) / (k + 1) * float(
-            np.sum(np.abs(h.conj() @ link.r_half) ** 2))
-        row_power = np.sum(np.abs(link.r_half) ** 2, axis=1)
-        s_n2 = tau**2 / (k + 1) * float(np.sum(beta_k2 * row_power))
-    else:
-        s_n1 = s_n2 = 0.0
+    mu_los = a * math.sqrt(1 - tau**2) * complex(h.conj() @ link.h_los)
+    s_los = a**2 * tau**2 * float(np.sum(beta_k2 * beta_j2))
+    s_n1 = b**2 * (1 - tau**2) * float(
+        np.sum(np.abs(h.conj() @ link.r_half) ** 2))
+    row_power = np.sum(np.abs(link.r_half) ** 2, axis=1)
+    s_n2 = b**2 * tau**2 * float(np.sum(beta_k2 * row_power))
 
     s_sum = s_los + s_n1 + s_n2
     return LinkMoments(
@@ -158,13 +155,11 @@ def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
     beta_k2 = np.abs(h) ** 2
 
     def mu_c(link):
-        k = link.kappa
-        return math.sqrt(k * (1 - tau**2) / (k + 1)) * complex(
+        return link.weights[0] * math.sqrt(1 - tau**2) * complex(
             h.conj() @ link.h_los)
 
     def mu_a(link):
-        k = link.kappa
-        return math.sqrt(tau**2 * k / (k + 1)) * np.sqrt(beta_k2) * link.h_los
+        return link.weights[0] * tau * np.sqrt(beta_k2) * link.h_los
 
     li, lj = drop.links[i], drop.links[j]
     cross = complex(mu_a(li).conj() @ mu_a(lj))
@@ -234,10 +229,8 @@ def interference_mean_limit(drop: Drop) -> float:
     tau = drop.tau
     total = 0.0
     for link in drop.links:
-        k = link.kappa
-        if k == 0:
-            continue
-        total += link.rho * k * (1 - tau**2) / (m2 * (1 + k)) \
+        a = link.weights[0]
+        total += link.rho * a**2 * (1 - tau**2) / m2 \
             * abs(complex(h.conj() @ link.h_los)) ** 2
     return total
 

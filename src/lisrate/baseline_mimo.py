@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import ula_steering
 from .geometry import Device, MIN_DEVICE_DISTANCE
-from .mc_engine import DesiredLink, Drop, InterferenceLink
+from .mc_engine import Drop, Link
 
 
 @dataclass(frozen=True)
@@ -31,11 +31,8 @@ def _nlos_factor(distance: float, array: UlaArray, num_paths: int, rng,
     """Per-device scalar path loss times unit-gain ULA steering columns."""
     loss = distance ** (-beta_pl / 2.0)
     angles = rng.uniform(-np.pi / 2, np.pi / 2, num_paths)
-    cols = np.empty((array.num_antennas, num_paths), dtype=complex)
-    for p, theta in enumerate(angles):
-        cols[:, p] = ula_steering(theta, array.num_antennas, array.spacing,
-                                  array.wavelength)
-    return loss * cols
+    return loss * ula_steering(angles, array.num_antennas, array.spacing,
+                               array.wavelength)
 
 
 def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
@@ -55,26 +52,17 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     seed_words = [int(seed)] if np.isscalar(seed) else [int(w) for w in seed]
     snr_lin = 10.0 ** (target_snr_db / 10.0)
 
-    r_halves, rhos = [], []
+    zero_los = np.zeros(num_antennas, dtype=complex)
+    links, dists = [], []
     for j, dev in enumerate(devices):
         d = max(float(np.linalg.norm(dev.position)), MIN_DEVICE_DISTANCE)
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, j]))
-        r_halves.append(_nlos_factor(d, array, num_paths, rng, beta_pl))
-        rhos.append(snr_lin * d**beta_pl)
-
-    zero_los = np.zeros(num_antennas, dtype=complex)
-    links = []
-    for j, dev in enumerate(devices):
-        if j == target_index:
-            continue
-        links.append(InterferenceLink(kappa=0.0, h_los=zero_los,
-                                      r_half=r_halves[j], rho=rhos[j]))
-
-    d_target = max(float(np.linalg.norm(devices[target_index].position)),
-                   MIN_DEVICE_DISTANCE)
-    desired = DesiredLink(
-        h_los=zero_los,
-        err_amp=np.full(num_antennas, d_target ** (-beta_pl / 2.0)),
-        rho=rhos[target_index], kappa=0.0, r_half=r_halves[target_index])
-    return Drop(desired=desired, links=tuple(links), tau=tau,
-                grid=None, target_z=None)
+        links.append(Link(kappa=0.0, h_los=zero_los,
+                          r_half=_nlos_factor(d, array, num_paths, rng, beta_pl),
+                          rho=snr_lin * d**beta_pl))
+        dists.append(d)
+    desired = links.pop(target_index)
+    return Drop(desired=desired, links=tuple(links),
+                err_amp=np.full(num_antennas,
+                                dists[target_index] ** (-beta_pl / 2.0)),
+                tau=tau, grid=None, target_z=None)

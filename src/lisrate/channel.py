@@ -1,10 +1,11 @@
-"""Deterministic channel construction: LOS vectors, steering vectors,
-correlation factors, and composite Rician links."""
+"""Deterministic channel construction: LOS vectors, steering vectors and
+the scattered paths' correlation factors.  A link combines them as
+`mc_engine.Link`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,31 +46,6 @@ def random_path_set(num_paths: int, rng) -> PathSet:
                    theta_h=rng.uniform(-half, half, num_paths))
 
 
-@dataclass(frozen=True)
-class CorrelationFactor:
-    """Deterministic M x P factor mapping i.i.d. path fading onto antennas."""
-
-    matrix: np.ndarray = field(repr=False)  # (M, P) complex
-    source: tuple = (0, 0)                  # (j, k) link identity
-
-    @property
-    def num_paths(self) -> int:
-        return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class RicianLink:
-    kappa: float                    # >= 0
-    h_los: np.ndarray               # (M,) complex
-    r_half: CorrelationFactor
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("Rician factor must be nonnegative")
-        if self.r_half.matrix.shape[0] != self.h_los.shape[0]:
-            raise ValueError("LOS vector and correlation factor disagree on M")
-
-
 def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
     """Deterministic LOS channel: amplitude los_gain, phase exp(-2j pi d/lambda)."""
     d = distance(device.position, grid.positions)
@@ -77,68 +53,52 @@ def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
     return amp * np.exp(-2j * np.pi * d / grid.wavelength)
 
 
-def _phase_ramp(n: int, step: float) -> np.ndarray:
-    return np.exp(1j * step * np.arange(n))
+def _phase_ramp(n: int, steps) -> np.ndarray:
+    """exp(1j * step * k) for k < n, shape (n,) + steps.shape."""
+    return np.exp(1j * np.multiply.outer(np.arange(n), steps))
 
 
-def upa_steering(theta_v: float, theta_h: float, num_antennas: int,
-                 spacing: float, wavelength: float) -> np.ndarray:
-    """Planar-array steering vector (1/sqrt(M)) d_v(phi_v) kron d_h(phi_h).
+def upa_steering(theta_v, theta_h, num_antennas: int, spacing: float,
+                 wavelength: float) -> np.ndarray:
+    """Planar-array steering vectors (1/sqrt(M)) d_v(phi_v) kron d_h(phi_h).
 
     phi_v = sin(theta_v) and phi_h = sin(theta_h) cos(theta_h); both ramps
-    have phase step (2 pi spacing / wavelength) * phi.
+    have phase step (2 pi spacing / wavelength) * phi.  The angles broadcast
+    against each other; the result has shape (M,) + that shape, one steering
+    vector per column.
     """
     n = math.isqrt(num_antennas)
     if n * n != num_antennas:
         raise ValueError(f"num_antennas must be a perfect square, got {num_antennas}")
-    phi_v = math.sin(theta_v)
-    phi_h = math.sin(theta_h) * math.cos(theta_h)
+    theta_v, theta_h = np.broadcast_arrays(theta_v, theta_h)
+    phi_v = np.sin(theta_v)
+    phi_h = np.sin(theta_h) * np.cos(theta_h)
     step = 2.0 * np.pi * spacing / wavelength
     d_v = _phase_ramp(n, step * phi_v)
     d_h = _phase_ramp(n, step * phi_h)
-    return np.kron(d_v, d_h) / math.sqrt(num_antennas)
+    kron = (d_v[:, None] * d_h[None, :]).reshape((num_antennas,) + phi_v.shape)
+    return kron / math.sqrt(num_antennas)
 
 
-def ula_steering(theta_h: float, num_antennas: int, spacing: float,
+def ula_steering(theta_h, num_antennas: int, spacing: float,
                  wavelength: float) -> np.ndarray:
-    """Linear-array steering vector with phase step (2 pi spacing/lambda) sin(theta)."""
-    step = 2.0 * np.pi * spacing / wavelength * math.sin(theta_h)
+    """Linear-array steering vectors with phase step (2 pi spacing/lambda)
+    sin(theta), shape (M,) + theta_h.shape."""
+    step = 2.0 * np.pi * spacing / wavelength * np.sin(theta_h)
     return _phase_ramp(num_antennas, step) / math.sqrt(num_antennas)
 
 
 def correlation_factor(device: Device, grid: AntennaGrid, paths: PathSet,
-                       beta_pl: float, source=(0, 0)) -> CorrelationFactor:
-    """NLOS correlation factor diag(d_m**(-beta_pl/2)) @ [alpha_p d(path_p)].
+                       beta_pl: float) -> np.ndarray:
+    """NLOS correlation factor diag(d_m**(-beta_pl/2)) @ [alpha_p d(path_p)],
+    a C-contiguous (M, P) array.
 
     Per-antenna NLOS path loss uses the device-to-antenna distance, clamped
     at NLOS_MIN_DISTANCE.
     """
     d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
     loss = d ** (-beta_pl / 2.0)
-    cols = np.empty((grid.num_antennas, paths.num_paths), dtype=complex)
-    gains = paths.gains
-    for p in range(paths.num_paths):
-        cols[:, p] = gains[p] * upa_steering(
-            paths.theta_v[p], paths.theta_h[p],
-            grid.num_antennas, grid.spacing, grid.wavelength)
-    return CorrelationFactor(matrix=loss[:, None] * cols, source=source)
-
-
-def empty_correlation_factor(num_antennas: int, source=(0, 0)) -> CorrelationFactor:
-    """Zero-path factor; represents a link whose NLOS branch is absent."""
-    return CorrelationFactor(matrix=np.empty((num_antennas, 0), dtype=complex),
-                             source=source)
-
-
-def rician_channel(link: RicianLink, g: np.ndarray) -> np.ndarray:
-    """One channel draw sqrt(k/(k+1)) h_los + sqrt(1/(k+1)) R_half @ g."""
-    g = np.asarray(g)
-    if g.shape != (link.r_half.num_paths,):
-        raise ValueError(f"fading vector has shape {g.shape}, "
-                         f"expected ({link.r_half.num_paths},)")
-    k = link.kappa
-    if math.isinf(k):
-        return link.h_los.copy()
-    a = math.sqrt(k / (k + 1.0))
-    b = math.sqrt(1.0 / (k + 1.0))
-    return a * link.h_los + b * (link.r_half.matrix @ g)
+    cols = paths.gains * upa_steering(paths.theta_v, paths.theta_h,
+                                      grid.num_antennas, grid.spacing,
+                                      grid.wavelength)
+    return loss[:, None] * cols

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, baseline_mimo, channel, geometry
-from .mc_engine import DesiredLink, Drop, InterferenceLink, run_monte_carlo
+from .mc_engine import Drop, Link, run_monte_carlo
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -69,14 +69,24 @@ class ScenarioConfig:
             raise ConfigError("tau must lie in [0, 1)")
         if self.num_devices < 1 or self.drops < 1 or self.realizations < 2:
             raise ConfigError("counts must be positive (realizations >= 2)")
-        if self.half_length <= 0 or self.frequency <= 0 or self.d_c <= 0 \
-                or self.d_m <= 0:
-            raise ConfigError("lengths and frequencies must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.half_length, self.frequency, self.d_c, self.d_m)):
+            raise ConfigError("lengths and frequencies must be positive "
+                              "and finite")
+        if not math.isfinite(self.snr_db):
+            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        if self.log_base != "e":
+            raise ConfigError(f"log_base must be 'e' (rates are in nats), "
+                              f"got {self.log_base!r}")
         if not self.m_grid or min(self.m_grid) < 1:
             raise ConfigError("m_grid must list one or more positive "
                               "antenna counts")
         for m in self.m_grid:
-            if math.isqrt(m) ** 2 != m and self.kind != "mimo-baseline":
+            if self.kind == "mimo-baseline":
+                if m % 2:
+                    raise ConfigError(f"M = {m} is odd; the linear-array "
+                                      "baseline has P = M/2 paths")
+            elif math.isqrt(m) ** 2 != m:
                 raise ConfigError(f"M = {m} is not a perfect square")
 
 
@@ -174,22 +184,21 @@ def make_drop(config: ScenarioConfig, drop_index: int,
         kappa = rician_factor(d_center) if is_los else 0.0
 
         if config.mode == "los-only":
-            r_half = channel.empty_correlation_factor(m, source=(dev.index, 0))
+            r_half = np.empty((m, 0), dtype=complex)
         else:
             angle_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, drop_index, 2, dev.index]))
             paths = channel.random_path_set(num_paths, angle_rng)
             r_half = channel.correlation_factor(dev, grid, paths,
-                                               config.beta_pl,
-                                               source=(dev.index, 0))
-        links.append(InterferenceLink(
-            kappa=kappa, h_los=channel.los_channel(dev, grid),
-            r_half=r_half.matrix, rho=power_control(dev)))
+                                               config.beta_pl)
+        links.append(Link(kappa=kappa, h_los=channel.los_channel(dev, grid),
+                          r_half=r_half, rho=power_control(dev)))
 
-    desired = DesiredLink(h_los=h_kk, err_amp=np.abs(h_kk),
-                          rho=power_control(target))
-    return Drop(desired=desired, links=tuple(links), tau=config.tau,
-                grid=grid, target_z=target.z)
+    desired = Link(kappa=math.inf, h_los=h_kk,
+                   r_half=np.empty((m, 0), dtype=complex),
+                   rho=power_control(target))
+    return Drop(desired=desired, links=tuple(links), err_amp=np.abs(h_kk),
+                tau=config.tau, grid=grid, target_z=target.z)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +388,9 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
 #  Config files
 # ---------------------------------------------------------------------------
 
-_TUPLE_FIELDS = {"m_grid"}
-_INT_FIELDS = {"num_devices", "drops", "realizations", "seed"}
-_STR_FIELDS = {"kind", "mode", "log_base"}
+# plane and room are tuples of ranges, which the flat file format cannot hold.
+_FILE_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)} \
+    - {"plane", "room"}
 
 
 def parse_int_tuple(text: str) -> tuple[int, ...]:
@@ -395,9 +404,15 @@ def parse_int_tuple(text: str) -> tuple[int, ...]:
             f"expected comma-separated integers, got {text!r}") from exc
 
 
+# Config-file readers of the fields that are not floats.
+_PARSERS = {"m_grid": parse_int_tuple, "num_devices": int, "drops": int,
+            "realizations": int, "seed": int, "kind": str, "mode": str,
+            "log_base": str}
+
+
 def parse_config_file(path) -> dict:
-    """Flat `key = value` lines with '#' comments; keys match ScenarioConfig."""
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    """Flat `key = value` lines with '#' comments; keys are the
+    ScenarioConfig fields except plane and room."""
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -407,16 +422,13 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _FILE_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in _TUPLE_FIELDS:
-                out[key] = parse_int_tuple(value)
-            elif key in _INT_FIELDS:
-                out[key] = int(value)
-            elif key in _STR_FIELDS:
-                out[key] = value
-            else:
-                out[key] = float(value)
+            try:
+                out[key] = _PARSERS.get(key, float)(value)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"{path}:{lineno}: cannot read {key} "
+                                  f"from {value!r}") from exc
     return out
 
 

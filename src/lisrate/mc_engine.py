@@ -10,7 +10,7 @@ the master seed, so results are bit-identical regardless of worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,40 +20,47 @@ DEFAULT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
-class InterferenceLink:
-    """One interfering device as seen by the target unit."""
+class Link:
+    """One device's channel to the surface: the Rician mix
+    sqrt(kappa/(kappa+1)) h_los + sqrt(1/(kappa+1)) r_half @ g of a
+    deterministic LOS vector and P scattered paths with CN(0, 1) fading g.
+    kappa == inf means the channel is h_los itself."""
 
     kappa: float            # Rician factor (linear); 0 means pure NLOS
     h_los: np.ndarray       # (M,) deterministic LOS component
     r_half: np.ndarray      # (M, P) correlation factor; P may be 0
-    rho: float              # interferer transmit SNR (linear)
+    rho: float              # transmit SNR (linear)
+
+    def __post_init__(self):
+        if not self.kappa >= 0:
+            raise ValueError(f"Rician factor must be nonnegative, got {self.kappa}")
+        if self.r_half.shape[0] != self.h_los.shape[0]:
+            raise ValueError("LOS vector and correlation factor disagree on M")
 
     @property
     def num_paths(self) -> int:
         return self.r_half.shape[1]
 
-
-@dataclass(frozen=True)
-class DesiredLink:
-    """The served device.  kappa == inf means a deterministic LOS channel."""
-
-    h_los: np.ndarray           # (M,)
-    err_amp: np.ndarray         # (M,) per-antenna estimation-error amplitudes
-    rho: float
-    kappa: float = math.inf
-    r_half: np.ndarray | None = None
-
     @property
     def deterministic(self) -> bool:
-        return self.r_half is None or math.isinf(self.kappa)
+        return math.isinf(self.kappa)
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """(LOS, scattered) amplitudes sqrt(kappa/(kappa+1)), sqrt(1/(kappa+1))."""
+        k = self.kappa
+        if math.isinf(k):
+            return 1.0, 0.0
+        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
 
 
 @dataclass(frozen=True)
 class Drop:
     """One frozen geometric realization for a single target device."""
 
-    desired: DesiredLink
-    links: tuple[InterferenceLink, ...]
+    desired: Link
+    links: tuple[Link, ...]
+    err_amp: np.ndarray              # (M,) per-antenna estimation-error amplitudes
     tau: float                       # CSI imperfectness in [0, 1)
     grid: AntennaGrid | None = None  # None for the linear-array baseline
     target_z: float | None = None
@@ -117,20 +124,18 @@ def rate_sample(gamma) -> np.ndarray:
 
 def draw_fading(drop: Drop, rng) -> FadingRealization:
     """Draw one realization.  Order: eps, desired fading, per-link fading."""
-    eps = crandn(rng, drop.num_antennas)
-    g_des = None
-    if not drop.desired.deterministic:
-        g_des = crandn(rng, drop.desired.r_half.shape[1])
-    g = [crandn(rng, link.num_paths) for link in drop.links]
-    return FadingRealization(eps=eps, g=g, g_des=g_des)
+    eps, g_des, g = _draw_chunk(drop, rng, 1)
+    return FadingRealization(eps=eps[0], g=[gj[0] for gj in g],
+                             g_des=None if g_des is None else g_des[0])
 
 
 def _draw_chunk(drop: Drop, rng, n: int):
-    """Vectorized analogue of draw_fading for n realizations (rows)."""
+    """n realizations (rows) of eps, the desired-link fading and the
+    per-link fading."""
     eps = crandn(rng, (n, drop.num_antennas))
     g_des = None
     if not drop.desired.deterministic:
-        g_des = crandn(rng, (n, drop.desired.r_half.shape[1]))
+        g_des = crandn(rng, (n, drop.desired.num_paths))
     g = [crandn(rng, (n, link.num_paths)) for link in drop.links]
     return eps, g_des, g
 
@@ -139,8 +144,7 @@ def _desired_channel(drop: Drop, g_des):
     des = drop.desired
     if des.deterministic:
         return des.h_los
-    a = math.sqrt(des.kappa / (des.kappa + 1.0))
-    b = math.sqrt(1.0 / (des.kappa + 1.0))
+    a, b = des.weights
     return a * des.h_los + b * (g_des @ des.r_half.T)
 
 
@@ -154,24 +158,22 @@ def compute_terms(drop: Drop, eps, g_des, g):
     n, m = eps.shape
     tau = drop.tau
     ct, st = math.sqrt(1.0 - tau**2), tau
-    err = drop.desired.err_amp * eps                      # (n, M)
+    err = drop.err_amp * eps                              # (n, M)
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
 
     if h.ndim == 1:
         hn2 = np.real(h.conj() @ h)
         s = np.full(n, hn2**2)
         x = np.abs(err.conj() @ h) ** 2
-        z = np.sum(np.abs(ct * h + st * err) ** 2, axis=1)
     else:
         hn2 = np.sum(np.abs(h) ** 2, axis=1)
         s = hn2**2
         x = np.abs(np.einsum("ij,ij->i", err.conj(), h)) ** 2
-        z = np.sum(np.abs(ct * h + st * err) ** 2, axis=1)
+    z = np.sum(np.abs(ct * h + st * err) ** 2, axis=1)
 
     y = np.empty((n, len(drop.links)))
     for idx, link in enumerate(drop.links):
-        a = math.sqrt(link.kappa / (link.kappa + 1.0))
-        b = math.sqrt(1.0 / (link.kappa + 1.0))
+        a, b = link.weights
         gj = np.atleast_2d(g[idx])
         if h.ndim == 1:
             t1 = a * (h.conj() @ link.h_los) + b * (gj @ (h.conj() @ link.r_half))
@@ -207,7 +209,7 @@ def sinr_direct(drop: Drop, fading: FadingRealization) -> float:
     per-term decomposition; agrees with sinr_sample to roundoff.
     """
     tau = drop.tau
-    err = drop.desired.err_amp * fading.eps
+    err = drop.err_amp * fading.eps
     h = _desired_channel(drop, None if fading.g_des is None else fading.g_des)
     f = estimated_channel(h, tau, err)
     hn2 = np.real(h.conj() @ h)
@@ -215,8 +217,7 @@ def sinr_direct(drop: Drop, fading: FadingRealization) -> float:
     leak = drop.desired.rho * tau**2 * np.abs(err.conj() @ h) ** 2
     interf = 0.0
     for link, gj in zip(drop.links, fading.g):
-        a = math.sqrt(link.kappa / (link.kappa + 1.0))
-        b = math.sqrt(1.0 / (link.kappa + 1.0))
+        a, b = link.weights
         hj = a * link.h_los + (b * (link.r_half @ gj) if link.num_paths else 0.0)
         interf += link.rho * np.abs(f.conj() @ hj) ** 2
     noise = np.real(f.conj() @ f)
@@ -373,7 +374,7 @@ def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
     link = drop.links[link_idx]
     if link.num_paths == 0:
         raise ValueError("link has no scattered paths")
-    beta = drop.desired.err_amp
+    beta = drop.err_amp
     w = beta[:, None] * link.r_half                     # (M, P)
     scale = math.sqrt(float(np.sum(np.abs(w) ** 2)))
     out = np.empty(n_real, dtype=complex)

@@ -77,7 +77,7 @@ class TestTermMoments:
         rng = np.random.default_rng(1)
         eps = crandn(rng, (200000, 16))
         x = np.abs(np.einsum("ij,j->i",
-                             (drop.desired.err_amp * eps).conj(),
+                             (drop.err_amp * eps).conj(),
                              drop.desired.h_los)) ** 2
         ks = stats.kstest(2 * x / b4, "chi2", args=(2,))
         assert ks.pvalue > 0.01
@@ -126,16 +126,15 @@ class TestTermMoments:
         assert lm.mean == pytest.approx(lm.s_n1 + lm.s_n2)
 
     def test_requires_deterministic_desired(self):
-        from lisrate.mc_engine import DesiredLink, Drop, InterferenceLink
+        from lisrate.mc_engine import Drop, Link
         rng = np.random.default_rng(0)
-        desired = DesiredLink(h_los=np.zeros(4, complex),
-                              err_amp=np.ones(4), rho=1.0, kappa=0.0,
-                              r_half=crandn(rng, (4, 2)))
-        drop = Drop(desired=desired, links=(), tau=0.5)
+        desired = Link(kappa=0.0, h_los=np.zeros(4, complex),
+                       r_half=crandn(rng, (4, 2)), rho=1.0)
+        drop = Drop(desired=desired, links=(), err_amp=np.ones(4), tau=0.5)
         with pytest.raises(ValueError):
             asy.error_leak_moments(drop)
         with pytest.raises(ValueError):
-            asy.interference_term_moments(drop, InterferenceLink(
+            asy.interference_term_moments(drop, Link(
                 kappa=1.0, h_los=np.zeros(4, complex),
                 r_half=np.empty((4, 0), complex), rho=1.0))
 
@@ -233,6 +232,7 @@ class TestEndToEnd:
 
     def test_bound_needs_grid(self):
         drop = small_drop(seed=0)
-        bare = asy.Drop(desired=drop.desired, links=drop.links, tau=drop.tau)
+        bare = asy.Drop(desired=drop.desired, links=drop.links,
+                        err_amp=drop.err_amp, tau=drop.tau)
         with pytest.raises(ValueError):
             asy.rate_bound(bare)

@@ -43,7 +43,7 @@ class TestBuildMimoDrop:
         d = math.hypot(math.hypot(4.0 * math.cos(0), 4.0 * math.sin(0)), 2.0)
         snr = 10 ** 0.3
         assert drop.desired.rho == pytest.approx(snr * d ** 3.7)
-        np.testing.assert_allclose(drop.desired.err_amp,
+        np.testing.assert_allclose(drop.err_amp,
                                    d ** (-3.7 / 2.0))
 
     def test_received_snr_is_distance_free(self):
@@ -61,7 +61,7 @@ class TestBuildMimoDrop:
                 Device(position=np.array([2.0, 0.0, 1.0]), index=1)]
         drop = build_mimo_drop(devs, 8, 0.1, seed=2)
         # clamped to 1 m: unit path loss on the desired error amplitudes
-        np.testing.assert_allclose(drop.desired.err_amp, 1.0)
+        np.testing.assert_allclose(drop.err_amp, 1.0)
 
     def test_deterministic_in_seed(self):
         devs = ring_devices(4)

@@ -6,12 +6,9 @@ import pytest
 from lisrate.channel import (
     NLOS_MIN_DISTANCE,
     PathSet,
-    RicianLink,
     correlation_factor,
-    empty_correlation_factor,
     los_channel,
     random_path_set,
-    rician_channel,
     ula_steering,
     upa_steering,
 )
@@ -62,6 +59,25 @@ class TestSteering:
         with pytest.raises(ValueError):
             upa_steering(0.0, 0.0, 10, 0.05, 0.1)
 
+    def test_broadcast_matches_kron_of_ramps(self):
+        # one steering vector per angle, in the angles' shape after M
+        rng = np.random.default_rng(4)
+        tv = rng.uniform(-1.5, 1.5, (2, 3))
+        th = rng.uniform(-1.5, 1.5, (2, 3))
+        step = 2 * np.pi * 0.05 / 0.1
+        k = np.arange(5)
+        upa = upa_steering(tv, th, 25, 0.05, 0.1)
+        ula = ula_steering(th, 25, 0.05, 0.1)
+        assert upa.shape == ula.shape == (25, 2, 3)
+        for i, j in np.ndindex(2, 3):
+            dv = np.exp(1j * step * math.sin(tv[i, j]) * k)
+            dh = np.exp(1j * step * math.sin(th[i, j])
+                        * math.cos(th[i, j]) * k)
+            np.testing.assert_allclose(upa[:, i, j], np.kron(dv, dh) / 5.0,
+                                       rtol=1e-14)
+            ramp = np.exp(1j * step * math.sin(th[i, j]) * np.arange(25))
+            np.testing.assert_allclose(ula[:, i, j], ramp / 5.0, rtol=1e-14)
+
     def test_ula_unit_norm_and_step(self):
         v = ula_steering(0.7, 8, 0.05, 0.1)
         assert np.linalg.norm(v) == pytest.approx(1.0)
@@ -95,52 +111,22 @@ class TestCorrelationFactor:
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         ps = random_path_set(3, np.random.default_rng(1))
         rh = correlation_factor(dev, grid, ps, 3.7)
-        assert rh.matrix.shape == (16, 3)
+        assert rh.shape == (16, 3) and rh.flags.c_contiguous
         d = np.maximum(distance(dev.position, grid.positions), NLOS_MIN_DISTANCE)
         loss = d ** (-3.7 / 2)
         col0 = ps.gains[0] * upa_steering(ps.theta_v[0], ps.theta_h[0],
                                           16, grid.spacing, 0.1)
-        np.testing.assert_allclose(rh.matrix[:, 0], loss * col0)
+        np.testing.assert_allclose(rh[:, 0], loss * col0)
 
     def test_distance_clamp(self, grid):
         # device nearly touching the surface: distances < 1 m must clamp
         dev = Device(position=np.array([0.0, 0.0, 0.01]))
         ps = PathSet(theta_v=np.zeros(1), theta_h=np.zeros(1))
         rh = correlation_factor(dev, grid, ps, 3.7)
-        np.testing.assert_allclose(np.abs(rh.matrix[:, 0]),
+        np.testing.assert_allclose(np.abs(rh[:, 0]),
                                    np.abs(ps.gains[0]) / 4.0)
 
-    def test_empty_factor(self):
-        rh = empty_correlation_factor(9)
-        assert rh.matrix.shape == (9, 0)
-        assert rh.num_paths == 0
-
-
-class TestRicianChannel:
-    def test_pure_los_limit(self, grid):
-        dev = Device(position=np.array([0.5, 0.5, 1.0]))
-        link = RicianLink(kappa=math.inf, h_los=los_channel(dev, grid),
-                          r_half=empty_correlation_factor(16))
-        h = rician_channel(link, np.empty(0))
-        np.testing.assert_array_equal(h, link.h_los)
-
-    def test_component_weights(self, grid):
-        dev = Device(position=np.array([0.5, 0.5, 1.0]))
-        ps = random_path_set(2, np.random.default_rng(3))
-        rh = correlation_factor(dev, grid, ps, 3.7)
-        link = RicianLink(kappa=3.0, h_los=los_channel(dev, grid), r_half=rh)
-        g = np.array([1.0 + 0j, -1j])
-        h = rician_channel(link, g)
-        expect = math.sqrt(0.75) * link.h_los + 0.5 * (rh.matrix @ g)
-        np.testing.assert_allclose(h, expect)
-
-    def test_rejects_negative_kappa(self, grid):
-        with pytest.raises(ValueError):
-            RicianLink(kappa=-0.1, h_los=np.zeros(16, complex),
-                       r_half=empty_correlation_factor(16))
-
-    def test_rejects_wrong_fading_length(self, grid):
-        link = RicianLink(kappa=1.0, h_los=np.zeros(16, complex),
-                          r_half=empty_correlation_factor(16))
-        with pytest.raises(ValueError):
-            rician_channel(link, np.ones(2))
+    def test_empty_factor(self, grid):
+        dev = Device(position=np.array([1.0, 2.0, 1.5]))
+        ps = PathSet(theta_v=np.empty(0), theta_h=np.empty(0))
+        assert correlation_factor(dev, grid, ps, 3.7).shape == (16, 0)

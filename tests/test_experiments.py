@@ -33,7 +33,9 @@ class TestConfig:
         ("kind", "hexagon"), ("mode", "sometimes"), ("tau", 1.0),
         ("tau", -0.1), ("drops", 0), ("realizations", 1),
         ("half_length", 0.0), ("d_m", -1.0), ("m_grid", (10,)),
-        ("m_grid", ()), ("m_grid", (0,)),
+        ("m_grid", ()), ("m_grid", (0,)), ("half_length", math.nan),
+        ("frequency", math.nan), ("snr_db", math.inf), ("snr_db", math.nan),
+        ("log_base", "2"),
     ])
     def test_validation(self, field, value):
         cfg = ScenarioConfig(**{**FAST, field: value})
@@ -43,6 +45,11 @@ class TestConfig:
     def test_mimo_allows_non_square_m(self):
         ScenarioConfig(**{**FAST, "kind": "mimo-baseline",
                           "m_grid": (8,)}).validate()
+
+    def test_mimo_rejects_odd_m(self):
+        with pytest.raises(ConfigError):
+            ScenarioConfig(**{**FAST, "kind": "mimo-baseline",
+                              "m_grid": (9,)}).validate()
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -65,6 +72,17 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("antennas = 4\n")
         with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_file(path)
+
+    @pytest.mark.parametrize("text,lineno", [
+        ("drops = two\n", 1), ("kind = grid-plane\nplane = 1\n", 2),
+        ("m_grid = 16, x\n", 1), ("tau = half\n", 1),
+    ], ids=["int", "tuple-key", "m_grid", "float"])
+    def test_config_file_names_line_of_bad_value(self, tmp_path, text,
+                                                 lineno):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.cfg:{lineno}: "):
             parse_config_file(path)
 
     def test_config_file_rejects_malformed_line(self, tmp_path):
@@ -267,8 +285,20 @@ class TestCli:
         ("run", ["--workers", "0"]), ("run", ["--workers", "-2"]),
         ("sweep-L", ["--workers", "0", "--l-grid", "0.2"]),
         ("run", ["--m-grid", ""]), ("run", ["--m-grid", "16,x"]),
+        ("run", ["--half-length", "nan"]),
+        ("run", ["--scenario", "mimo-baseline", "--m-grid", "9"]),
+        ("run", ["--config", "drops = two\n"]),
+        ("run", ["--config", "kind = grid-plane\nplane = 1\n"]),
+        ("run", ["--config", "snr_db = inf\n"]),
+        ("run", ["--config", "log_base = 2\n"]),
     ])
-    def test_bad_input_exit_code(self, command, flags, capsys):
+    def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
+        if "--config" in flags:
+            # the value after --config is the file's text; pass its path
+            at = flags.index("--config") + 1
+            path = tmp_path / "c.cfg"
+            path.write_text(flags[at])
+            flags = [*flags[:at], str(path), *flags[at + 1:]]
         rc = cli.main([command, "--scenario", "uniform-room", "--devices",
                        "4", "--drops", "1", "--realizations", "64", *flags])
         assert rc == cli.EXIT_CONFIG

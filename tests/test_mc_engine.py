@@ -6,9 +6,8 @@ import pytest
 from lisrate.channel import correlation_factor, los_channel, random_path_set
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import (
-    DesiredLink,
     Drop,
-    InterferenceLink,
+    Link,
     compute_terms,
     crandn,
     draw_fading,
@@ -35,13 +34,17 @@ def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
                                         rng.uniform(-3, 3),
                                         rng.uniform(1, 2)]), index=j + 1)
         rh = correlation_factor(dev, grid, random_path_set(num_paths, rng), 3.7)
-        links.append(InterferenceLink(kappa=kappa if j % 2 == 0 else 0.0,
-                                      h_los=los_channel(dev, grid),
-                                      r_half=rh.matrix,
-                                      rho=float(rng.uniform(1, 10))))
-    desired = DesiredLink(h_los=h_kk, err_amp=np.abs(h_kk), rho=12.0)
-    return Drop(desired=desired, links=tuple(links), tau=tau,
-                grid=grid, target_z=1.0)
+        links.append(Link(kappa=kappa if j % 2 == 0 else 0.0,
+                          h_los=los_channel(dev, grid), r_half=rh,
+                          rho=float(rng.uniform(1, 10))))
+    return Drop(desired=los_link(h_kk, 12.0), links=tuple(links),
+                err_amp=np.abs(h_kk), tau=tau, grid=grid, target_z=1.0)
+
+
+def los_link(h, rho):
+    """A deterministic LOS link with no scattered paths."""
+    return Link(kappa=math.inf, h_los=h,
+                r_half=np.empty((h.shape[0], 0), complex), rho=rho)
 
 
 class TestPrimitives:
@@ -72,18 +75,41 @@ class TestPrimitives:
             rate_sample([-0.1])
 
 
+class TestLink:
+    def test_component_weights(self):
+        link = Link(kappa=3.0, h_los=np.ones(4, complex),
+                    r_half=np.ones((4, 2), complex), rho=1.0)
+        assert link.weights == (math.sqrt(0.75), 0.5)
+        assert not link.deterministic
+
+    def test_pure_los_limit(self):
+        link = los_link(np.ones(4, complex), 1.0)
+        assert link.weights == (1.0, 0.0)
+        assert link.deterministic
+
+    @pytest.mark.parametrize("kappa", [-0.1, math.nan])
+    def test_rejects_bad_kappa(self, kappa):
+        with pytest.raises(ValueError):
+            Link(kappa=kappa, h_los=np.zeros(16, complex),
+                 r_half=np.empty((16, 0), complex), rho=1.0)
+
+    def test_rejects_antenna_count_mismatch(self):
+        with pytest.raises(ValueError):
+            Link(kappa=1.0, h_los=np.zeros(16, complex),
+                 r_half=np.empty((9, 2), complex), rho=1.0)
+
+
 class TestDropValidation:
     def test_rejects_bad_tau(self):
         d = small_drop()
         with pytest.raises(ValueError):
-            Drop(desired=d.desired, links=d.links, tau=1.0)
+            Drop(desired=d.desired, links=d.links, err_amp=d.err_amp, tau=1.0)
 
     def test_rejects_nonpositive_power(self):
         d = small_drop()
-        bad = DesiredLink(h_los=d.desired.h_los, err_amp=d.desired.err_amp,
-                          rho=0.0)
+        bad = los_link(d.desired.h_los, 0.0)
         with pytest.raises(ValueError):
-            Drop(desired=bad, links=d.links, tau=0.5)
+            Drop(desired=bad, links=d.links, err_amp=d.err_amp, tau=0.5)
 
     def test_counts(self):
         d = small_drop(m=25, n_interferers=4)
@@ -123,12 +149,12 @@ class TestSinrPaths:
         rng = np.random.default_rng(9)
         m, p = 8, 4
         r_half = crandn(rng, (m, p))
-        desired = DesiredLink(h_los=np.zeros(m, complex),
-                              err_amp=np.full(m, 0.7), rho=2.0,
-                              kappa=0.0, r_half=r_half)
-        link = InterferenceLink(kappa=0.0, h_los=np.zeros(m, complex),
-                                r_half=crandn(rng, (m, p)), rho=1.5)
-        drop = Drop(desired=desired, links=(link,), tau=0.4)
+        desired = Link(kappa=0.0, h_los=np.zeros(m, complex), r_half=r_half,
+                       rho=2.0)
+        link = Link(kappa=0.0, h_los=np.zeros(m, complex),
+                    r_half=crandn(rng, (m, p)), rho=1.5)
+        drop = Drop(desired=desired, links=(link,), err_amp=np.full(m, 0.7),
+                    tau=0.4)
         for trial in range(10):
             fading = draw_fading(drop, np.random.default_rng(trial))
             a = sinr_sample(drop, fading).gamma
@@ -202,8 +228,8 @@ class TestRunMonteCarlo:
         grid = build_grid((0.0, 0.0), 0.25, 16, 0.1)
         target = Device(position=np.array([0.0, 0.0, 1.0]))
         h = los_channel(target, grid)
-        drop = Drop(desired=DesiredLink(h_los=h, err_amp=np.abs(h), rho=2.0),
-                    links=(), tau=0.0, grid=grid, target_z=1.0)
+        drop = Drop(desired=los_link(h, 2.0), links=(), err_amp=np.abs(h),
+                    tau=0.0, grid=grid, target_z=1.0)
         mc = run_monte_carlo(drop, 400, 0)
         assert mc.rate.variance == 0.0
         assert mc.rate.se_mean == 0.0
@@ -231,8 +257,9 @@ class TestYn2Sampler:
 
     def test_rejects_pathless_link(self):
         drop = small_drop(seed=0)
-        bare = InterferenceLink(kappa=1.0, h_los=drop.links[0].h_los,
-                                r_half=np.empty((16, 0), complex), rho=1.0)
-        d2 = Drop(desired=drop.desired, links=(bare,), tau=0.5)
+        bare = Link(kappa=1.0, h_los=drop.links[0].h_los,
+                    r_half=np.empty((16, 0), complex), rho=1.0)
+        d2 = Drop(desired=drop.desired, links=(bare,), err_amp=drop.err_amp,
+                  tau=0.5)
         with pytest.raises(ValueError):
             sample_yn2_normalized(d2, 0, 10, seed=0)
