@@ -123,7 +123,7 @@ def interference_term_moments(drop: Drop, link: Link) -> LinkMoments:
     beta_k2 = np.abs(h) ** 2
     beta_j2 = np.abs(link.h_los) ** 2
 
-    mu_los = a * math.sqrt(1 - tau**2) * complex(h.conj() @ link.h_los)
+    mu_los = _los_coupling(drop, link)[0]
     s_los = a**2 * tau**2 * float(np.sum(beta_k2 * beta_j2))
     s_n1 = b**2 * (1 - tau**2) * float(
         np.sum(np.abs(h.conj() @ link.r_half) ** 2))
@@ -145,25 +145,23 @@ def noise_term_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
     return MomentPair(mean=b2, variance=tau**2 * (2 - tau**2) * b4)
 
 
+def _los_coupling(drop: Drop, link: Link) -> tuple[complex, np.ndarray]:
+    """(mu_c, mu_a): the coherent LOS mean of a link's interference term and
+    the LOS vector its error leak projects on; the pair covariance of links
+    i and j is 2 Re(mu_c,i conj(mu_c,j) mu_a,i^H mu_a,j)."""
+    h = _require_los_desired(drop)
+    a, tau = link.weights[0], drop.tau
+    return (a * math.sqrt(1 - tau**2) * complex(h.conj() @ link.h_los),
+            a * tau * np.abs(h) * link.h_los)
+
+
 def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
     """Asymptotic covariance of the interference terms of devices i and j
     (indices into drop.links); driven entirely by the LOS components."""
     if i == j:
         raise ValueError("interference_pair_covariance needs two distinct interferers")
-    h = _require_los_desired(drop)
-    tau = drop.tau
-    beta_k2 = np.abs(h) ** 2
-
-    def mu_c(link):
-        return link.weights[0] * math.sqrt(1 - tau**2) * complex(
-            h.conj() @ link.h_los)
-
-    def mu_a(link):
-        return link.weights[0] * tau * np.sqrt(beta_k2) * link.h_los
-
-    li, lj = drop.links[i], drop.links[j]
-    cross = complex(mu_a(li).conj() @ mu_a(lj))
-    return 2.0 * (mu_c(li) * np.conj(mu_c(lj)) * cross).real
+    (ci, ai), (cj, aj) = (_los_coupling(drop, drop.links[k]) for k in (i, j))
+    return 2.0 * (ci * np.conj(cj) * complex(ai.conj() @ aj)).real
 
 
 def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
@@ -178,10 +176,13 @@ def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPai
     var = rho_k**2 * tau**4 * b4**2 + tau**2 * (2 - tau**2) * b4 \
         + sum(link.rho**2 * lm.variance
               for link, lm in zip(drop.links, link_moments))
-    for i in range(len(drop.links)):
-        for j in range(i + 1, len(drop.links)):
-            var += 2 * drop.links[i].rho * drop.links[j].rho \
-                * interference_pair_covariance(drop, i, j)
+    # Sum over pairs i < j of 2 rho_i rho_j cov(i, j), in O(KM): with
+    # w_i = rho_i conj(mu_c,i) mu_a,i it is 2 (|sum_i w_i|^2 - sum_i |w_i|^2).
+    if drop.links:
+        coupling = [_los_coupling(drop, link) for link in drop.links]
+        w = np.array([link.rho * np.conj(c) * a
+                      for link, (c, a) in zip(drop.links, coupling)])
+        var += 2 * (np.sum(np.abs(w.sum(axis=0)) ** 2) - np.sum(np.abs(w) ** 2))
     return MomentPair(mean=mean, variance=var)
 
 

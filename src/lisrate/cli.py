@@ -42,7 +42,7 @@ def _add_common(parser):
 def _build_config(args) -> ScenarioConfig:
     m_grid = None
     if args.m_grid is not None:
-        m_grid = experiments.parse_int_tuple(args.m_grid)
+        m_grid = experiments.parse_tuple(args.m_grid)
     return experiments.config_from_sources(
         file_path=args.config, seed=args.seed, m_grid=m_grid,
         drops=args.drops, realizations=args.realizations, mode=args.mode,
@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep_l(args) -> int:
     config = _build_config(args)
-    l_grid = [float(v) for v in args.l_grid.split(",")]
+    l_grid = experiments.parse_tuple(args.l_grid, float)
     best, curve = experiments.optimal_l_search(config, l_grid,
                                               workers=args.workers)
     for hl, rate in curve:

@@ -69,10 +69,13 @@ class ScenarioConfig:
             raise ConfigError("tau must lie in [0, 1)")
         if self.num_devices < 1 or self.drops < 1 or self.realizations < 2:
             raise ConfigError("counts must be positive (realizations >= 2)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not all(math.isfinite(v) and v > 0 for v in (
-                self.half_length, self.frequency, self.d_c, self.d_m)):
-            raise ConfigError("lengths and frequencies must be positive "
-                              "and finite")
+                self.half_length, self.frequency, self.d_c, self.d_m,
+                self.beta_pl, self.paths_per_antenna)):
+            raise ConfigError("lengths, frequency, beta_pl and "
+                              "paths_per_antenna must be positive and finite")
         if not math.isfinite(self.snr_db):
             raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
         if self.log_base != "e":
@@ -367,8 +370,10 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
     """Closed-form rate as a function of the unit half-length; returns the
     argmax (ties toward smaller L) and the full drop-averaged curve."""
     config.validate()
-    if not len(l_grid):
-        raise ConfigError("l_grid must be nonempty")
+    if not len(l_grid) or not all(math.isfinite(hl) and hl > 0
+                                  for hl in l_grid):
+        raise ConfigError("l_grid must list one or more positive, finite "
+                          "half-lengths")
     tasks = [(hl, d) for hl in l_grid for d in range(config.drops)]
     vals = _fan_out(_l_task, [(config, hl, d) for hl, d in tasks], workers)
     results = dict(zip(tasks, vals))
@@ -393,19 +398,20 @@ _FILE_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)} \
     - {"plane", "room"}
 
 
-def parse_int_tuple(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; blank text is the empty tuple."""
+def parse_tuple(text: str, kind=int) -> tuple:
+    """Comma-separated values of type `kind` (int or float); blank text is
+    the empty tuple."""
     if not text.strip():
         return ()
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(kind(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(
-            f"expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {kind.__name__} "
+                          f"values, got {text!r}") from exc
 
 
 # Config-file readers of the fields that are not floats.
-_PARSERS = {"m_grid": parse_int_tuple, "num_devices": int, "drops": int,
+_PARSERS = {"m_grid": parse_tuple, "num_devices": int, "drops": int,
             "realizations": int, "seed": int, "kind": str, "mode": str,
             "log_base": str}
 

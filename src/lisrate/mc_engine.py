@@ -4,7 +4,10 @@ The per-realization SINR is computed two ways: through the term decomposition
 (desired power S, error leak X, per-interferer Y, combined noise Z) and
 through the raw receiver inner products; the two agree to roundoff and the
 tests enforce it.  Aggregation is chunked with per-chunk seeds derived from
-the master seed, so results are bit-identical regardless of worker count.
+the master seed.  Each chunk reduces to central moments (mean, M2, M3, M4),
+which stay accurate when the channel hardens and a term's spread is tiny
+next to its mean; chunks merge one by one in index order, so results are
+bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
@@ -240,35 +243,66 @@ class MomentEstimate:
     count: int
 
 
-def _stats_from_sums(sums: np.ndarray, n: int, lo, hi):
-    """Moment estimates from raw power sums (4, ...); exact-zero variance is
-    detected through the min/max track."""
-    mean = sums[0] / n
-    m2 = np.maximum(sums[1] / n - mean**2, 0.0)
-    m3 = sums[2] / n - 3 * mean * sums[1] / n + 2 * mean**3
-    m4 = np.maximum(
-        sums[3] / n - 4 * mean * sums[2] / n + 6 * mean**2 * sums[1] / n
-        - 3 * mean**4, 0.0)
-    degenerate = np.asarray(hi) == np.asarray(lo)
-    m2 = np.where(degenerate, 0.0, m2)
-    m4 = np.where(degenerate, 0.0, m4)
-    var = m2 * n / (n - 1)
-    se_mean = np.sqrt(var / n)
-    se_var = np.sqrt(np.maximum(m4 - (n - 3) / (n - 1) * m2**2, 0.0) / n)
-    _ = m3  # third central moment currently unused
-    return mean, var, se_mean, se_var
+@dataclass(frozen=True)
+class _Moments:
+    """Count, means and central sums M2, M3, M4 of the statistics of a
+    sample, one entry per statistic.  `merge` pools two disjoint samples
+    with the pairwise updates of Chan, Golub & LeVeque (1979) and Pebay
+    (2008, SAND2008-6212); M3 is kept because the M4 update needs it."""
+
+    n: int
+    mean: np.ndarray
+    m2: np.ndarray
+    m3: np.ndarray
+    m4: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> _Moments:
+        """Moments of the rows of the (c, n) array x, one statistic per row,
+        so every sum runs over contiguous memory.  Centring each row on its
+        first value before taking the mean makes the central sums of a
+        constant row exactly zero."""
+        d = x - x[:, :1]
+        shift = d.mean(axis=1)
+        d -= shift[:, None]
+        d2 = d * d
+        m2 = d2.sum(axis=1)
+        d *= d2
+        d2 *= d2
+        return cls(x.shape[1], x[:, 0] + shift, m2, d.sum(axis=1),
+                   d2.sum(axis=1))
+
+    def merge(self, other: _Moments) -> _Moments:
+        na, nb = self.n, other.n
+        n = na + nb
+        delta = other.mean - self.mean
+        dn = delta / n
+        return _Moments(
+            n, self.mean + nb * dn,
+            self.m2 + other.m2 + na * nb * delta * dn,
+            self.m3 + other.m3 + na * nb * (na - nb) * delta * dn**2
+            + 3 * dn * (na * other.m2 - nb * self.m2),
+            self.m4 + other.m4
+            + na * nb * (na * na - na * nb + nb * nb) * delta * dn**3
+            + 6 * dn**2 * (na * na * other.m2 + nb * nb * self.m2)
+            + 4 * dn * (na * other.m3 - nb * self.m3))
+
+    def stats(self):
+        """Per-statistic mean, unbiased variance and their standard errors."""
+        n = self.n
+        var = self.m2 / (n - 1)
+        se_var = np.sqrt(np.maximum(
+            self.m4 / n - (n - 3) / (n - 1) * (self.m2 / n) ** 2, 0.0) / n)
+        return self.mean, var, np.sqrt(var / n), se_var
 
 
 def estimate_moments(samples) -> MomentEstimate:
     """Mean and unbiased variance of a sample, with standard errors."""
-    x = np.asarray(samples, dtype=float)
+    x = np.asarray(samples, dtype=float).reshape(1, -1)
     if x.size < 2:
         raise ValueError("need at least two samples")
-    sums = np.stack([x.sum(), (x**2).sum(), (x**3).sum(), (x**4).sum()])
-    mean, var, se_m, se_v = _stats_from_sums(sums, x.size, x.min(), x.max())
-    return MomentEstimate(mean=float(mean), variance=float(var),
-                          se_mean=float(se_m), se_variance=float(se_v),
-                          count=x.size)
+    return MomentEstimate(*(float(s[0]) for s in _Moments.of(x).stats()),
+                          x.size)
 
 
 @dataclass
@@ -285,31 +319,7 @@ class McResult:
     y_var: np.ndarray
     y_se_mean: np.ndarray
     y_se_var: np.ndarray
-    y_cov: np.ndarray           # (K-1, K-1) sample covariance
     y_samples: np.ndarray | None = None  # (n, K-1) when collected
-
-
-_SCALARS = ("rate", "gamma", "x", "z", "i")
-
-
-def _chunk_sums(drop: Drop, master_seed, drop_tag: int, chunk_idx: int, n: int,
-                collect_y: bool):
-    rng = np.random.default_rng(
-        np.random.SeedSequence([int(master_seed), int(drop_tag), chunk_idx]))
-    eps, g_des, g = _draw_chunk(drop, rng, n)
-    t = compute_terms(drop, eps, g_des, g)
-    t["rate"] = rate_sample(t["gamma"])
-    out = {}
-    for name in _SCALARS:
-        x = t[name]
-        out[name] = (np.stack([x.sum(), (x**2).sum(), (x**3).sum(), (x**4).sum()]),
-                     x.min(), x.max())
-    y = t["y"]
-    out["y"] = np.stack([y.sum(0), (y**2).sum(0), (y**3).sum(0), (y**4).sum(0)])
-    out["y_lo"], out["y_hi"] = y.min(0), y.max(0)
-    out["yy"] = y.T @ y
-    out["y_samples"] = y if collect_y else None
-    return out
 
 
 def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
@@ -318,53 +328,33 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
     """Estimate the MC moments of the rate and of every decomposition term.
 
     Chunk boundaries and per-chunk seeds depend only on (seed, drop_tag,
-    chunk index), so the result is independent of scheduling.
+    chunk index), and chunks merge in index order, so the result is
+    independent of scheduling.
     """
     if n_real < 2:
         raise ValueError("need at least two realizations")
-    n_links = len(drop.links)
-    chunks = [(idx, min(chunk_size, n_real - idx * chunk_size))
-              for idx in range((n_real + chunk_size - 1) // chunk_size)]
-
-    scalar_sums = {name: np.zeros(4) for name in _SCALARS}
-    scalar_lo = {name: math.inf for name in _SCALARS}
-    scalar_hi = {name: -math.inf for name in _SCALARS}
-    y_sums = np.zeros((4, n_links))
-    y_lo = np.full(n_links, math.inf)
-    y_hi = np.full(n_links, -math.inf)
-    yy = np.zeros((n_links, n_links))
-    y_samples = [] if collect_y else None
-
-    for idx, n in chunks:
-        part = _chunk_sums(drop, seed, drop_tag, idx, n, collect_y)
-        for name in _SCALARS:
-            s, lo, hi = part[name]
-            scalar_sums[name] += s
-            scalar_lo[name] = min(scalar_lo[name], lo)
-            scalar_hi[name] = max(scalar_hi[name], hi)
-        y_sums += part["y"]
-        y_lo = np.minimum(y_lo, part["y_lo"])
-        y_hi = np.maximum(y_hi, part["y_hi"])
-        yy += part["yy"]
+    acc, y_parts = None, []
+    for idx, start in enumerate(range(0, n_real, chunk_size)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([int(seed), int(drop_tag), idx]))
+        t = compute_terms(drop, *_draw_chunk(
+            drop, rng, min(chunk_size, n_real - start)))
+        # rows: rate, gamma, x, z, i, then one per interferer
+        part = _Moments.of(np.vstack([
+            rate_sample(t["gamma"]), t["gamma"], t["x"], t["z"], t["i"],
+            t["y"].T]))
+        acc = part if acc is None else acc.merge(part)
         if collect_y:
-            y_samples.append(part["y_samples"])
+            y_parts.append(t["y"])
 
-    n = n_real
-    est = {}
-    for name in _SCALARS:
-        mean, var, se_m, se_v = _stats_from_sums(
-            scalar_sums[name], n, scalar_lo[name], scalar_hi[name])
-        est[name] = MomentEstimate(float(mean), float(var), float(se_m),
-                                   float(se_v), n)
-
-    y_mean, y_var, y_se_m, y_se_v = _stats_from_sums(y_sums, n, y_lo, y_hi)
-    y_cov = (yy / n - np.outer(y_mean, y_mean)) * n / (n - 1)
+    stats = acc.stats()
+    rate, gamma, x, z, i_total = (
+        MomentEstimate(*(float(s[c]) for s in stats), n_real) for c in range(5))
+    y_mean, y_var, y_se_mean, y_se_var = (s[5:] for s in stats)
     return McResult(
-        n=n, rate=est["rate"], gamma=est["gamma"], x=est["x"], z=est["z"],
-        i_total=est["i"], y_mean=np.atleast_1d(y_mean),
-        y_var=np.atleast_1d(y_var), y_se_mean=np.atleast_1d(y_se_m),
-        y_se_var=np.atleast_1d(y_se_v), y_cov=y_cov,
-        y_samples=np.concatenate(y_samples) if collect_y and y_samples else None)
+        n=n_real, rate=rate, gamma=gamma, x=x, z=z, i_total=i_total,
+        y_mean=y_mean, y_var=y_var, y_se_mean=y_se_mean, y_se_var=y_se_var,
+        y_samples=np.concatenate(y_parts) if collect_y else None)
 
 
 def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,

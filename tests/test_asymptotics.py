@@ -6,6 +6,7 @@ from scipy import integrate, stats
 
 from lisrate import asymptotics as asy
 from lisrate.channel import los_channel
+from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import crandn, compute_terms, run_monte_carlo
 
@@ -154,6 +155,26 @@ class TestCovariance:
     def test_rejects_same_link(self):
         with pytest.raises(ValueError):
             asy.interference_pair_covariance(small_drop(), 1, 1)
+
+    @pytest.mark.parametrize("mode,tau", [
+        ("los-only", 0.5), ("probabilistic", 0.1), ("probabilistic", 0.9)])
+    def test_total_variance_matches_pair_loop(self, mode, tau):
+        # reference: the explicit sum over all interferer pairs
+        cfg = ScenarioConfig(kind="uniform-room", num_devices=30,
+                             m_grid=(64,), mode=mode, tau=tau, seed=4)
+        for drop in (make_drop(cfg, d) for d in range(3)):
+            b4 = float(np.sum(np.abs(drop.desired.h_los) ** 4))
+            links = drop.links
+            want = drop.desired.rho**2 * tau**4 * b4**2 \
+                + tau**2 * (2 - tau**2) * b4 \
+                + sum(l.rho**2 * asy.interference_term_moments(drop, l).variance
+                      for l in links) \
+                + sum(2 * links[i].rho * links[j].rho
+                      * asy.interference_pair_covariance(drop, i, j)
+                      for i in range(len(links))
+                      for j in range(i + 1, len(links)))
+            got = asy.total_interference_moments(drop, asymptotic=False)
+            assert got.variance == pytest.approx(want, rel=1e-12)
 
 
 class TestTaylorMoments:

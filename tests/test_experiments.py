@@ -35,7 +35,10 @@ class TestConfig:
         ("half_length", 0.0), ("d_m", -1.0), ("m_grid", (10,)),
         ("m_grid", ()), ("m_grid", (0,)), ("half_length", math.nan),
         ("frequency", math.nan), ("snr_db", math.inf), ("snr_db", math.nan),
-        ("log_base", "2"),
+        ("log_base", "2"), ("seed", -1), ("paths_per_antenna", 0.0),
+        ("paths_per_antenna", -1.0), ("paths_per_antenna", math.nan),
+        ("paths_per_antenna", math.inf), ("beta_pl", 0.0), ("beta_pl", -3.7),
+        ("beta_pl", math.nan), ("beta_pl", math.inf),
     ])
     def test_validation(self, field, value):
         cfg = ScenarioConfig(**{**FAST, field: value})
@@ -253,6 +256,12 @@ class TestOptimalL:
         with pytest.raises(ConfigError):
             optimal_l_search(ScenarioConfig(**FAST), [])
 
+    @pytest.mark.parametrize("grid", [
+        [0.2, -0.2], [0.0], [math.nan], [0.3, math.inf]])
+    def test_rejects_bad_half_length(self, grid):
+        with pytest.raises(ConfigError, match="half-lengths"):
+            optimal_l_search(ScenarioConfig(**FAST), grid)
+
     def test_workers_do_not_change_curve(self):
         cfg = ScenarioConfig(**FAST)
         grid = [0.2, 0.3, 0.4]
@@ -291,6 +300,11 @@ class TestCli:
         ("run", ["--config", "kind = grid-plane\nplane = 1\n"]),
         ("run", ["--config", "snr_db = inf\n"]),
         ("run", ["--config", "log_base = 2\n"]),
+        ("run", ["--seed", "-1"]),
+        ("run", ["--config", "paths_per_antenna = -1\n"]),
+        ("run", ["--config", "beta_pl = nan\n"]),
+        ("sweep-L", ["--l-grid", "0.2,x"]), ("sweep-L", ["--l-grid=-0.2"]),
+        ("sweep-L", ["--l-grid", "0.2,nan"]), ("sweep-L", ["--l-grid", ""]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:

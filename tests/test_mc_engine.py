@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lisrate.channel import correlation_factor, los_channel, random_path_set
+from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import (
     Drop,
     Link,
+    _draw_chunk,
+    _Moments,
     compute_terms,
     crandn,
     draw_fading,
@@ -198,6 +202,25 @@ class TestEstimateMoments:
         with pytest.raises(ValueError):
             estimate_moments([1.0])
 
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
+           st.lists(st.integers(1, 59), max_size=6))
+    def test_merged_chunks_equal_one_pass(self, xs, cuts):
+        x = np.array(xs)
+        bounds = [0, *sorted({c for c in cuts if c < len(x)}), len(x)]
+        parts = [_Moments.of(x[None, a:b]) for a, b in zip(bounds, bounds[1:])]
+        merged = parts[0]
+        for part in parts[1:]:
+            merged = merged.merge(part)
+        one = estimate_moments(x)
+        # A spread far below the values' magnitude leaves only roundoff of
+        # that magnitude; the absolute floor is ~100 ulps of it.
+        scale = float(np.max(np.abs(x))) + 1.0
+        for got, want, power in zip(merged.stats(), (
+                one.mean, one.variance, one.se_mean, one.se_variance),
+                (1, 2, 1, 2)):
+            assert float(got[0]) == pytest.approx(
+                want, rel=1e-10, abs=1e-14 * scale**power)
+
 
 class TestRunMonteCarlo:
     def test_reproducible(self):
@@ -222,7 +245,6 @@ class TestRunMonteCarlo:
         np.testing.assert_allclose(mc.y_mean, mc.y_samples.mean(0), rtol=1e-10)
         np.testing.assert_allclose(mc.y_var, mc.y_samples.var(0, ddof=1),
                                    rtol=1e-8)
-        np.testing.assert_allclose(np.diag(mc.y_cov), mc.y_var, rtol=1e-8)
 
     def test_perfect_csi_single_device_rate_is_deterministic(self):
         grid = build_grid((0.0, 0.0), 0.25, 16, 0.1)
@@ -230,12 +252,33 @@ class TestRunMonteCarlo:
         h = los_channel(target, grid)
         drop = Drop(desired=los_link(h, 2.0), links=(), err_amp=np.abs(h),
                     tau=0.0, grid=grid, target_z=1.0)
-        mc = run_monte_carlo(drop, 400, 0)
-        assert mc.rate.variance == 0.0
-        assert mc.rate.se_mean == 0.0
         expect = math.log1p(2.0 * float(np.sum(np.abs(h) ** 2)) ** 2
                             / float(np.sum(np.abs(h) ** 2)))
-        assert mc.rate.mean == pytest.approx(expect, rel=1e-12)
+        # one chunk, and four merged ones
+        for chunk_size in (2048, 128):
+            mc = run_monte_carlo(drop, 400, 0, chunk_size=chunk_size)
+            assert mc.rate.variance == 0.0
+            assert mc.rate.se_mean == 0.0
+            assert mc.rate.se_variance == 0.0
+            assert mc.rate.mean == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [1e-3, 1e-5])
+    def test_variance_se_survives_hardening(self, tau):
+        # Z's spread is ~tau of its mean: the SE of its variance must match
+        # a two-pass computation on the same draws, across merged chunks.
+        cfg = ScenarioConfig(kind="grid-plane", mode="los-only",
+                             num_devices=2, m_grid=(400,), tau=tau, seed=1)
+        drop = make_drop(cfg, 0)
+        n, chunk = 4096, 1024
+        mc = run_monte_carlo(drop, n, 1, chunk_size=chunk)
+        z = np.concatenate([compute_terms(drop, *_draw_chunk(
+            drop, np.random.default_rng(np.random.SeedSequence([1, 0, idx])),
+            chunk))["z"] for idx in range(n // chunk)])
+        d = z - z.mean()
+        m2, m4 = np.mean(d**2), np.mean(d**4)
+        two_pass = math.sqrt((m4 - (n - 3) / (n - 1) * m2**2) / n)
+        assert mc.z.variance == pytest.approx(z.var(ddof=1), rel=1e-6)
+        assert two_pass / 1.5 < mc.z.se_variance < 1.5 * two_pass
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
