@@ -42,17 +42,15 @@ from .geometry import (
 )
 from .mc_engine import (
     Drop,
-    FadingRealization,
     Link,
     MomentEstimate,
-    SinrSample,
+    compute_terms,
     draw_fading,
     estimate_moments,
     estimated_channel,
     rate_sample,
     run_monte_carlo,
     sinr_direct,
-    sinr_sample,
 )
 from .experiments import (
     RateReport,

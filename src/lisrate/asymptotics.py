@@ -225,15 +225,9 @@ def asymptotic_rate_moments(drop: Drop, use_finite_sums: bool = False) -> Moment
 def interference_mean_limit(drop: Drop) -> float:
     """Large-M limit of the normalized interference mean; only the LOS
     components of the interferers survive."""
-    h = _require_los_desired(drop)
-    m2 = drop.num_antennas**2
-    tau = drop.tau
-    total = 0.0
-    for link in drop.links:
-        a = link.weights[0]
-        total += link.rho * a**2 * (1 - tau**2) / m2 \
-            * abs(complex(h.conj() @ link.h_los)) ** 2
-    return total
+    _require_los_desired(drop)
+    return sum(link.rho * abs(_los_coupling(drop, link)[0]) ** 2
+               for link in drop.links) / drop.num_antennas**2
 
 
 def rate_bound(drop: Drop) -> float:

@@ -121,6 +121,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """Quick invariants: dual-path SINR identity and steering norms."""
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst = 0.0
     for trial in range(50):
@@ -131,9 +133,9 @@ def _cmd_selftest(args) -> int:
                                 seed=int(rng.integers(1 << 30)))
         drop = experiments.make_drop(config, 0)
         fade_rng = np.random.default_rng(trial)
-        fading = mc_engine.draw_fading(drop, fade_rng)
-        a = mc_engine.sinr_sample(drop, fading).gamma
-        b = mc_engine.sinr_direct(drop, fading)
+        fading = mc_engine.draw_fading(drop, fade_rng, 1)
+        a = mc_engine.compute_terms(drop, *fading)["gamma"][0]
+        b = mc_engine.sinr_direct(drop, *fading)[0]
         worst = max(worst, abs(a - b) / b)
     print(f"dual-path SINR identity: worst relative gap {worst:.3e}")
     if worst > 1e-10:

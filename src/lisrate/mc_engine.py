@@ -1,13 +1,17 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
-The per-realization SINR is computed two ways: through the term decomposition
-(desired power S, error leak X, per-interferer Y, combined noise Z) and
-through the raw receiver inner products; the two agree to roundoff and the
-tests enforce it.  Aggregation is chunked with per-chunk seeds derived from
-the master seed.  Each chunk reduces to central moments (mean, M2, M3, M4),
-which stay accurate when the channel hardens and a term's spread is tiny
-next to its mean; chunks merge one by one in index order, so results are
-bit-identical regardless of worker count.
+Every kernel takes a batch of realizations from draw_fading, one per row.
+The SINR is computed two ways, which agree to roundoff and the tests enforce
+it.  The term decomposition (desired power S, error leak X, per-interferer Y,
+combined noise Z) takes the estimated channel's conjugate once per batch and
+applies each correlation factor first (f^H R, then g).  The receiver path
+builds each channel first (h_j = a h_los + b R g) and groups the inner
+products as the matched filter sees them.  Aggregation is chunked with
+per-chunk seeds derived from the master seed.  Each chunk reduces to
+central moments (mean, M2, M3, M4), which stay accurate when the channel
+hardens and a term's spread is tiny next to its mean; chunks merge one by
+one in index order, so results are bit-identical regardless of worker
+count.
 """
 
 from __future__ import annotations
@@ -83,25 +87,6 @@ class Drop:
         return len(self.links) + 1
 
 
-@dataclass
-class FadingRealization:
-    """One draw of fast fading and estimation error (all standard CN(0,1))."""
-
-    eps: np.ndarray                      # (M,) estimation-error draws
-    g: list[np.ndarray]                  # per-link (P_j,) path fading
-    g_des: np.ndarray | None = None      # desired-link path fading, if stochastic
-
-
-@dataclass(frozen=True)
-class SinrSample:
-    gamma: float
-    s: float
-    x: float
-    y: np.ndarray          # (K-1,)
-    z: float
-    i_total: float
-
-
 def crandn(rng, shape) -> np.ndarray:
     """Standard complex Gaussian CN(0,1) draws."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
@@ -112,8 +97,6 @@ def estimated_channel(h: np.ndarray, tau: float, err: np.ndarray) -> np.ndarray:
     """Least-squares channel estimate h + sqrt(tau^2/(1-tau^2)) * err."""
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    if tau == 0.0:
-        return np.asarray(h).copy()
     return h + math.sqrt(tau**2 / (1.0 - tau**2)) * err
 
 
@@ -125,16 +108,11 @@ def rate_sample(gamma) -> np.ndarray:
     return np.log1p(gamma)
 
 
-def draw_fading(drop: Drop, rng) -> FadingRealization:
-    """Draw one realization.  Order: eps, desired fading, per-link fading."""
-    eps, g_des, g = _draw_chunk(drop, rng, 1)
-    return FadingRealization(eps=eps[0], g=[gj[0] for gj in g],
-                             g_des=None if g_des is None else g_des[0])
-
-
-def _draw_chunk(drop: Drop, rng, n: int):
-    """n realizations (rows) of eps, the desired-link fading and the
-    per-link fading."""
+def draw_fading(drop: Drop, rng, n: int):
+    """n realizations (rows) of (eps, g_des, g): the estimation error
+    (n, M), the desired-link fading (n, P) or None when that link is
+    deterministic, and a list of per-link (n, P_j) fading, drawn in that
+    order."""
     eps = crandn(rng, (n, drop.num_antennas))
     g_des = None
     if not drop.desired.deterministic:
@@ -144,6 +122,7 @@ def _draw_chunk(drop: Drop, rng, n: int):
 
 
 def _desired_channel(drop: Drop, g_des):
+    """h_los (M,) for a deterministic desired link, else the (n, M) rows."""
     des = drop.desired
     if des.deterministic:
         return des.h_los
@@ -152,42 +131,30 @@ def _desired_channel(drop: Drop, g_des):
 
 
 def compute_terms(drop: Drop, eps, g_des, g):
-    """Decomposed SINR terms for a batch of realizations.
+    """Decomposed SINR terms for a batch of realizations from draw_fading.
 
-    `eps` is (n, M); `g` a list of (n, P_j) arrays.  Returns a dict of
-    per-realization arrays: s, x, y (n, K-1), z, i, gamma.
+    Every interference term is |f^H h_j|^2 for the combining vector
+    f = sqrt(1-tau^2) h + tau err, so f^H is formed once per batch and each
+    link costs one matvec and one (n, M) x (M, P_j) product, R first:
+    f^H h_j = a f^H h_los + b (f^H R) g.  Returns a dict of per-realization
+    arrays: s, x, y (n, K-1), z, i, gamma.
     """
-    eps = np.atleast_2d(eps)
-    n, m = eps.shape
     tau = drop.tau
-    ct, st = math.sqrt(1.0 - tau**2), tau
     err = drop.err_amp * eps                              # (n, M)
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
+    # f^H, built in place: each fresh (n, M) temporary costs page faults
+    fh = tau * err
+    fh += math.sqrt(1.0 - tau**2) * h
+    np.conj(fh, out=fh)
 
-    if h.ndim == 1:
-        hn2 = np.real(h.conj() @ h)
-        s = np.full(n, hn2**2)
-        x = np.abs(err.conj() @ h) ** 2
-    else:
-        hn2 = np.sum(np.abs(h) ** 2, axis=1)
-        s = hn2**2
-        x = np.abs(np.einsum("ij,ij->i", err.conj(), h)) ** 2
-    z = np.sum(np.abs(ct * h + st * err) ** 2, axis=1)
-
-    y = np.empty((n, len(drop.links)))
-    for idx, link in enumerate(drop.links):
+    s = np.broadcast_to(np.sum(np.abs(h) ** 2, axis=-1) ** 2, len(eps))
+    x = np.abs(np.sum(err * h.conj(), axis=-1)) ** 2
+    z = np.sum(np.abs(fh) ** 2, axis=-1)
+    y = np.empty((len(eps), len(drop.links)))
+    for idx, (link, gj) in enumerate(zip(drop.links, g)):
         a, b = link.weights
-        gj = np.atleast_2d(g[idx])
-        if h.ndim == 1:
-            t1 = a * (h.conj() @ link.h_los) + b * (gj @ (h.conj() @ link.r_half))
-            t2 = a * (err.conj() @ link.h_los)
-            if link.num_paths:
-                t2 = t2 + b * np.einsum("ij,ij->i", err.conj() @ link.r_half, gj)
-        else:
-            hj = a * link.h_los + b * (gj @ link.r_half.T)  # (n, M)
-            t1 = np.einsum("ij,ij->i", h.conj(), hj)
-            t2 = np.einsum("ij,ij->i", err.conj(), hj)
-        y[:, idx] = np.abs(ct * t1 + st * t2) ** 2
+        y[:, idx] = np.abs(a * (fh @ link.h_los) + b * np.einsum(
+            "ij,ij->i", fh @ link.r_half, gj)) ** 2
 
     rhos = np.array([link.rho for link in drop.links])
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
@@ -195,37 +162,30 @@ def compute_terms(drop: Drop, eps, g_des, g):
     return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma}
 
 
-def sinr_sample(drop: Drop, fading: FadingRealization) -> SinrSample:
-    """Decomposition-path SINR of a single realization."""
-    g_des = None if fading.g_des is None else fading.g_des[None, :]
-    t = compute_terms(drop, fading.eps[None, :],
-                      g_des, [gj[None, :] for gj in fading.g])
-    return SinrSample(gamma=float(t["gamma"][0]), s=float(t["s"][0]),
-                      x=float(t["x"][0]), y=t["y"][0].copy(),
-                      z=float(t["z"][0]), i_total=float(t["i"][0]))
+def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
+    """Receiver-path SINR of each row of a draw_fading batch, built from the
+    inner products of the least-squares estimate with each channel.
 
-
-def sinr_direct(drop: Drop, fading: FadingRealization) -> float:
-    """Receiver-path SINR built from the estimated channel's inner products.
-
-    Groups the terms as the matched filter sees them, without using the
-    per-term decomposition; agrees with sinr_sample to roundoff.
+    Groups the terms as the matched filter sees them and builds each
+    interferer's channel first, h_j = a h_los + b R g, without the per-term
+    decomposition; agrees with compute_terms to roundoff.
     """
     tau = drop.tau
-    err = drop.err_amp * fading.eps
-    h = _desired_channel(drop, None if fading.g_des is None else fading.g_des)
-    f = estimated_channel(h, tau, err)
-    hn2 = np.real(h.conj() @ h)
+    err = drop.err_amp * eps
+    h = _desired_channel(drop, g_des)
+    fh = estimated_channel(h, tau, err).conj()
+    hn2 = np.sum(np.abs(h) ** 2, axis=-1)
 
-    leak = drop.desired.rho * tau**2 * np.abs(err.conj() @ h) ** 2
+    leak = drop.desired.rho * tau**2 \
+        * np.abs(np.sum(err.conj() * h, axis=-1)) ** 2
     interf = 0.0
-    for link, gj in zip(drop.links, fading.g):
+    for link, gj in zip(drop.links, g):
         a, b = link.weights
-        hj = a * link.h_los + (b * (link.r_half @ gj) if link.num_paths else 0.0)
-        interf += link.rho * np.abs(f.conj() @ hj) ** 2
-    noise = np.real(f.conj() @ f)
+        hj = a * link.h_los + b * (gj @ link.r_half.T)
+        interf += link.rho * np.abs(np.sum(fh * hj, axis=-1)) ** 2
+    noise = np.sum(np.abs(fh) ** 2, axis=-1)
     denom = leak + (1.0 - tau**2) * (interf + noise)
-    return float(drop.desired.rho * (1.0 - tau**2) * hn2**2 / denom)
+    return drop.desired.rho * (1.0 - tau**2) * hn2**2 / denom
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +297,7 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
     for idx, start in enumerate(range(0, n_real, chunk_size)):
         rng = np.random.default_rng(
             np.random.SeedSequence([int(seed), int(drop_tag), idx]))
-        t = compute_terms(drop, *_draw_chunk(
+        t = compute_terms(drop, *draw_fading(
             drop, rng, min(chunk_size, n_real - start)))
         # rows: rate, gamma, x, z, i, then one per interferer
         part = _Moments.of(np.vstack([

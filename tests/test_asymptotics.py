@@ -134,6 +134,8 @@ class TestTermMoments:
         drop = Drop(desired=desired, links=(), err_amp=np.ones(4), tau=0.5)
         with pytest.raises(ValueError):
             asy.error_leak_moments(drop)
+        with pytest.raises(ValueError):  # no links, so no coupling to check
+            asy.interference_mean_limit(drop)
         with pytest.raises(ValueError):
             asy.interference_term_moments(drop, Link(
                 kappa=1.0, h_los=np.zeros(4, complex),

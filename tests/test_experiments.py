@@ -305,6 +305,7 @@ class TestCli:
         ("run", ["--config", "beta_pl = nan\n"]),
         ("sweep-L", ["--l-grid", "0.2,x"]), ("sweep-L", ["--l-grid=-0.2"]),
         ("sweep-L", ["--l-grid", "0.2,nan"]), ("sweep-L", ["--l-grid", ""]),
+        ("selftest", ["--seed", "-1"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:

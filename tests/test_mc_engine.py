@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lisrate.baseline_mimo import build_mimo_drop
 from lisrate.channel import correlation_factor, los_channel, random_path_set
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import (
     Drop,
     Link,
-    _draw_chunk,
     _Moments,
     compute_terms,
     crandn,
@@ -21,7 +21,6 @@ from lisrate.mc_engine import (
     run_monte_carlo,
     sample_yn2_normalized,
     sinr_direct,
-    sinr_sample,
 )
 
 
@@ -127,9 +126,9 @@ class TestSinrPaths:
         for trial in range(20):
             drop = small_drop(m=16, n_interferers=3, seed=trial,
                               tau=0.3 + 0.02 * trial)
-            fading = draw_fading(drop, np.random.default_rng(100 + trial))
-            a = sinr_sample(drop, fading).gamma
-            b = sinr_direct(drop, fading)
+            fading = draw_fading(drop, np.random.default_rng(100 + trial), 1)
+            a = compute_terms(drop, *fading)["gamma"][0]
+            b = sinr_direct(drop, *fading)[0]
             worst = max(worst, abs(a - b) / b)
         assert worst < 1e-12
 
@@ -140,13 +139,31 @@ class TestSinrPaths:
         eps = crandn(rng, (n, drop.num_antennas))
         g = [crandn(rng, (n, link.num_paths)) for link in drop.links]
         batch = compute_terms(drop, eps, None, g)
-        from lisrate.mc_engine import FadingRealization
         for i in range(n):
-            single = sinr_sample(drop, FadingRealization(
-                eps=eps[i], g=[gj[i] for gj in g]))
-            assert batch["gamma"][i] == pytest.approx(single.gamma, rel=1e-12)
-            assert batch["x"][i] == pytest.approx(single.x, rel=1e-12)
-            np.testing.assert_allclose(batch["y"][i], single.y, rtol=1e-12)
+            single = compute_terms(drop, eps[i:i + 1], None,
+                                   [gj[i:i + 1] for gj in g])
+            assert batch["gamma"][i] == pytest.approx(single["gamma"][0],
+                                                      rel=1e-12)
+            assert batch["x"][i] == pytest.approx(single["x"][0], rel=1e-12)
+            np.testing.assert_allclose(batch["y"][i], single["y"][0],
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_direct_batch_matches_rows(self, stochastic):
+        if stochastic:
+            devices = [Device(position=np.array([r, 0.0, 1.0]), index=i)
+                       for i, r in enumerate((1.0, 3.0, 7.0))]
+            drop = build_mimo_drop(devices, 16, 0.1, seed=8)
+        else:
+            drop = small_drop(seed=7)
+        eps, g_des, g = draw_fading(drop, np.random.default_rng(7), 6)
+        batch = sinr_direct(drop, eps, g_des, g)
+        assert batch.shape == (6,)
+        for i in range(6):
+            row = sinr_direct(drop, eps[i:i + 1],
+                              None if g_des is None else g_des[i:i + 1],
+                              [gj[i:i + 1] for gj in g])
+            assert batch[i] == pytest.approx(row[0], rel=1e-12)
 
     def test_identity_with_stochastic_desired(self):
         # pure-NLOS desired channel exercises the MIMO-style branch
@@ -160,9 +177,9 @@ class TestSinrPaths:
         drop = Drop(desired=desired, links=(link,), err_amp=np.full(m, 0.7),
                     tau=0.4)
         for trial in range(10):
-            fading = draw_fading(drop, np.random.default_rng(trial))
-            a = sinr_sample(drop, fading).gamma
-            b = sinr_direct(drop, fading)
+            fading = draw_fading(drop, np.random.default_rng(trial), 1)
+            a = compute_terms(drop, *fading)["gamma"][0]
+            b = sinr_direct(drop, *fading)[0]
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_sinr_positive(self):
@@ -271,7 +288,7 @@ class TestRunMonteCarlo:
         drop = make_drop(cfg, 0)
         n, chunk = 4096, 1024
         mc = run_monte_carlo(drop, n, 1, chunk_size=chunk)
-        z = np.concatenate([compute_terms(drop, *_draw_chunk(
+        z = np.concatenate([compute_terms(drop, *draw_fading(
             drop, np.random.default_rng(np.random.SeedSequence([1, 0, idx])),
             chunk))["z"] for idx in range(n // chunk)])
         d = z - z.mean()
