@@ -26,8 +26,10 @@ from .asymptotics import (
 )
 from .channel import (
     PathSet,
+    Scattering,
     correlation_factor,
     los_channel,
+    nlos_scattering,
     ula_steering,
     upa_steering,
 )
@@ -62,6 +64,6 @@ from .experiments import (
     run_scenario,
     write_csv,
 )
-from .baseline_mimo import UlaArray, build_mimo_drop
+from .baseline_mimo import build_mimo_drop
 
 __version__ = "0.1.0"

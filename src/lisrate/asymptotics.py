@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc_engine import Drop, Link
+from .mc_engine import Drop
 
 UNBOUNDED = math.inf
 
@@ -33,14 +33,15 @@ class MomentPair:
 
 @dataclass(frozen=True)
 class LinkMoments:
-    """Deterministic moment ingredients of one interference term."""
+    """Deterministic moment ingredients of the interference terms, one entry
+    per interferer (arrays of shape (J,))."""
 
-    mu_los: complex       # mean of the LOS part
-    s_los: float          # variance of the LOS part
-    s_n1: float           # variance of the channel-side scattered part
-    s_n2: float           # variance of the error-times-scattering part
-    mean: float           # s_los + s_n1 + s_n2 + |mu_los|^2
-    variance: float       # (s_los+s_n1+s_n2)^2 + 2|mu_los|^2 (s_los+s_n1+s_n2)
+    mu_los: np.ndarray    # mean of the LOS part
+    s_los: np.ndarray     # variance of the LOS part
+    s_n1: np.ndarray      # variance of the channel-side scattered part
+    s_n2: np.ndarray      # variance of the error-times-scattering part
+    mean: np.ndarray      # s_los + s_n1 + s_n2 + |mu_los|^2
+    variance: np.ndarray  # (s_los+s_n1+s_n2)^2 + 2|mu_los|^2 (s_los+s_n1+s_n2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,26 +116,27 @@ def error_leak_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
     return MomentPair(mean=b4, variance=b4**2)
 
 
-def interference_term_moments(drop: Drop, link: Link) -> LinkMoments:
-    """Deterministic moments of one interference term."""
+def interference_term_moments(drop: Drop) -> LinkMoments:
+    """Deterministic moments of every interference term.  The scattered
+    parts come from each link's separable paths; no correlation factor is
+    built."""
     h = _require_los_desired(drop)
     tau = drop.tau
-    a, b = link.weights
+    los, a, b, _ = drop.stacked()
     beta_k2 = np.abs(h) ** 2
-    beta_j2 = np.abs(link.h_los) ** 2
 
-    mu_los = _los_coupling(drop, link)[0]
-    s_los = a**2 * tau**2 * float(np.sum(beta_k2 * beta_j2))
-    s_n1 = b**2 * (1 - tau**2) * float(
-        np.sum(np.abs(h.conj() @ link.r_half) ** 2))
-    row_power = np.sum(np.abs(link.r_half) ** 2, axis=1)
-    s_n2 = b**2 * tau**2 * float(np.sum(beta_k2 * row_power))
+    mu_los = _los_coupling(drop)[0]
+    s_los = a**2 * tau**2 * (beta_k2 @ np.abs(los) ** 2)
+    s_n1 = b**2 * (1 - tau**2) * np.array(
+        [link.paths.projected_power(h) for link in drop.links])
+    s_n2 = b**2 * tau**2 * np.array(
+        [link.paths.row_power() @ beta_k2 for link in drop.links])
 
     s_sum = s_los + s_n1 + s_n2
     return LinkMoments(
         mu_los=mu_los, s_los=s_los, s_n1=s_n1, s_n2=s_n2,
-        mean=s_sum + abs(mu_los) ** 2,
-        variance=s_sum**2 + 2 * abs(mu_los) ** 2 * s_sum)
+        mean=s_sum + np.abs(mu_los) ** 2,
+        variance=s_sum**2 + 2 * np.abs(mu_los) ** 2 * s_sum)
 
 
 def noise_term_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
@@ -145,14 +147,15 @@ def noise_term_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
     return MomentPair(mean=b2, variance=tau**2 * (2 - tau**2) * b4)
 
 
-def _los_coupling(drop: Drop, link: Link) -> tuple[complex, np.ndarray]:
-    """(mu_c, mu_a): the coherent LOS mean of a link's interference term and
-    the LOS vector its error leak projects on; the pair covariance of links
-    i and j is 2 Re(mu_c,i conj(mu_c,j) mu_a,i^H mu_a,j)."""
+def _los_coupling(drop: Drop) -> tuple[np.ndarray, np.ndarray]:
+    """(mu_c, mu_a): the coherent LOS means (J,) of the interference terms
+    and the LOS vectors (M, J) their error leaks project on; the pair
+    covariance of links i and j is 2 Re(mu_c,i conj(mu_c,j) mu_a,i^H mu_a,j)."""
     h = _require_los_desired(drop)
-    a, tau = link.weights[0], drop.tau
-    return (a * math.sqrt(1 - tau**2) * complex(h.conj() @ link.h_los),
-            a * tau * np.abs(h) * link.h_los)
+    los, a, _, _ = drop.stacked()
+    tau = drop.tau
+    return (a * math.sqrt(1 - tau**2) * (h.conj() @ los),
+            a * tau * np.abs(h)[:, None] * los)
 
 
 def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
@@ -160,8 +163,9 @@ def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
     (indices into drop.links); driven entirely by the LOS components."""
     if i == j:
         raise ValueError("interference_pair_covariance needs two distinct interferers")
-    (ci, ai), (cj, aj) = (_los_coupling(drop, drop.links[k]) for k in (i, j))
-    return 2.0 * (ci * np.conj(cj) * complex(ai.conj() @ aj)).real
+    mu_c, mu_a = _los_coupling(drop)
+    return 2.0 * (mu_c[i] * np.conj(mu_c[j])
+                  * complex(mu_a[:, i].conj() @ mu_a[:, j])).real
 
 
 def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
@@ -169,20 +173,18 @@ def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPai
     b2, b4 = _beta_sums(drop, asymptotic)
     tau = drop.tau
     rho_k = drop.desired.rho
-    link_moments = [interference_term_moments(drop, link) for link in drop.links]
+    rho = drop.stacked()[3]
+    lm = interference_term_moments(drop)
 
-    mean = rho_k * tau**2 * b4 + b2 \
-        + sum(link.rho * lm.mean for link, lm in zip(drop.links, link_moments))
+    mean = rho_k * tau**2 * b4 + b2 + float(rho @ lm.mean)
     var = rho_k**2 * tau**4 * b4**2 + tau**2 * (2 - tau**2) * b4 \
-        + sum(link.rho**2 * lm.variance
-              for link, lm in zip(drop.links, link_moments))
+        + float(rho**2 @ lm.variance)
     # Sum over pairs i < j of 2 rho_i rho_j cov(i, j), in O(KM): with
     # w_i = rho_i conj(mu_c,i) mu_a,i it is 2 (|sum_i w_i|^2 - sum_i |w_i|^2).
-    if drop.links:
-        coupling = [_los_coupling(drop, link) for link in drop.links]
-        w = np.array([link.rho * np.conj(c) * a
-                      for link, (c, a) in zip(drop.links, coupling)])
-        var += 2 * (np.sum(np.abs(w.sum(axis=0)) ** 2) - np.sum(np.abs(w) ** 2))
+    mu_c, mu_a = _los_coupling(drop)
+    w = mu_a * (rho * np.conj(mu_c))
+    var += 2 * float(np.sum(np.abs(w.sum(axis=1)) ** 2)
+                     - np.sum(np.abs(w) ** 2))
     return MomentPair(mean=mean, variance=var)
 
 
@@ -225,9 +227,9 @@ def asymptotic_rate_moments(drop: Drop, use_finite_sums: bool = False) -> Moment
 def interference_mean_limit(drop: Drop) -> float:
     """Large-M limit of the normalized interference mean; only the LOS
     components of the interferers survive."""
-    _require_los_desired(drop)
-    return sum(link.rho * abs(_los_coupling(drop, link)[0]) ** 2
-               for link in drop.links) / drop.num_antennas**2
+    rho = drop.stacked()[3]
+    return float(rho @ np.abs(_los_coupling(drop)[0]) ** 2) \
+        / drop.num_antennas**2
 
 
 def rate_bound(drop: Drop) -> float:

@@ -4,35 +4,11 @@ and unit antenna gains."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ula_steering
+from .channel import Scattering
 from .geometry import Device, MIN_DEVICE_DISTANCE
 from .mc_engine import Drop, Link
-
-
-@dataclass(frozen=True)
-class UlaArray:
-    num_antennas: int
-    wavelength: float
-    spacing: float  # defaults to half a wavelength
-
-    @classmethod
-    def half_wavelength(cls, num_antennas: int, wavelength: float) -> "UlaArray":
-        return cls(num_antennas=num_antennas, wavelength=wavelength,
-                   spacing=wavelength / 2.0)
-
-
-def _nlos_factor(distance: float, array: UlaArray, num_paths: int, rng,
-                 beta_pl: float) -> np.ndarray:
-    """Per-device scalar path loss times unit-gain ULA steering columns."""
-    loss = distance ** (-beta_pl / 2.0)
-    angles = rng.uniform(-np.pi / 2, np.pi / 2, num_paths)
-    return loss * ula_steering(angles, array.num_antennas, array.spacing,
-                               array.wavelength)
 
 
 def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
@@ -41,14 +17,16 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     """Drop for the ULA baseline.
 
     Every link (desired one included) is pure NLOS with P = M/2 paths and the
-    distance to all antennas equal to the device-to-origin distance.  Each
-    device's transmit SNR inverts its own path-loss power so the per-antenna
-    received SNR meets the target.
+    distance to all antennas equal to the device-to-origin distance.  Its
+    paths are a scalar path loss times unit-gain steering of a
+    half-wavelength ULA at uniform angles, kept as `Scattering` with
+    n_v = 1.  Each device's transmit SNR inverts its own path-loss power so
+    the per-antenna received SNR meets the target.
     """
     if num_antennas < 2 or num_antennas % 2:
         raise ValueError("num_antennas must be even so that P = M/2 is integral")
-    array = UlaArray.half_wavelength(num_antennas, wavelength)
     num_paths = num_antennas // 2
+    spacing = wavelength / 2.0
     seed_words = [int(seed)] if np.isscalar(seed) else [int(w) for w in seed]
     snr_lin = 10.0 ** (target_snr_db / 10.0)
 
@@ -57,8 +35,13 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     for j, dev in enumerate(devices):
         d = max(float(np.linalg.norm(dev.position)), MIN_DEVICE_DISTANCE)
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, j]))
-        links.append(Link(kappa=0.0, h_los=zero_los,
-                          r_half=_nlos_factor(d, array, num_paths, rng, beta_pl),
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, num_paths)
+        paths = Scattering(
+            loss=d ** (-beta_pl / 2.0), gains=np.ones(num_paths),
+            step_v=np.zeros(num_paths),
+            step_h=2.0 * np.pi * spacing / wavelength * np.sin(angles),
+            n_v=1, n_h=num_antennas)
+        links.append(Link(kappa=0.0, h_los=zero_los, paths=paths,
                           rho=snr_lin * d**beta_pl))
         dists.append(d)
     desired = links.pop(target_index)

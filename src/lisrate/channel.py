@@ -1,6 +1,7 @@
 """Deterministic channel construction: LOS vectors, steering vectors and
-the scattered paths' correlation factors.  A link combines them as
-`mc_engine.Link`."""
+the scattered paths of a link, kept in separable form (`Scattering`) and
+expanded to a dense correlation factor only on demand.  A link combines
+them as `mc_engine.Link`."""
 
 from __future__ import annotations
 
@@ -58,6 +59,23 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(np.arange(n), steps))
 
 
+def _steering(n_v: int, n_h: int, step_v, step_h) -> np.ndarray:
+    """(d_v kron d_h) / sqrt(n_v n_h) for the phase ramps d_v, d_h of
+    lengths n_v and n_h, one column per step pair: shape
+    (n_v n_h,) + steps' shape, a fresh C-contiguous array."""
+    d_v, d_h = _phase_ramp(n_v, step_v), _phase_ramp(n_h, step_h)
+    out = (d_v[:, None] * d_h[None, :]).reshape((n_v * n_h,) + d_v.shape[1:])
+    out /= math.sqrt(n_v * n_h)
+    return out
+
+
+def _upa_steps(theta_v, theta_h, spacing: float, wavelength: float):
+    """Planar-array phase steps (2 pi spacing / wavelength) * phi with
+    phi_v = sin(theta_v) and phi_h = sin(theta_h) cos(theta_h)."""
+    step = 2.0 * np.pi * spacing / wavelength
+    return step * np.sin(theta_v), step * (np.sin(theta_h) * np.cos(theta_h))
+
+
 def upa_steering(theta_v, theta_h, num_antennas: int, spacing: float,
                  wavelength: float) -> np.ndarray:
     """Planar-array steering vectors (1/sqrt(M)) d_v(phi_v) kron d_h(phi_h).
@@ -71,13 +89,7 @@ def upa_steering(theta_v, theta_h, num_antennas: int, spacing: float,
     if n * n != num_antennas:
         raise ValueError(f"num_antennas must be a perfect square, got {num_antennas}")
     theta_v, theta_h = np.broadcast_arrays(theta_v, theta_h)
-    phi_v = np.sin(theta_v)
-    phi_h = np.sin(theta_h) * np.cos(theta_h)
-    step = 2.0 * np.pi * spacing / wavelength
-    d_v = _phase_ramp(n, step * phi_v)
-    d_h = _phase_ramp(n, step * phi_h)
-    kron = (d_v[:, None] * d_h[None, :]).reshape((num_antennas,) + phi_v.shape)
-    return kron / math.sqrt(num_antennas)
+    return _steering(n, n, *_upa_steps(theta_v, theta_h, spacing, wavelength))
 
 
 def ula_steering(theta_h, num_antennas: int, spacing: float,
@@ -88,17 +100,73 @@ def ula_steering(theta_h, num_antennas: int, spacing: float,
     return _phase_ramp(num_antennas, step) / math.sqrt(num_antennas)
 
 
-def correlation_factor(device: Device, grid: AntennaGrid, paths: PathSet,
-                       beta_pl: float) -> np.ndarray:
-    """NLOS correlation factor diag(d_m**(-beta_pl/2)) @ [alpha_p d(path_p)],
-    a C-contiguous (M, P) array.
+@dataclass(frozen=True)
+class Scattering:
+    """The P scattered paths of one link in separable form.  Their
+    correlation factor is R[m, p] = loss_m gains_p (d_v,p kron d_h,p)_m
+    / sqrt(M), with phase ramps d_v,p = exp(1j step_v,p k), k < n_v, and
+    d_h,p likewise over n_h; M = n_v n_h.  A planar array has
+    n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
+    `correlation_factor` builds the dense (M, P) R."""
 
-    Per-antenna NLOS path loss uses the device-to-antenna distance, clamped
-    at NLOS_MIN_DISTANCE.
-    """
+    loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
+    gains: np.ndarray         # (P,) per-path antenna gains
+    step_v: np.ndarray        # (P,) vertical phase steps, radians
+    step_h: np.ndarray        # (P,) horizontal phase steps, radians
+    n_v: int
+    n_h: int
+
+    @classmethod
+    def none(cls, num_antennas: int) -> "Scattering":
+        """No scattered paths (P = 0)."""
+        empty = np.empty(0)
+        return cls(0.0, empty, empty, empty, 1, num_antennas)
+
+    @property
+    def num_antennas(self) -> int:
+        return self.n_v * self.n_h
+
+    @property
+    def num_paths(self) -> int:
+        return len(self.gains)
+
+    def row_power(self) -> np.ndarray:
+        """(M,) squared row norms of R: loss_m^2 sum_p gains_p^2 / M, since
+        every steering entry has modulus 1/sqrt(M)."""
+        m = self.num_antennas
+        return np.broadcast_to(np.square(self.loss), m) \
+            * (np.sum(self.gains**2) / m)
+
+    def projected_power(self, h: np.ndarray) -> float:
+        """||h^H R||^2 without forming R, in O(MP) time and O(M + n_v P)
+        memory: reshape conj(h) loss to (n_v, n_h), multiply by the
+        horizontal ramps, then take column dot products with the vertical
+        ramps (Van Loan 2000, "The ubiquitous Kronecker product")."""
+        c = (h.conj() * self.loss).reshape(self.n_v, self.n_h)
+        u = np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
+                      c @ _phase_ramp(self.n_h, self.step_h))
+        return float(np.sum(self.gains**2 * np.abs(u) ** 2)
+                     / self.num_antennas)
+
+
+def nlos_scattering(device: Device, grid: AntennaGrid, paths: PathSet,
+                    beta_pl: float) -> Scattering:
+    """A planar-array link's paths: per-antenna NLOS loss d_m**(-beta_pl/2),
+    with the device-to-antenna distance clamped at NLOS_MIN_DISTANCE, and
+    `upa_steering`'s phase steps."""
     d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
-    loss = d ** (-beta_pl / 2.0)
-    cols = paths.gains * upa_steering(paths.theta_v, paths.theta_h,
-                                      grid.num_antennas, grid.spacing,
-                                      grid.wavelength)
-    return loss[:, None] * cols
+    step_v, step_h = _upa_steps(paths.theta_v, paths.theta_h, grid.spacing,
+                                grid.wavelength)
+    return Scattering(loss=d ** (-beta_pl / 2.0), gains=paths.gains,
+                      step_v=step_v, step_h=step_h, n_v=grid.side,
+                      n_h=grid.side)
+
+
+def correlation_factor(scattering: Scattering) -> np.ndarray:
+    """The dense C-contiguous (M, P) correlation factor
+    diag(loss) @ [gains_p steering_p], built in place in that order."""
+    s = scattering
+    r = _steering(s.n_v, s.n_h, s.step_v, s.step_h)
+    r *= s.gains
+    r *= np.reshape(s.loss, (-1, 1))
+    return r

@@ -102,9 +102,9 @@ def _cmd_validate(args) -> int:
     l3 = asymptotics.noise_term_moments(drop)
     checks.append(("Z mean", mc.z.mean, l3.mean, 4 * mc.z.se_mean))
     checks.append(("Z var", mc.z.variance, l3.variance, 4 * mc.z.se_variance))
-    for j, link in enumerate(drop.links):
-        lm = asymptotics.interference_term_moments(drop, link)
-        checks.append((f"Y[{j}] mean", mc.y_mean[j], lm.mean,
+    y_mean = asymptotics.interference_term_moments(drop).mean
+    for j in range(len(drop.links)):
+        checks.append((f"Y[{j}] mean", mc.y_mean[j], y_mean[j],
                        4 * mc.y_se_mean[j]))
     i_mom = asymptotics.total_interference_moments(drop, asymptotic=False)
     checks.append(("I mean", mc.i_total.mean, i_mom.mean,
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (FloatingPointError, OverflowError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

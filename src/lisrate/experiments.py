@@ -76,8 +76,13 @@ class ScenarioConfig:
                 self.beta_pl, self.paths_per_antenna)):
             raise ConfigError("lengths, frequency, beta_pl and "
                               "paths_per_antenna must be positive and finite")
-        if not math.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
+        try:
+            snr_ok = 0.0 < 10.0 ** (self.snr_db / 10.0) < math.inf
+        except OverflowError:
+            snr_ok = False
+        if not snr_ok:
+            raise ConfigError(f"snr_db = {self.snr_db} has no finite, "
+                              "positive linear value")
         if self.log_base != "e":
             raise ConfigError(f"log_base must be 'e' (rates are in nats), "
                               f"got {self.log_base!r}")
@@ -187,19 +192,18 @@ def make_drop(config: ScenarioConfig, drop_index: int,
         kappa = rician_factor(d_center) if is_los else 0.0
 
         if config.mode == "los-only":
-            r_half = np.empty((m, 0), dtype=complex)
+            paths = channel.Scattering.none(m)
         else:
             angle_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, drop_index, 2, dev.index]))
-            paths = channel.random_path_set(num_paths, angle_rng)
-            r_half = channel.correlation_factor(dev, grid, paths,
-                                               config.beta_pl)
+            paths = channel.nlos_scattering(
+                dev, grid, channel.random_path_set(num_paths, angle_rng),
+                config.beta_pl)
         links.append(Link(kappa=kappa, h_los=channel.los_channel(dev, grid),
-                          r_half=r_half, rho=power_control(dev)))
+                          paths=paths, rho=power_control(dev)))
 
     desired = Link(kappa=math.inf, h_los=h_kk,
-                   r_half=np.empty((m, 0), dtype=complex),
-                   rho=power_control(target))
+                   paths=channel.Scattering.none(m), rho=power_control(target))
     return Drop(desired=desired, links=tuple(links), err_amp=np.abs(h_kk),
                 tau=config.tau, grid=grid, target_z=target.z)
 

@@ -1,17 +1,20 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 Every kernel takes a batch of realizations from draw_fading, one per row.
-The SINR is computed two ways, which agree to roundoff and the tests enforce
-it.  The term decomposition (desired power S, error leak X, per-interferer Y,
-combined noise Z) takes the estimated channel's conjugate once per batch and
-applies each correlation factor first (f^H R, then g).  The receiver path
-builds each channel first (h_j = a h_los + b R g) and groups the inner
-products as the matched filter sees them.  Aggregation is chunked with
-per-chunk seeds derived from the master seed.  Each chunk reduces to
-central moments (mean, M2, M3, M4), which stay accurate when the channel
-hardens and a term's spread is tiny next to its mean; chunks merge one by
-one in index order, so results are bit-identical regardless of worker
-count.
+A drop keeps each link's scattered paths in separable form; a kernel builds
+one link's dense (M, P) correlation factor R at a time and drops it after
+use, so a drop never holds them all.  The SINR is computed two ways, which
+agree to roundoff and the tests enforce it.  The term decomposition
+(desired power S, error leak X, per-interferer Y, combined noise Z) takes
+the estimated channel's conjugate once per batch, projects it on all LOS
+vectors in one product and applies each correlation factor first (f^H R,
+then g).  The receiver path builds each channel first (h_j = a h_los +
+b R g) and groups the inner products as the matched filter sees them.
+Aggregation is chunked with per-chunk seeds derived from the master seed.
+Each chunk reduces to central moments (mean, M2, M3, M4), which stay
+accurate when the channel hardens and a term's spread is tiny next to its
+mean; chunks merge one by one in index order, so results are bit-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
 DEFAULT_CHUNK = 2048
@@ -29,24 +33,24 @@ DEFAULT_CHUNK = 2048
 @dataclass(frozen=True)
 class Link:
     """One device's channel to the surface: the Rician mix
-    sqrt(kappa/(kappa+1)) h_los + sqrt(1/(kappa+1)) r_half @ g of a
-    deterministic LOS vector and P scattered paths with CN(0, 1) fading g.
-    kappa == inf means the channel is h_los itself."""
+    sqrt(kappa/(kappa+1)) h_los + sqrt(1/(kappa+1)) R g of a deterministic
+    LOS vector and P scattered paths with correlation factor R and CN(0, 1)
+    fading g.  kappa == inf means the channel is h_los itself."""
 
     kappa: float            # Rician factor (linear); 0 means pure NLOS
     h_los: np.ndarray       # (M,) deterministic LOS component
-    r_half: np.ndarray      # (M, P) correlation factor; P may be 0
+    paths: Scattering       # the scattered paths; P may be 0
     rho: float              # transmit SNR (linear)
 
     def __post_init__(self):
         if not self.kappa >= 0:
             raise ValueError(f"Rician factor must be nonnegative, got {self.kappa}")
-        if self.r_half.shape[0] != self.h_los.shape[0]:
-            raise ValueError("LOS vector and correlation factor disagree on M")
+        if self.paths.num_antennas != self.h_los.shape[0]:
+            raise ValueError("LOS vector and scattered paths disagree on M")
 
     @property
     def num_paths(self) -> int:
-        return self.r_half.shape[1]
+        return self.paths.num_paths
 
     @property
     def deterministic(self) -> bool:
@@ -85,6 +89,14 @@ class Drop:
     @property
     def num_devices(self) -> int:
         return len(self.links) + 1
+
+    def stacked(self):
+        """The interferers stacked over J = K-1 columns: LOS vectors (M, J),
+        LOS and scattered weights (J,) each, transmit SNRs (J,)."""
+        m = self.num_antennas
+        los = np.array([l.h_los for l in self.links], complex).reshape(-1, m)
+        a, b = np.array([l.weights for l in self.links]).reshape(-1, 2).T
+        return los.T, a, b, np.array([l.rho for l in self.links], float)
 
 
 def crandn(rng, shape) -> np.ndarray:
@@ -127,17 +139,18 @@ def _desired_channel(drop: Drop, g_des):
     if des.deterministic:
         return des.h_los
     a, b = des.weights
-    return a * des.h_los + b * (g_des @ des.r_half.T)
+    return a * des.h_los + b * (g_des @ correlation_factor(des.paths).T)
 
 
 def compute_terms(drop: Drop, eps, g_des, g):
     """Decomposed SINR terms for a batch of realizations from draw_fading.
 
     Every interference term is |f^H h_j|^2 for the combining vector
-    f = sqrt(1-tau^2) h + tau err, so f^H is formed once per batch and each
-    link costs one matvec and one (n, M) x (M, P_j) product, R first:
-    f^H h_j = a f^H h_los + b (f^H R) g.  Returns a dict of per-realization
-    arrays: s, x, y (n, K-1), z, i, gamma.
+    f = sqrt(1-tau^2) h + tau err, so f^H is formed once per batch, projected
+    on all J LOS vectors in one (n, M) x (M, J) product, and each link's
+    scattered part costs one (n, M) x (M, P_j) product, R first:
+    f^H h_j = a f^H h_los + b (f^H R) g.  R is built for one link at a time.
+    Returns a dict of per-realization arrays: s, x, y (n, K-1), z, i, gamma.
     """
     tau = drop.tau
     err = drop.err_amp * eps                              # (n, M)
@@ -150,13 +163,13 @@ def compute_terms(drop: Drop, eps, g_des, g):
     s = np.broadcast_to(np.sum(np.abs(h) ** 2, axis=-1) ** 2, len(eps))
     x = np.abs(np.sum(err * h.conj(), axis=-1)) ** 2
     z = np.sum(np.abs(fh) ** 2, axis=-1)
-    y = np.empty((len(eps), len(drop.links)))
+    los, a, b, rhos = drop.stacked()
+    scattered = np.zeros((len(eps), len(drop.links)), complex)
     for idx, (link, gj) in enumerate(zip(drop.links, g)):
-        a, b = link.weights
-        y[:, idx] = np.abs(a * (fh @ link.h_los) + b * np.einsum(
-            "ij,ij->i", fh @ link.r_half, gj)) ** 2
+        scattered[:, idx] = np.einsum(
+            "ij,ij->i", fh @ correlation_factor(link.paths), gj)
+    y = np.abs(a * (fh @ los) + b * scattered) ** 2
 
-    rhos = np.array([link.rho for link in drop.links])
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
     gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
     return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma}
@@ -181,7 +194,7 @@ def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
     interf = 0.0
     for link, gj in zip(drop.links, g):
         a, b = link.weights
-        hj = a * link.h_los + b * (gj @ link.r_half.T)
+        hj = a * link.h_los + b * (gj @ correlation_factor(link.paths).T)
         interf += link.rho * np.abs(np.sum(fh * hj, axis=-1)) ** 2
     noise = np.sum(np.abs(fh) ** 2, axis=-1)
     denom = leak + (1.0 - tau**2) * (interf + noise)
@@ -324,8 +337,7 @@ def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
     link = drop.links[link_idx]
     if link.num_paths == 0:
         raise ValueError("link has no scattered paths")
-    beta = drop.err_amp
-    w = beta[:, None] * link.r_half                     # (M, P)
+    w = drop.err_amp[:, None] * correlation_factor(link.paths)  # (M, P)
     scale = math.sqrt(float(np.sum(np.abs(w) ** 2)))
     out = np.empty(n_real, dtype=complex)
     pos = 0

@@ -5,12 +5,12 @@ import pytest
 from scipy import integrate, stats
 
 from lisrate import asymptotics as asy
-from lisrate.channel import los_channel
+from lisrate.channel import Scattering, correlation_factor, los_channel
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import crandn, compute_terms, run_monte_carlo
 
-from test_mc_engine import small_drop
+from test_mc_engine import random_paths, small_drop
 
 
 def beta_density(z):
@@ -100,9 +100,9 @@ class TestTermMoments:
         # at any M, so 4 standard errors must cover it
         drop = small_drop(m=16, n_interferers=2, seed=1)
         mc = run_monte_carlo(drop, 60000, 3)
-        for j, link in enumerate(drop.links):
-            lm = asy.interference_term_moments(drop, link)
-            assert abs(mc.y_mean[j] - lm.mean) < 4 * mc.y_se_mean[j]
+        lm = asy.interference_term_moments(drop)
+        for j in range(len(drop.links)):
+            assert abs(mc.y_mean[j] - lm.mean[j]) < 4 * mc.y_se_mean[j]
 
     def test_interference_variance_gaussian_limit(self):
         # the variance formula assumes the scattered sum is Gaussian; its
@@ -113,33 +113,56 @@ class TestTermMoments:
                               num_paths=num_paths)
             mc = run_monte_carlo(drop, 60000, 3)
             j = next(i for i, l in enumerate(drop.links) if l.kappa == 0.0)
-            lm = asy.interference_term_moments(drop, drop.links[j])
-            errors.append(abs(mc.y_var[j] - lm.variance) / lm.variance)
+            var = asy.interference_term_moments(drop).variance[j]
+            errors.append(abs(mc.y_var[j] - var) / var)
         assert errors[1] < errors[0]
         assert errors[1] < 0.03
 
     def test_pure_nlos_link_has_no_coherent_mean(self):
         drop = small_drop(seed=1)
-        nlos = [l for l in drop.links if l.kappa == 0.0][0]
-        lm = asy.interference_term_moments(drop, nlos)
-        assert lm.mu_los == 0.0
-        assert lm.s_los == 0.0
-        assert lm.mean == pytest.approx(lm.s_n1 + lm.s_n2)
+        j = [i for i, l in enumerate(drop.links) if l.kappa == 0.0][0]
+        lm = asy.interference_term_moments(drop)
+        assert lm.mu_los[j] == 0.0
+        assert lm.s_los[j] == 0.0
+        assert lm.mean[j] == pytest.approx(lm.s_n1[j] + lm.s_n2[j])
 
     def test_requires_deterministic_desired(self):
         from lisrate.mc_engine import Drop, Link
         rng = np.random.default_rng(0)
         desired = Link(kappa=0.0, h_los=np.zeros(4, complex),
-                       r_half=crandn(rng, (4, 2)), rho=1.0)
+                       paths=random_paths(rng, 2, 2, 2), rho=1.0)
         drop = Drop(desired=desired, links=(), err_amp=np.ones(4), tau=0.5)
         with pytest.raises(ValueError):
             asy.error_leak_moments(drop)
         with pytest.raises(ValueError):  # no links, so no coupling to check
             asy.interference_mean_limit(drop)
         with pytest.raises(ValueError):
-            asy.interference_term_moments(drop, Link(
-                kappa=1.0, h_los=np.zeros(4, complex),
-                r_half=np.empty((4, 0), complex), rho=1.0))
+            asy.interference_term_moments(Drop(
+                desired=desired, links=(Link(
+                    kappa=1.0, h_los=np.zeros(4, complex),
+                    paths=Scattering.none(4), rho=1.0),),
+                err_amp=np.ones(4), tau=0.5))
+
+
+class TestSeparableForms:
+    @pytest.mark.parametrize("mode", ["los-only", "nlos-only",
+                                      "probabilistic"])
+    def test_match_dense_block(self, mode):
+        # row powers and s_n1 = (1-tau^2) b^2 ||h^H R||^2 are taken from
+        # the separable paths; the reference is the dense block itself
+        cfg = ScenarioConfig(kind="uniform-room", num_devices=6,
+                             m_grid=(100,), mode=mode, seed=3)
+        for drop in (make_drop(cfg, d) for d in range(2)):
+            h, tau = drop.desired.h_los, drop.tau
+            lm = asy.interference_term_moments(drop)
+            for j, link in enumerate(drop.links):
+                r = correlation_factor(link.paths)
+                np.testing.assert_allclose(
+                    link.paths.row_power(), np.sum(np.abs(r) ** 2, axis=1),
+                    rtol=1e-12)
+                s_n1 = link.weights[1] ** 2 * (1 - tau**2) \
+                    * np.sum(np.abs(h.conj() @ r) ** 2)
+                assert lm.s_n1[j] == pytest.approx(s_n1, rel=1e-12)
 
 
 class TestCovariance:
@@ -169,8 +192,8 @@ class TestCovariance:
             links = drop.links
             want = drop.desired.rho**2 * tau**4 * b4**2 \
                 + tau**2 * (2 - tau**2) * b4 \
-                + sum(l.rho**2 * asy.interference_term_moments(drop, l).variance
-                      for l in links) \
+                + sum(l.rho**2 * v for l, v in zip(
+                    links, asy.interference_term_moments(drop).variance)) \
                 + sum(2 * links[i].rho * links[j].rho
                       * asy.interference_pair_covariance(drop, i, j)
                       for i in range(len(links))
@@ -252,6 +275,19 @@ class TestEndToEnd:
                 / (drop.num_antennas ** 2 * (1 + link.kappa)) \
                 * abs(complex(h.conj() @ link.h_los)) ** 2
         assert asy.interference_mean_limit(drop) == pytest.approx(manual)
+
+    def test_no_interferers(self):
+        # K = 1: the interference is the error leak and the noise alone
+        drop = make_drop(ScenarioConfig(kind="uniform-room", num_devices=1,
+                                        m_grid=(16,)), 0)
+        got = asy.total_interference_moments(drop, asymptotic=False)
+        leak = asy.error_leak_moments(drop)
+        noise = asy.noise_term_moments(drop)
+        rho = drop.desired.rho * drop.tau**2
+        assert got.mean == pytest.approx(rho * leak.mean + noise.mean)
+        assert got.variance == pytest.approx(rho**2 * leak.variance
+                                             + noise.variance)
+        assert asy.rate_bound(drop) == math.inf
 
     def test_bound_needs_grid(self):
         drop = small_drop(seed=0)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lisrate.baseline_mimo import UlaArray, build_mimo_drop
+from lisrate.baseline_mimo import build_mimo_drop
+from lisrate.channel import correlation_factor, ula_steering
 from lisrate.geometry import Device
 
 
@@ -17,11 +18,19 @@ def ring_devices(k, radius=3.0, z=1.5):
     return devs
 
 
-class TestUlaArray:
-    def test_half_wavelength_constructor(self):
-        arr = UlaArray.half_wavelength(16, 0.1)
-        assert arr.spacing == pytest.approx(0.05)
-        assert arr.num_antennas == 16
+class TestUlaPaths:
+    def test_half_wavelength_steering(self):
+        # each path's phase step is pi sin(theta): spacing lambda/2, and
+        # the built block is the scalar loss times ULA steering there
+        drop = build_mimo_drop(ring_devices(3), 16, 0.1, seed=0)
+        paths = drop.links[0].paths
+        assert (paths.n_v, paths.n_h) == (1, 16)
+        assert np.all(np.abs(paths.step_h) < np.pi)
+        np.testing.assert_array_equal(paths.gains, 1.0)
+        theta = np.arcsin(paths.step_h / np.pi)
+        np.testing.assert_allclose(
+            correlation_factor(paths),
+            paths.loss * ula_steering(theta, 16, 0.05, 0.1), rtol=1e-12)
 
 
 class TestBuildMimoDrop:
@@ -33,7 +42,8 @@ class TestBuildMimoDrop:
         assert drop.grid is None
         for link in drop.links:
             assert link.kappa == 0.0
-            assert link.r_half.shape == (16, 8)  # P = M/2
+            assert link.num_paths == 8  # P = M/2
+            assert correlation_factor(link.paths).shape == (16, 8)
             np.testing.assert_array_equal(link.h_los, 0)
         assert not drop.desired.deterministic
 
@@ -53,7 +63,8 @@ class TestBuildMimoDrop:
         drop = build_mimo_drop(devs, 8, 0.1, seed=1)
         powers = []
         for link in drop.links:
-            powers.append(link.rho * np.sum(np.abs(link.r_half[:, 0]) ** 2))
+            column = correlation_factor(link.paths)[:, 0]
+            powers.append(link.rho * np.sum(np.abs(column) ** 2))
         np.testing.assert_allclose(powers, powers[0], rtol=1e-9)
 
     def test_min_distance_clamp(self):
@@ -67,15 +78,18 @@ class TestBuildMimoDrop:
         devs = ring_devices(4)
         a = build_mimo_drop(devs, 16, 0.1, seed=5)
         b = build_mimo_drop(devs, 16, 0.1, seed=5)
-        np.testing.assert_array_equal(a.links[0].r_half, b.links[0].r_half)
+        np.testing.assert_array_equal(a.links[0].paths.step_h,
+                                      b.links[0].paths.step_h)
         c = build_mimo_drop(devs, 16, 0.1, seed=6)
-        assert not np.array_equal(a.links[0].r_half, c.links[0].r_half)
+        assert not np.array_equal(a.links[0].paths.step_h,
+                                  c.links[0].paths.step_h)
 
     def test_seed_words(self):
         devs = ring_devices(3)
         a = build_mimo_drop(devs, 8, 0.1, seed=(3, 0, 5))
         b = build_mimo_drop(devs, 8, 0.1, seed=(3, 0, 5))
-        np.testing.assert_array_equal(a.links[1].r_half, b.links[1].r_half)
+        np.testing.assert_array_equal(correlation_factor(a.links[1].paths),
+                                      correlation_factor(b.links[1].paths))
 
     @pytest.mark.parametrize("m", [1, 7, 15])
     def test_rejects_odd_antenna_counts(self, m):

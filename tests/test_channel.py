@@ -8,6 +8,7 @@ from lisrate.channel import (
     PathSet,
     correlation_factor,
     los_channel,
+    nlos_scattering,
     random_path_set,
     ula_steering,
     upa_steering,
@@ -110,7 +111,7 @@ class TestCorrelationFactor:
     def test_shape_and_column_structure(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         ps = random_path_set(3, np.random.default_rng(1))
-        rh = correlation_factor(dev, grid, ps, 3.7)
+        rh = correlation_factor(nlos_scattering(dev, grid, ps, 3.7))
         assert rh.shape == (16, 3) and rh.flags.c_contiguous
         d = np.maximum(distance(dev.position, grid.positions), NLOS_MIN_DISTANCE)
         loss = d ** (-3.7 / 2)
@@ -122,11 +123,11 @@ class TestCorrelationFactor:
         # device nearly touching the surface: distances < 1 m must clamp
         dev = Device(position=np.array([0.0, 0.0, 0.01]))
         ps = PathSet(theta_v=np.zeros(1), theta_h=np.zeros(1))
-        rh = correlation_factor(dev, grid, ps, 3.7)
+        rh = correlation_factor(nlos_scattering(dev, grid, ps, 3.7))
         np.testing.assert_allclose(np.abs(rh[:, 0]),
                                    np.abs(ps.gains[0]) / 4.0)
 
     def test_empty_factor(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         ps = PathSet(theta_v=np.empty(0), theta_h=np.empty(0))
-        assert correlation_factor(dev, grid, ps, 3.7).shape == (16, 0)
+        assert correlation_factor(nlos_scattering(dev, grid, ps, 3.7)).shape == (16, 0)

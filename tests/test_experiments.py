@@ -1,10 +1,12 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lisrate import cli, experiments
+from lisrate.asymptotics import asymptotic_rate_moments
 from lisrate.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -19,6 +21,7 @@ from lisrate.experiments import (
     run_scenario,
     write_csv,
 )
+from lisrate.mc_engine import run_monte_carlo
 
 FAST = dict(kind="uniform-room", num_devices=4, m_grid=(16,), drops=2,
             realizations=64, seed=1)
@@ -153,6 +156,23 @@ class TestMakeDrop:
                                 "num_devices": 100, "d_m": 9.0})
         with pytest.raises(ConfigError, match="decrease d_m"):
             make_drop(cfg, 0)
+
+
+class TestScatteredDropMemory:
+    def test_no_dense_factors_held(self):
+        # K = 30 scattered links at M = 1600: dense (M, M/2) factors held
+        # for every link would take ~600 MiB; one at a time takes ~20 MiB
+        cfg = ScenarioConfig(kind="uniform-room", mode="nlos-only",
+                             num_devices=30, m_grid=(1600,), seed=2)
+        tracemalloc.start()
+        try:
+            drop = make_drop(cfg, 0)
+            asymptotic_rate_moments(drop)
+            run_monte_carlo(drop, 64, cfg.seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 150 * 2**20
 
 
 class TestRunScenario:
@@ -306,6 +326,8 @@ class TestCli:
         ("sweep-L", ["--l-grid", "0.2,x"]), ("sweep-L", ["--l-grid=-0.2"]),
         ("sweep-L", ["--l-grid", "0.2,nan"]), ("sweep-L", ["--l-grid", ""]),
         ("selftest", ["--seed", "-1"]),
+        ("run", ["--config", "snr_db = -4000\n"]),
+        ("sweep-L", ["--config", "snr_db = -4000\n", "--l-grid", "0.2"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:
@@ -319,6 +341,17 @@ class TestCli:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_overflow_exit_code(self, tmp_path, capsys):
+        # a finite but huge SNR overflows the closed form's Taylor step
+        path = tmp_path / "c.cfg"
+        path.write_text("snr_db = 600\n")
+        rc = cli.main(["sweep-L", "--scenario", "uniform-room", "--devices",
+                       "4", "--drops", "1", "--config", str(path),
+                       "--l-grid", "0.2"])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_io_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--scenario", "uniform-room", "--devices", "4",

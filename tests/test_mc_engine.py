@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lisrate.baseline_mimo import build_mimo_drop
-from lisrate.channel import correlation_factor, los_channel, random_path_set
+from lisrate.channel import (
+    Scattering,
+    los_channel,
+    nlos_scattering,
+    random_path_set,
+)
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import (
@@ -36,9 +41,10 @@ def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
         dev = Device(position=np.array([rng.uniform(-3, 3),
                                         rng.uniform(-3, 3),
                                         rng.uniform(1, 2)]), index=j + 1)
-        rh = correlation_factor(dev, grid, random_path_set(num_paths, rng), 3.7)
+        paths = nlos_scattering(dev, grid, random_path_set(num_paths, rng),
+                                3.7)
         links.append(Link(kappa=kappa if j % 2 == 0 else 0.0,
-                          h_los=los_channel(dev, grid), r_half=rh,
+                          h_los=los_channel(dev, grid), paths=paths,
                           rho=float(rng.uniform(1, 10))))
     return Drop(desired=los_link(h_kk, 12.0), links=tuple(links),
                 err_amp=np.abs(h_kk), tau=tau, grid=grid, target_z=1.0)
@@ -46,8 +52,17 @@ def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
 
 def los_link(h, rho):
     """A deterministic LOS link with no scattered paths."""
-    return Link(kappa=math.inf, h_los=h,
-                r_half=np.empty((h.shape[0], 0), complex), rho=rho)
+    return Link(kappa=math.inf, h_los=h, paths=Scattering.none(h.shape[0]),
+                rho=rho)
+
+
+def random_paths(rng, n_v, n_h, num_paths):
+    """Separable paths with random losses, gains and phase steps."""
+    return Scattering(loss=rng.uniform(0.5, 1.5, n_v * n_h),
+                      gains=rng.uniform(0.5, 1.0, num_paths),
+                      step_v=rng.uniform(-np.pi, np.pi, num_paths),
+                      step_h=rng.uniform(-np.pi, np.pi, num_paths),
+                      n_v=n_v, n_h=n_h)
 
 
 class TestPrimitives:
@@ -81,7 +96,8 @@ class TestPrimitives:
 class TestLink:
     def test_component_weights(self):
         link = Link(kappa=3.0, h_los=np.ones(4, complex),
-                    r_half=np.ones((4, 2), complex), rho=1.0)
+                    paths=random_paths(np.random.default_rng(0), 2, 2, 2),
+                    rho=1.0)
         assert link.weights == (math.sqrt(0.75), 0.5)
         assert not link.deterministic
 
@@ -94,12 +110,13 @@ class TestLink:
     def test_rejects_bad_kappa(self, kappa):
         with pytest.raises(ValueError):
             Link(kappa=kappa, h_los=np.zeros(16, complex),
-                 r_half=np.empty((16, 0), complex), rho=1.0)
+                 paths=Scattering.none(16), rho=1.0)
 
     def test_rejects_antenna_count_mismatch(self):
         with pytest.raises(ValueError):
             Link(kappa=1.0, h_los=np.zeros(16, complex),
-                 r_half=np.empty((9, 2), complex), rho=1.0)
+                 paths=random_paths(np.random.default_rng(0), 3, 3, 2),
+                 rho=1.0)
 
 
 class TestDropValidation:
@@ -169,11 +186,10 @@ class TestSinrPaths:
         # pure-NLOS desired channel exercises the MIMO-style branch
         rng = np.random.default_rng(9)
         m, p = 8, 4
-        r_half = crandn(rng, (m, p))
-        desired = Link(kappa=0.0, h_los=np.zeros(m, complex), r_half=r_half,
-                       rho=2.0)
+        desired = Link(kappa=0.0, h_los=np.zeros(m, complex),
+                       paths=random_paths(rng, 2, 4, p), rho=2.0)
         link = Link(kappa=0.0, h_los=np.zeros(m, complex),
-                    r_half=crandn(rng, (m, p)), rho=1.5)
+                    paths=random_paths(rng, 2, 4, p), rho=1.5)
         drop = Drop(desired=desired, links=(link,), err_amp=np.full(m, 0.7),
                     tau=0.4)
         for trial in range(10):
@@ -318,7 +334,7 @@ class TestYn2Sampler:
     def test_rejects_pathless_link(self):
         drop = small_drop(seed=0)
         bare = Link(kappa=1.0, h_los=drop.links[0].h_los,
-                    r_half=np.empty((16, 0), complex), rho=1.0)
+                    paths=Scattering.none(16), rho=1.0)
         d2 = Drop(desired=drop.desired, links=(bare,), err_amp=drop.err_amp,
                   tau=0.5)
         with pytest.raises(ValueError):
