@@ -13,8 +13,8 @@ from .mc_engine import Drop, Link
 
 def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
                     seed, *, target_snr_db: float = 3.0, tau: float = 0.5,
-                    beta_pl: float = 3.7, target_index: int = 0) -> Drop:
-    """Drop for the ULA baseline.
+                    beta_pl: float = 3.7) -> Drop:
+    """Drop for the ULA baseline, with devices[0] as the target.
 
     Every link (desired one included) is pure NLOS with P = M/2 paths and the
     distance to all antennas equal to the device-to-origin distance.  Its
@@ -31,7 +31,7 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     snr_lin = 10.0 ** (target_snr_db / 10.0)
 
     zero_los = np.zeros(num_antennas, dtype=complex)
-    links, dists = [], []
+    links = []
     for j, dev in enumerate(devices):
         d = max(float(np.linalg.norm(dev.position)), MIN_DEVICE_DISTANCE)
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, j]))
@@ -43,9 +43,6 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
             n_v=1, n_h=num_antennas)
         links.append(Link(kappa=0.0, h_los=zero_los, paths=paths,
                           rho=snr_lin * d**beta_pl))
-        dists.append(d)
-    desired = links.pop(target_index)
-    return Drop(desired=desired, links=tuple(links),
-                err_amp=np.full(num_antennas,
-                                dists[target_index] ** (-beta_pl / 2.0)),
+    return Drop(desired=links[0], links=tuple(links[1:]),
+                err_amp=np.full(num_antennas, links[0].paths.loss),
                 tau=tau, grid=None, target_z=None)

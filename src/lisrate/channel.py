@@ -16,37 +16,6 @@ from .geometry import AntennaGrid, Device, distance, los_gain
 NLOS_MIN_DISTANCE = 1.0
 
 
-@dataclass(frozen=True)
-class PathSet:
-    """Frozen angles of the P dominant scattered paths of one link."""
-
-    theta_v: np.ndarray  # (P,) elevation, radians in (-pi/2, pi/2)
-    theta_h: np.ndarray  # (P,) azimuth, radians in (-pi/2, pi/2)
-
-    def __post_init__(self):
-        tv, th = np.asarray(self.theta_v), np.asarray(self.theta_h)
-        if tv.shape != th.shape:
-            raise ValueError("theta_v and theta_h must have equal length")
-        if np.any(np.abs(tv) >= np.pi / 2) or np.any(np.abs(th) >= np.pi / 2):
-            raise ValueError("path angles must lie in (-pi/2, pi/2)")
-
-    @property
-    def num_paths(self) -> int:
-        return len(np.asarray(self.theta_v))
-
-    @property
-    def gains(self) -> np.ndarray:
-        """Per-path antenna gains sqrt(cos(theta_v) cos(theta_h))."""
-        return np.sqrt(np.cos(self.theta_v) * np.cos(self.theta_h))
-
-
-def random_path_set(num_paths: int, rng) -> PathSet:
-    """i.i.d. uniform path angles on (-pi/2, pi/2)."""
-    half = np.pi / 2
-    return PathSet(theta_v=rng.uniform(-half, half, num_paths),
-                   theta_h=rng.uniform(-half, half, num_paths))
-
-
 def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
     """Deterministic LOS channel: amplitude los_gain, phase exp(-2j pi d/lambda)."""
     d = distance(device.position, grid.positions)
@@ -149,15 +118,19 @@ class Scattering:
                      / self.num_antennas)
 
 
-def nlos_scattering(device: Device, grid: AntennaGrid, paths: PathSet,
+def nlos_scattering(device: Device, grid: AntennaGrid, angles,
                     beta_pl: float) -> Scattering:
-    """A planar-array link's paths: per-antenna NLOS loss d_m**(-beta_pl/2),
-    with the device-to-antenna distance clamped at NLOS_MIN_DISTANCE, and
+    """A planar-array link's paths at the (2, P) elevation and azimuth
+    angles, radians in (-pi/2, pi/2): per-antenna NLOS loss
+    d_m**(-beta_pl/2), with the device-to-antenna distance clamped at
+    NLOS_MIN_DISTANCE, per-path gains sqrt(cos(theta_v) cos(theta_h)), and
     `upa_steering`'s phase steps."""
+    theta_v, theta_h = angles
     d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
-    step_v, step_h = _upa_steps(paths.theta_v, paths.theta_h, grid.spacing,
+    step_v, step_h = _upa_steps(theta_v, theta_h, grid.spacing,
                                 grid.wavelength)
-    return Scattering(loss=d ** (-beta_pl / 2.0), gains=paths.gains,
+    return Scattering(loss=d ** (-beta_pl / 2.0),
+                      gains=np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
                       step_v=step_v, step_h=step_h, n_v=grid.side,
                       n_h=grid.side)
 

@@ -14,16 +14,16 @@ import numpy as np
 
 from . import asymptotics, experiments, mc_engine
 from .experiments import ConfigError, ScenarioConfig
+from .mc_engine import I, X, Y, Z
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _add_common(parser):
+def _add_scenario(parser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--m-grid", help="comma-separated antenna counts")
     parser.add_argument("--drops", type=int)
     parser.add_argument("--realizations", type=int)
@@ -32,6 +32,10 @@ def _add_common(parser):
     parser.add_argument("--devices", type=int, help="number of devices K")
     parser.add_argument("--tau", type=float)
     parser.add_argument("--half-length", type=float, help="unit half-length L")
+
+
+def _add_output(parser):
+    parser.add_argument("--out", help="output CSV path")
     parser.add_argument(
         "--workers", type=int, default=1,
         help="processes for the (M or L, drop) tasks, capped at the task "
@@ -92,26 +96,27 @@ def _cmd_sweep_l(args) -> int:
 def _cmd_validate(args) -> int:
     """Compare MC term moments against their closed forms on one drop."""
     config = _build_config(args)
+    if config.kind == "mimo-baseline":
+        raise ConfigError("validate needs a deterministic LOS desired "
+                          "channel, which mimo-baseline does not have")
     drop = experiments.make_drop(config, 0)
     mc = mc_engine.run_monte_carlo(drop, config.realizations, config.seed)
-    checks = []
-
     l1 = asymptotics.error_leak_moments(drop)
-    checks.append(("X mean", mc.x.mean, l1.mean, 4 * mc.x.se_mean))
-    checks.append(("X var", mc.x.variance, l1.variance, 4 * mc.x.se_variance))
     l3 = asymptotics.noise_term_moments(drop)
-    checks.append(("Z mean", mc.z.mean, l3.mean, 4 * mc.z.se_mean))
-    checks.append(("Z var", mc.z.variance, l3.variance, 4 * mc.z.se_variance))
     y_mean = asymptotics.interference_term_moments(drop).mean
-    for j in range(len(drop.links)):
-        checks.append((f"Y[{j}] mean", mc.y_mean[j], y_mean[j],
-                       4 * mc.y_se_mean[j]))
     i_mom = asymptotics.total_interference_moments(drop, asymptotic=False)
-    checks.append(("I mean", mc.i_total.mean, i_mom.mean,
-                   4 * mc.i_total.se_mean))
+    checks = [
+        ("X mean", mc.mean[X], l1.mean, mc.se_mean[X]),
+        ("X var", mc.variance[X], l1.variance, mc.se_variance[X]),
+        ("Z mean", mc.mean[Z], l3.mean, mc.se_mean[Z]),
+        ("Z var", mc.variance[Z], l3.variance, mc.se_variance[Z]),
+        *((f"Y[{j}] mean", mc.mean[Y][j], y_mean[j], mc.se_mean[Y][j])
+          for j in range(len(drop.links))),
+        ("I mean", mc.mean[I], i_mom.mean, mc.se_mean[I])]
 
     failed = 0
-    for name, got, want, tol in checks:
+    for name, got, want, se in checks:
+        tol = 4 * se
         ok = abs(got - want) <= tol
         failed += not ok
         print(f"{'PASS' if ok else 'FAIL'}  {name:10s} mc={got:.6e} "
@@ -159,23 +164,20 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario over the M grid")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
     p_sweep = sub.add_parser("sweep-L", help="closed-form sweep over unit size")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--l-grid", required=True,
-                         help="comma-separated half-lengths")
-    p_sweep.set_defaults(func=_cmd_sweep_l)
-
     p_val = sub.add_parser("validate",
                            help="MC vs closed-form term moments on one drop")
-    _add_common(p_val)
-    p_val.set_defaults(func=_cmd_validate)
-
+    for p in (p_run, p_sweep, p_val):
+        _add_scenario(p)
+    for p in (p_run, p_sweep):
+        _add_output(p)
+    p_sweep.add_argument("--l-grid", required=True,
+                         help="comma-separated half-lengths")
     p_self = sub.add_parser("selftest", help="fast structural invariants")
-    _add_common(p_self)
-    p_self.set_defaults(func=_cmd_selftest)
+    p_self.add_argument("--seed", type=int)
+    for p, func in ((p_run, _cmd_run), (p_sweep, _cmd_sweep_l),
+                    (p_val, _cmd_validate), (p_self, _cmd_selftest)):
+        p.set_defaults(func=func)
 
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import asymptotics, baseline_mimo, channel, geometry
-from .mc_engine import Drop, Link, run_monte_carlo
+from .mc_engine import RATE, Drop, Link, run_monte_carlo
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -196,9 +196,8 @@ def make_drop(config: ScenarioConfig, drop_index: int,
         else:
             angle_rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, drop_index, 2, dev.index]))
-            paths = channel.nlos_scattering(
-                dev, grid, channel.random_path_set(num_paths, angle_rng),
-                config.beta_pl)
+            angles = angle_rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths))
+            paths = channel.nlos_scattering(dev, grid, angles, config.beta_pl)
         links.append(Link(kappa=kappa, h_los=channel.los_channel(dev, grid),
                           paths=paths, rho=power_control(dev)))
 
@@ -318,35 +317,37 @@ def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
         th1 = asymptotics.asymptotic_rate_moments(drop)
         asym_mean, asym_var = th1.mean, th1.variance
         bound = asymptotics.rate_bound(drop)
-    return (mc.rate.mean, mc.rate.se_mean, mc.rate.variance,
-            mc.rate.se_variance, asym_mean, asym_var, bound)
+    return (mc.mean[RATE], mc.se_mean[RATE], mc.variance[RATE],
+            mc.se_variance[RATE], asym_mean, asym_var, bound)
+
+
+def _per_drop(fn, config: ScenarioConfig, xs, workers: int) -> np.ndarray:
+    """fn(config, x, d) for every x in xs and drop d, fanned out, as an
+    array of shape (len(xs), drops) + the shape of one result."""
+    out = np.array(_fan_out(fn, [(config, x, d) for x in xs
+                                 for d in range(config.drops)], workers))
+    return out.reshape((len(xs), config.drops) + out.shape[1:])
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
     """Evaluate every M on the grid, averaging drops; deterministic for a
     fixed (config, seed) regardless of the worker count."""
     config.validate()
-    tasks = [(m, d) for m in config.m_grid for d in range(config.drops)]
-    rows = _fan_out(_drop_task, [(config, m, d) for m, d in tasks], workers)
-    results = dict(zip(tasks, rows))
-
-    reports = []
-    for m in config.m_grid:
-        per_drop = np.array([results[(m, d)] for d in range(config.drops)])
-        n_drops = config.drops
-        reports.append(RateReport(
-            scenario=config.kind, num_antennas=m,
-            num_devices=config.num_devices, half_length=config.half_length,
-            tau=config.tau,
-            mc_mean=float(per_drop[:, 0].mean()),
-            mc_mean_se=float(np.sqrt(np.sum(per_drop[:, 1] ** 2)) / n_drops),
-            mc_var=float(per_drop[:, 2].mean()),
-            mc_var_se=float(np.sqrt(np.sum(per_drop[:, 3] ** 2)) / n_drops),
-            asym_mean=float(per_drop[:, 4].mean()),
-            asym_var=float(per_drop[:, 5].mean()),
-            bound=float(per_drop[:, 6].mean()),
-            log_base=config.log_base, seed=config.seed))
-    return reports
+    per_m = _per_drop(_drop_task, config, config.m_grid, workers)
+    n_drops = config.drops
+    return [RateReport(
+        scenario=config.kind, num_antennas=m,
+        num_devices=config.num_devices, half_length=config.half_length,
+        tau=config.tau,
+        mc_mean=float(per_drop[:, 0].mean()),
+        mc_mean_se=float(np.sqrt(np.sum(per_drop[:, 1] ** 2)) / n_drops),
+        mc_var=float(per_drop[:, 2].mean()),
+        mc_var_se=float(np.sqrt(np.sum(per_drop[:, 3] ** 2)) / n_drops),
+        asym_mean=float(per_drop[:, 4].mean()),
+        asym_var=float(per_drop[:, 5].mean()),
+        bound=float(per_drop[:, 6].mean()),
+        log_base=config.log_base, seed=config.seed)
+        for m, per_drop in zip(config.m_grid, per_m)]
 
 
 def write_csv(reports: list[RateReport], path):
@@ -378,14 +379,8 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
                                   for hl in l_grid):
         raise ConfigError("l_grid must list one or more positive, finite "
                           "half-lengths")
-    tasks = [(hl, d) for hl in l_grid for d in range(config.drops)]
-    vals = _fan_out(_l_task, [(config, hl, d) for hl, d in tasks], workers)
-    results = dict(zip(tasks, vals))
-
-    curve = []
-    for hl in l_grid:
-        curve.append((float(hl), float(np.mean(
-            [results[(hl, d)] for d in range(config.drops)]))))
+    rates = _per_drop(_l_task, config, l_grid, workers)
+    curve = [(float(hl), float(np.mean(r))) for hl, r in zip(l_grid, rates)]
     best_l, best_rate = curve[0]
     for hl, rate in curve[1:]:
         if rate > best_rate:

@@ -206,17 +206,6 @@ def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    """Sample mean and unbiased variance with standard errors."""
-
-    mean: float
-    variance: float
-    se_mean: float
-    se_variance: float
-    count: int
-
-
-@dataclass(frozen=True)
 class _Moments:
     """Count, means and central sums M2, M3, M4 of the statistics of a
     sample, one entry per statistic.  `merge` pools two disjoint samples
@@ -269,30 +258,33 @@ class _Moments:
         return self.mean, var, np.sqrt(var / n), se_var
 
 
-def estimate_moments(samples) -> MomentEstimate:
-    """Mean and unbiased variance of a sample, with standard errors."""
-    x = np.asarray(samples, dtype=float).reshape(1, -1)
-    if x.size < 2:
-        raise ValueError("need at least two samples")
-    return MomentEstimate(*(float(s[0]) for s in _Moments.of(x).stats()),
-                          x.size)
+# Rows of McResult's statistics arrays: the rate, the error leak X, the
+# combined noise Z and the total interference-plus-noise I, then one row per
+# interferer's term Y.
+RATE, X, Z, I = range(4)
+Y = slice(4, None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class McResult:
-    """Aggregated Monte-Carlo moments of one drop."""
+    """Aggregated Monte-Carlo moments of one drop: per-statistic mean,
+    unbiased variance and their standard errors, indexed by the rows RATE,
+    X, Z, I and Y."""
 
     n: int
-    rate: MomentEstimate
-    gamma: MomentEstimate
-    x: MomentEstimate
-    z: MomentEstimate
-    i_total: MomentEstimate
-    y_mean: np.ndarray          # (K-1,)
-    y_var: np.ndarray
-    y_se_mean: np.ndarray
-    y_se_var: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    se_mean: np.ndarray
+    se_variance: np.ndarray
     y_samples: np.ndarray | None = None  # (n, K-1) when collected
+
+
+def _chunks(n_real: int, chunk_size: int, *words):
+    """(rng, n) for each chunk of n_real draws; chunk idx draws from
+    SeedSequence([*words, idx]), so its stream depends on nothing else."""
+    for idx, start in enumerate(range(0, n_real, chunk_size)):
+        seq = np.random.SeedSequence([*(int(w) for w in words), idx])
+        yield np.random.default_rng(seq), min(chunk_size, n_real - start)
 
 
 def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
@@ -307,27 +299,15 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
     if n_real < 2:
         raise ValueError("need at least two realizations")
     acc, y_parts = None, []
-    for idx, start in enumerate(range(0, n_real, chunk_size)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), int(drop_tag), idx]))
-        t = compute_terms(drop, *draw_fading(
-            drop, rng, min(chunk_size, n_real - start)))
-        # rows: rate, gamma, x, z, i, then one per interferer
+    for rng, n in _chunks(n_real, chunk_size, seed, drop_tag):
+        t = compute_terms(drop, *draw_fading(drop, rng, n))
         part = _Moments.of(np.vstack([
-            rate_sample(t["gamma"]), t["gamma"], t["x"], t["z"], t["i"],
-            t["y"].T]))
+            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]))
         acc = part if acc is None else acc.merge(part)
         if collect_y:
             y_parts.append(t["y"])
-
-    stats = acc.stats()
-    rate, gamma, x, z, i_total = (
-        MomentEstimate(*(float(s[c]) for s in stats), n_real) for c in range(5))
-    y_mean, y_var, y_se_mean, y_se_var = (s[5:] for s in stats)
-    return McResult(
-        n=n_real, rate=rate, gamma=gamma, x=x, z=z, i_total=i_total,
-        y_mean=y_mean, y_var=y_var, y_se_mean=y_se_mean, y_se_var=y_se_var,
-        y_samples=np.concatenate(y_parts) if collect_y else None)
+    return McResult(n_real, *acc.stats(),
+                    y_samples=np.concatenate(y_parts) if collect_y else None)
 
 
 def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
@@ -339,16 +319,9 @@ def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
         raise ValueError("link has no scattered paths")
     w = drop.err_amp[:, None] * correlation_factor(link.paths)  # (M, P)
     scale = math.sqrt(float(np.sum(np.abs(w) ** 2)))
-    out = np.empty(n_real, dtype=complex)
-    pos = 0
-    idx = 0
-    while pos < n_real:
-        n = min(chunk_size, n_real - pos)
-        rng = np.random.default_rng(
-            np.random.SeedSequence([int(seed), link_idx, idx]))
+    out = []
+    for rng, n in _chunks(n_real, chunk_size, seed, link_idx):
         eps = crandn(rng, (n, drop.num_antennas))
         g = crandn(rng, (n, link.num_paths))
-        out[pos:pos + n] = np.einsum("ij,ij->i", eps.conj() @ w, g) / scale
-        pos += n
-        idx += 1
-    return out
+        out.append(np.einsum("ij,ij->i", eps.conj() @ w, g) / scale)
+    return np.concatenate(out)

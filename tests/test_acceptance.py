@@ -16,6 +16,10 @@ from scipy import stats
 from lisrate import asymptotics as asy
 from lisrate.experiments import ScenarioConfig, make_drop, run_scenario, write_csv
 from lisrate.mc_engine import (
+    RATE,
+    X,
+    Y,
+    Z,
     compute_terms,
     crandn,
     draw_fading,
@@ -39,8 +43,8 @@ def drop_stats(config, m, n, seed):
         drop = make_drop(config, d, num_antennas=m)
         mc = run_monte_carlo(drop, n, seed, drop_tag=d)
         th = asy.asymptotic_rate_moments(drop)
-        rows.append((mc.rate.mean, mc.rate.se_mean, mc.rate.variance,
-                     mc.rate.se_variance, th.mean, th.variance,
+        rows.append((mc.mean[RATE], mc.se_mean[RATE], mc.variance[RATE],
+                     mc.se_variance[RATE], th.mean, th.variance,
                      asy.rate_bound(drop)))
     a = np.array(rows)
     return {
@@ -87,15 +91,16 @@ def test_criterion_02_term_moment_oracles():
 
     devs = []
     l1 = asy.error_leak_moments(drop)
-    devs.append(abs(mc.x.mean - l1.mean) / mc.x.se_mean)
-    devs.append(abs(mc.x.variance - l1.variance) / mc.x.se_variance)
+    devs.append(abs(mc.mean[X] - l1.mean) / mc.se_mean[X])
+    devs.append(abs(mc.variance[X] - l1.variance) / mc.se_variance[X])
     l3 = asy.noise_term_moments(drop)
-    devs.append(abs(mc.z.mean - l3.mean) / mc.z.se_mean)
-    devs.append(abs(mc.z.variance - l3.variance) / mc.z.se_variance)
+    devs.append(abs(mc.mean[Z] - l3.mean) / mc.se_mean[Z])
+    devs.append(abs(mc.variance[Z] - l3.variance) / mc.se_variance[Z])
     lm = asy.interference_term_moments(drop)
     for j in range(len(drop.links)):
-        devs.append(abs(mc.y_mean[j] - lm.mean[j]) / mc.y_se_mean[j])
-        devs.append(abs(mc.y_var[j] - lm.variance[j]) / mc.y_se_var[j])
+        devs.append(abs(mc.mean[Y][j] - lm.mean[j]) / mc.se_mean[Y][j])
+        devs.append(abs(mc.variance[Y][j] - lm.variance[j])
+                    / mc.se_variance[Y][j])
     worst = max(devs)
 
     b4 = float(np.sum(np.abs(drop.desired.h_los) ** 4))
@@ -225,7 +230,7 @@ def _mean_rate(kind, mode, m, drops, n, seed=7, num_devices=30):
     vals = []
     for d in range(drops):
         drop = make_drop(cfg, d, num_antennas=m)
-        vals.append(run_monte_carlo(drop, n, seed, drop_tag=d).rate.mean)
+        vals.append(run_monte_carlo(drop, n, seed, drop_tag=d).mean[RATE])
     return float(np.mean(vals))
 
 

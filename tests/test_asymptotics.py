@@ -8,7 +8,7 @@ from lisrate import asymptotics as asy
 from lisrate.channel import Scattering, correlation_factor, los_channel
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
-from lisrate.mc_engine import crandn, compute_terms, run_monte_carlo
+from lisrate.mc_engine import Y, crandn, compute_terms, run_monte_carlo
 
 from test_mc_engine import random_paths, small_drop
 
@@ -102,7 +102,7 @@ class TestTermMoments:
         mc = run_monte_carlo(drop, 60000, 3)
         lm = asy.interference_term_moments(drop)
         for j in range(len(drop.links)):
-            assert abs(mc.y_mean[j] - lm.mean[j]) < 4 * mc.y_se_mean[j]
+            assert abs(mc.mean[Y][j] - lm.mean[j]) < 4 * mc.se_mean[Y][j]
 
     def test_interference_variance_gaussian_limit(self):
         # the variance formula assumes the scattered sum is Gaussian; its
@@ -114,7 +114,7 @@ class TestTermMoments:
             mc = run_monte_carlo(drop, 60000, 3)
             j = next(i for i, l in enumerate(drop.links) if l.kappa == 0.0)
             var = asy.interference_term_moments(drop).variance[j]
-            errors.append(abs(mc.y_var[j] - var) / var)
+            errors.append(abs(mc.variance[Y][j] - var) / var)
         assert errors[1] < errors[0]
         assert errors[1] < 0.03
 

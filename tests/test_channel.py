@@ -5,11 +5,9 @@ import pytest
 
 from lisrate.channel import (
     NLOS_MIN_DISTANCE,
-    PathSet,
     correlation_factor,
     los_channel,
     nlos_scattering,
-    random_path_set,
     ula_steering,
     upa_steering,
 )
@@ -86,48 +84,40 @@ class TestSteering:
         assert step == pytest.approx(2 * np.pi * 0.5 * math.sin(0.7))
 
 
-class TestPathSet:
-    def test_gains(self):
-        ps = PathSet(theta_v=np.array([0.0, 0.5]), theta_h=np.array([0.3, 0.0]))
+class TestNlosScattering:
+    def test_gains(self, grid):
+        dev = Device(position=np.array([1.0, 2.0, 1.5]))
+        angles = np.array([[0.0, 0.5], [0.3, 0.0]])
         np.testing.assert_allclose(
-            ps.gains, np.sqrt(np.cos(ps.theta_v) * np.cos(ps.theta_h)))
-
-    def test_rejects_grazing_angles(self):
-        with pytest.raises(ValueError):
-            PathSet(theta_v=np.array([np.pi / 2]), theta_h=np.array([0.0]))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PathSet(theta_v=np.zeros(2), theta_h=np.zeros(3))
-
-    def test_random_angles_in_range(self):
-        ps = random_path_set(500, np.random.default_rng(0))
-        assert ps.num_paths == 500
-        assert np.all(np.abs(ps.theta_v) < np.pi / 2)
-        assert np.all(np.abs(ps.theta_h) < np.pi / 2)
+            nlos_scattering(dev, grid, angles, 3.7).gains,
+            np.sqrt(np.cos(angles[0]) * np.cos(angles[1])))
 
 
 class TestCorrelationFactor:
     def test_shape_and_column_structure(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
-        ps = random_path_set(3, np.random.default_rng(1))
-        rh = correlation_factor(nlos_scattering(dev, grid, ps, 3.7))
+        theta_v, theta_h = np.random.default_rng(1).uniform(
+            -np.pi / 2, np.pi / 2, (2, 3))
+        rh = correlation_factor(
+            nlos_scattering(dev, grid, (theta_v, theta_h), 3.7))
         assert rh.shape == (16, 3) and rh.flags.c_contiguous
         d = np.maximum(distance(dev.position, grid.positions), NLOS_MIN_DISTANCE)
         loss = d ** (-3.7 / 2)
-        col0 = ps.gains[0] * upa_steering(ps.theta_v[0], ps.theta_h[0],
-                                          16, grid.spacing, 0.1)
+        gain0 = math.sqrt(math.cos(theta_v[0]) * math.cos(theta_h[0]))
+        col0 = gain0 * upa_steering(theta_v[0], theta_h[0], 16,
+                                    grid.spacing, 0.1)
         np.testing.assert_allclose(rh[:, 0], loss * col0)
 
     def test_distance_clamp(self, grid):
         # device nearly touching the surface: distances < 1 m must clamp
         dev = Device(position=np.array([0.0, 0.0, 0.01]))
-        ps = PathSet(theta_v=np.zeros(1), theta_h=np.zeros(1))
-        rh = correlation_factor(nlos_scattering(dev, grid, ps, 3.7))
-        np.testing.assert_allclose(np.abs(rh[:, 0]),
-                                   np.abs(ps.gains[0]) / 4.0)
+        rh = correlation_factor(nlos_scattering(dev, grid, np.zeros((2, 1)),
+                                                3.7))
+        # unit path gain at normal incidence
+        np.testing.assert_allclose(np.abs(rh[:, 0]), 1.0 / 4.0)
 
     def test_empty_factor(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
-        ps = PathSet(theta_v=np.empty(0), theta_h=np.empty(0))
-        assert correlation_factor(nlos_scattering(dev, grid, ps, 3.7)).shape == (16, 0)
+        rh = correlation_factor(nlos_scattering(dev, grid, np.empty((2, 0)),
+                                                3.7))
+        assert rh.shape == (16, 0)

@@ -151,6 +151,28 @@ class TestMakeDrop:
         drop = make_drop(cfg, 0)
         assert drop.desired.rho == pytest.approx(10 ** 0.3 * 4 * math.pi)
 
+    def test_angle_stream(self):
+        # link j's path angles are two sequential uniform(-pi/2, pi/2, P)
+        # draws, elevation then azimuth, of SeedSequence([seed, drop, 2,
+        # device index]); uniform-room devices are indexed 0..K-1
+        cfg = ScenarioConfig(**{**FAST, "mode": "nlos-only", "seed": 9})
+        drop = make_drop(cfg, 1)
+        grid = drop.grid
+        step = 2 * np.pi * grid.spacing / grid.wavelength
+        for index, link in enumerate(drop.links, start=1):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 1, 2, index]))
+            theta_v = rng.uniform(-np.pi / 2, np.pi / 2, link.num_paths)
+            theta_h = rng.uniform(-np.pi / 2, np.pi / 2, link.num_paths)
+            np.testing.assert_allclose(link.paths.step_v,
+                                       step * np.sin(theta_v), rtol=1e-14)
+            np.testing.assert_allclose(
+                link.paths.step_h,
+                step * np.sin(theta_h) * np.cos(theta_h), rtol=1e-14)
+            np.testing.assert_allclose(
+                link.paths.gains, np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
+                rtol=1e-14)
+
     def test_grid_plane_too_sparse(self):
         cfg = ScenarioConfig(**{**FAST, "kind": "grid-plane",
                                 "num_devices": 100, "d_m": 9.0})
@@ -328,6 +350,7 @@ class TestCli:
         ("selftest", ["--seed", "-1"]),
         ("run", ["--config", "snr_db = -4000\n"]),
         ("sweep-L", ["--config", "snr_db = -4000\n", "--l-grid", "0.2"]),
+        ("validate", ["--scenario", "mimo-baseline", "--m-grid", "8"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:
@@ -336,11 +359,24 @@ class TestCli:
             path = tmp_path / "c.cfg"
             path.write_text(flags[at])
             flags = [*flags[:at], str(path), *flags[at + 1:]]
-        rc = cli.main([command, "--scenario", "uniform-room", "--devices",
-                       "4", "--drops", "1", "--realizations", "64", *flags])
+        # selftest takes only --seed
+        scenario = [] if command == "selftest" else [
+            "--scenario", "uniform-room", "--devices", "4", "--drops", "1",
+            "--realizations", "64"]
+        rc = cli.main([command, *scenario, *flags])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--out", "v.csv"], ["validate", "--workers", "2"],
+        ["selftest", "--devices", "4"], ["selftest", "--out", "s.csv"],
+    ])
+    def test_rejects_flags_the_command_ignores(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         # a finite but huge SNR overflows the closed form's Taylor step

@@ -9,18 +9,19 @@ from lisrate.channel import (
     Scattering,
     los_channel,
     nlos_scattering,
-    random_path_set,
 )
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import (
+    RATE,
+    Y,
+    Z,
     Drop,
     Link,
     _Moments,
     compute_terms,
     crandn,
     draw_fading,
-    estimate_moments,
     estimated_channel,
     rate_sample,
     run_monte_carlo,
@@ -41,8 +42,8 @@ def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
         dev = Device(position=np.array([rng.uniform(-3, 3),
                                         rng.uniform(-3, 3),
                                         rng.uniform(1, 2)]), index=j + 1)
-        paths = nlos_scattering(dev, grid, random_path_set(num_paths, rng),
-                                3.7)
+        angles = rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths))
+        paths = nlos_scattering(dev, grid, angles, 3.7)
         links.append(Link(kappa=kappa if j % 2 == 0 else 0.0,
                           h_los=los_channel(dev, grid), paths=paths,
                           rho=float(rng.uniform(1, 10))))
@@ -207,13 +208,18 @@ class TestSinrPaths:
         assert np.all(t["i"] > 0)
 
 
+def stats_of(x):
+    """(mean, variance, se_mean, se_variance) of a 1-D sample."""
+    return tuple(float(s[0]) for s in _Moments.of(np.asarray(x)[None]).stats())
+
+
 class TestEstimateMoments:
     def test_matches_numpy(self):
         x = np.random.default_rng(0).gamma(2.0, size=5000)
-        est = estimate_moments(x)
-        assert est.mean == pytest.approx(x.mean())
-        assert est.variance == pytest.approx(x.var(ddof=1))
-        assert est.se_mean == pytest.approx(
+        mean, var, se_mean, _ = stats_of(x)
+        assert mean == pytest.approx(x.mean())
+        assert var == pytest.approx(x.var(ddof=1))
+        assert se_mean == pytest.approx(
             math.sqrt(x.var(ddof=1) / x.size), rel=1e-6)
 
     def test_variance_se_covers_truth(self):
@@ -222,18 +228,14 @@ class TestEstimateMoments:
         devs = []
         for _ in range(40):
             x = rng.gamma(2.0, size=2000)
-            est = estimate_moments(x)
-            devs.append((est.variance - 2.0) / est.se_variance)
+            _, var, _, se_var = stats_of(x)
+            devs.append((var - 2.0) / se_var)
         assert np.std(devs) == pytest.approx(1.0, abs=0.35)
 
     def test_constant_sample_is_exactly_zero(self):
-        est = estimate_moments(np.full(100, 3.7))
-        assert est.variance == 0.0
-        assert est.se_mean == 0.0
-
-    def test_rejects_singleton(self):
-        with pytest.raises(ValueError):
-            estimate_moments([1.0])
+        _, var, se_mean, _ = stats_of(np.full(100, 3.7))
+        assert var == 0.0
+        assert se_mean == 0.0
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60),
            st.lists(st.integers(1, 59), max_size=6))
@@ -244,13 +246,11 @@ class TestEstimateMoments:
         merged = parts[0]
         for part in parts[1:]:
             merged = merged.merge(part)
-        one = estimate_moments(x)
+        one = stats_of(x)
         # A spread far below the values' magnitude leaves only roundoff of
         # that magnitude; the absolute floor is ~100 ulps of it.
         scale = float(np.max(np.abs(x))) + 1.0
-        for got, want, power in zip(merged.stats(), (
-                one.mean, one.variance, one.se_mean, one.se_variance),
-                (1, 2, 1, 2)):
+        for got, want, power in zip(merged.stats(), one, (1, 2, 1, 2)):
             assert float(got[0]) == pytest.approx(
                 want, rel=1e-10, abs=1e-14 * scale**power)
 
@@ -260,23 +260,24 @@ class TestRunMonteCarlo:
         drop = small_drop(seed=2)
         a = run_monte_carlo(drop, 500, 11)
         b = run_monte_carlo(drop, 500, 11)
-        assert a.rate.mean == b.rate.mean
-        assert a.rate.variance == b.rate.variance
-        np.testing.assert_array_equal(a.y_mean, b.y_mean)
+        assert a.mean[RATE] == b.mean[RATE]
+        assert a.variance[RATE] == b.variance[RATE]
+        np.testing.assert_array_equal(a.mean[Y], b.mean[Y])
 
     def test_seed_changes_result(self):
         drop = small_drop(seed=2)
         a = run_monte_carlo(drop, 500, 11)
         b = run_monte_carlo(drop, 500, 12)
-        assert a.rate.mean != b.rate.mean
+        assert a.mean[RATE] != b.mean[RATE]
 
     def test_multi_chunk_consistency(self):
         # chunked accumulation must equal direct computation on the samples
         drop = small_drop(seed=4)
         mc = run_monte_carlo(drop, 3000, 5, chunk_size=1024, collect_y=True)
         assert mc.y_samples.shape == (3000, 3)
-        np.testing.assert_allclose(mc.y_mean, mc.y_samples.mean(0), rtol=1e-10)
-        np.testing.assert_allclose(mc.y_var, mc.y_samples.var(0, ddof=1),
+        np.testing.assert_allclose(mc.mean[Y], mc.y_samples.mean(0),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(mc.variance[Y], mc.y_samples.var(0, ddof=1),
                                    rtol=1e-8)
 
     def test_perfect_csi_single_device_rate_is_deterministic(self):
@@ -290,10 +291,10 @@ class TestRunMonteCarlo:
         # one chunk, and four merged ones
         for chunk_size in (2048, 128):
             mc = run_monte_carlo(drop, 400, 0, chunk_size=chunk_size)
-            assert mc.rate.variance == 0.0
-            assert mc.rate.se_mean == 0.0
-            assert mc.rate.se_variance == 0.0
-            assert mc.rate.mean == pytest.approx(expect, rel=1e-12)
+            assert mc.variance[RATE] == 0.0
+            assert mc.se_mean[RATE] == 0.0
+            assert mc.se_variance[RATE] == 0.0
+            assert mc.mean[RATE] == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-5])
     def test_variance_se_survives_hardening(self, tau):
@@ -310,8 +311,8 @@ class TestRunMonteCarlo:
         d = z - z.mean()
         m2, m4 = np.mean(d**2), np.mean(d**4)
         two_pass = math.sqrt((m4 - (n - 3) / (n - 1) * m2**2) / n)
-        assert mc.z.variance == pytest.approx(z.var(ddof=1), rel=1e-6)
-        assert two_pass / 1.5 < mc.z.se_variance < 1.5 * two_pass
+        assert mc.variance[Z] == pytest.approx(z.var(ddof=1), rel=1e-6)
+        assert two_pass / 1.5 < mc.se_variance[Z] < 1.5 * two_pass
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
