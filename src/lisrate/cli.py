@@ -21,6 +21,13 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as config errors: exit 2 with one line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_scenario(parser):
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int)
@@ -158,7 +165,7 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lisrate",
         description="Uplink rate laboratory for surface-based antenna arrays")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -179,8 +186,8 @@ def main(argv=None) -> int:
                     (p_val, _cmd_validate), (p_self, _cmd_selftest)):
         p.set_defaults(func=func)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

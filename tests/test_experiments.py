@@ -7,6 +7,7 @@ import pytest
 
 from lisrate import cli, experiments
 from lisrate.asymptotics import asymptotic_rate_moments
+from lisrate.channel import los_channel
 from lisrate.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -21,6 +22,7 @@ from lisrate.experiments import (
     run_scenario,
     write_csv,
 )
+from lisrate.geometry import place_devices_grid
 from lisrate.mc_engine import run_monte_carlo
 
 FAST = dict(kind="uniform-room", num_devices=4, m_grid=(16,), drops=2,
@@ -140,10 +142,18 @@ class TestMakeDrop:
         cfg = ScenarioConfig(**{**FAST, "kind": "grid-plane",
                                 "num_devices": 5, "d_m": 5.0})
         drop = make_drop(cfg, 0)
-        # nearest lattice neighbours sit 5 m away laterally at height 1
-        for link in drop.links:
-            d = np.linalg.norm(link.h_los)  # closer device => larger gain
-        assert len(drop.links) == 4
+        # the target sits at the lattice origin and its 4 nearest
+        # neighbours 5 m away laterally; each link is matched to its
+        # lattice device by the bytes of its LOS channel
+        (x0, x1), (y0, y1), z = cfg.plane
+        lattice = place_devices_grid(cfg.d_m, (x0, x1), (y0, y1), z)[1:]
+        by_channel = {los_channel(d, drop.grid).tobytes(): d.index
+                      for d in lattice}
+        chosen = [by_channel[l.h_los.tobytes()] for l in drop.links]
+        nearest = [d.index for d in lattice
+                   if np.linalg.norm(d.position[:2]) == pytest.approx(5.0)]
+        assert len(nearest) == 4
+        assert sorted(chosen) == sorted(nearest)
 
     def test_power_control_target(self):
         cfg = ScenarioConfig(**{**FAST, "kind": "grid-plane",
@@ -351,6 +361,8 @@ class TestCli:
         ("run", ["--config", "snr_db = -4000\n"]),
         ("sweep-L", ["--config", "snr_db = -4000\n", "--l-grid", "0.2"]),
         ("validate", ["--scenario", "mimo-baseline", "--m-grid", "8"]),
+        ("validate", ["--workers", "0"]), ("run", ["--bogus"]),
+        ("run", ["--mode", "bad"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:
@@ -373,10 +385,10 @@ class TestCli:
         ["selftest", "--devices", "4"], ["selftest", "--out", "s.csv"],
     ])
     def test_rejects_flags_the_command_ignores(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == cli.EXIT_CONFIG
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "unrecognized arguments" in err
 
     def test_overflow_exit_code(self, tmp_path, capsys):
         # a finite but huge SNR overflows the closed form's Taylor step

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from lisrate.baseline_mimo import build_mimo_drop
 from lisrate.channel import (
     Scattering,
+    correlation_factor,
     los_channel,
     nlos_scattering,
 )
@@ -71,6 +72,17 @@ class TestPrimitives:
         x = crandn(np.random.default_rng(0), 200000)
         assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.01)
         assert abs(np.mean(x)) < 0.01
+
+    @pytest.mark.parametrize("shape", [7, (3, 5)])
+    def test_crandn_stream(self, shape):
+        # one standard_normal draw of shape + (2,) with each entry's real
+        # and imaginary parts adjacent, scaled by sqrt(1/2)
+        full = (shape,) if isinstance(shape, int) else shape
+        x = crandn(np.random.default_rng(4), shape)
+        twin = np.random.default_rng(4).standard_normal(full + (2,))
+        np.testing.assert_array_equal(
+            x, (math.sqrt(0.5) * twin).view(complex).reshape(full))
+        assert x.shape == full and x.flags.c_contiguous
 
     def test_estimated_channel_weights(self):
         h = np.array([1.0 + 0j, -2j])
@@ -198,6 +210,46 @@ class TestSinrPaths:
             a = compute_terms(drop, *fading)["gamma"][0]
             b = sinr_direct(drop, *fading)[0]
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["los-only", "nlos-only", "mixed",
+                                      "mimo"])
+    def test_terms_match_definitions(self, kind):
+        # every kernel term against its plain per-row definition, with
+        # each channel built first: h = a h_los + b R g
+        if kind == "mixed":
+            drop = small_drop(seed=2)
+        elif kind == "mimo":
+            devices = [Device(position=np.array([r, 1.0, 1.0]), index=i)
+                       for i, r in enumerate((1.0, 2.0, 4.0, 6.0))]
+            drop = build_mimo_drop(devices, 16, 0.1, seed=5)
+        else:
+            drop = make_drop(ScenarioConfig(
+                kind="grid-plane" if kind == "los-only" else "uniform-room",
+                mode=kind, num_devices=5, m_grid=(16,), drops=1,
+                realizations=2, seed=3), 0)
+        n = 6
+        eps, g_des, g = draw_fading(drop, np.random.default_rng(11), n)
+        t = compute_terms(drop, eps, g_des, g)
+
+        def channel(link, gi):
+            a, b = link.weights
+            return a * link.h_los + b * (correlation_factor(link.paths) @ gi)
+
+        tau = drop.tau
+        for i in range(n):
+            h = drop.desired.h_los if g_des is None \
+                else channel(drop.desired, g_des[i])
+            err = drop.err_amp * eps[i]
+            f = math.sqrt(1.0 - tau**2) * h + tau * err
+            assert t["s"][i] == pytest.approx(np.sum(np.abs(h) ** 2) ** 2,
+                                              rel=1e-12)
+            assert t["x"][i] == pytest.approx(
+                abs(np.sum(err * np.conj(h))) ** 2, rel=1e-12)
+            assert t["z"][i] == pytest.approx(np.sum(np.abs(f) ** 2),
+                                              rel=1e-12)
+            y = [abs(np.vdot(f, channel(link, gj[i]))) ** 2
+                 for link, gj in zip(drop.links, g)]
+            np.testing.assert_allclose(t["y"][i], y, rtol=1e-12)
 
     def test_sinr_positive(self):
         drop = small_drop(seed=5)
