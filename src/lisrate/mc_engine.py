@@ -14,6 +14,10 @@ A CN(0, 1) array is one standard_normal draw with each entry's real and
 imaginary parts adjacent (crandn); the kernel keeps f^H as its one (n, M)
 temporary and sums squares over float views, with no complex abs.
 Aggregation is chunked with per-chunk seeds derived from the master seed.
+Within a chunk the MC path draws each interferer's fading only when the
+kernel reaches that link and drops it after use, so a chunk holds one
+link's fading, block and product at a time; the draw order, and so the
+stream, is the one draw_fading materialises.
 Each chunk reduces to central moments (mean, M2, M3, M4), which stay
 accurate when the channel hardens and a term's spread is tiny next to its
 mean; chunks merge one by one in index order, so results are bit-identical
@@ -134,17 +138,27 @@ def rate_sample(gamma) -> np.ndarray:
     return np.log1p(gamma)
 
 
-def draw_fading(drop: Drop, rng, n: int):
-    """n realizations (rows) of (eps, g_des, g): the estimation error
-    (n, M), the desired-link fading (n, P) or None when that link is
-    deterministic, and a list of per-link (n, P_j) fading, drawn in that
-    order."""
+def _draw_lazily(drop: Drop, rng, n: int):
+    """draw_fading with g as a generator: eps and g_des are drawn now, and
+    each link's (n, P_j) block only when the consumer reaches it.  The draw
+    order is the same, so a consumer that draws nothing else from rng in
+    between sees the same stream."""
     eps = crandn(rng, (n, drop.num_antennas))
     g_des = None
     if not drop.desired.deterministic:
         g_des = crandn(rng, (n, drop.desired.num_paths))
-    g = [crandn(rng, (n, link.num_paths)) for link in drop.links]
-    return eps, g_des, g
+    return eps, g_des, (crandn(rng, (n, link.num_paths))
+                        for link in drop.links)
+
+
+def draw_fading(drop: Drop, rng, n: int):
+    """n realizations (rows) of (eps, g_des, g): the estimation error
+    (n, M), the desired-link fading (n, P) or None when that link is
+    deterministic, and a list of per-link (n, P_j) fading, drawn in that
+    order.  run_monte_carlo takes the same draws with g unmaterialised, one
+    link's block at a time as the kernel reaches it."""
+    eps, g_des, g = _draw_lazily(drop, rng, n)
+    return eps, g_des, list(g)
 
 
 def _desired_channel(drop: Drop, g_des):
@@ -163,7 +177,9 @@ def compute_terms(drop: Drop, eps, g_des, g):
     f = sqrt(1-tau^2) h + tau err, so f^H is formed once per batch, projected
     on all J LOS vectors in one (n, M) x (M, J) product, and each link's
     scattered part costs one (n, M) x (M, P_j) product, R first:
-    f^H h_j = a f^H h_los + b (f^H R) g.  R is built for one link at a time.
+    f^H h_j = a f^H h_los + b (f^H R) g.  R is built for one link at a time,
+    and g may be any iterable of the J links' fading, taken one block per
+    link (a short one raises ValueError).
     Returns a dict of per-realization arrays: s, x, y (n, K-1), z, i, gamma.
     """
     tau = drop.tau
@@ -180,7 +196,7 @@ def compute_terms(drop: Drop, eps, g_des, g):
     z = _row_power(fh)
     los, a, b, rhos = drop.stacked()
     scattered = np.zeros((len(eps), len(drop.links)), complex)
-    for idx, (link, gj) in enumerate(zip(drop.links, g)):
+    for idx, (link, gj) in enumerate(zip(drop.links, g, strict=True)):
         scattered[:, idx] = np.einsum(
             "ij,ij->i", fh @ correlation_factor(link.paths), gj)
     y = np.abs(a * (fh @ los) + b * scattered) ** 2
@@ -207,7 +223,7 @@ def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
     leak = drop.desired.rho * tau**2 \
         * np.abs(np.sum(err.conj() * h, axis=-1)) ** 2
     interf = 0.0
-    for link, gj in zip(drop.links, g):
+    for link, gj in zip(drop.links, g, strict=True):
         a, b = link.weights
         hj = a * link.h_los + b * (gj @ correlation_factor(link.paths).T)
         interf += link.rho * np.abs(np.sum(fh * hj, axis=-1)) ** 2
@@ -315,7 +331,7 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
         raise ValueError("need at least two realizations")
     acc, y_parts = None, []
     for rng, n in _chunks(n_real, chunk_size, seed, drop_tag):
-        t = compute_terms(drop, *draw_fading(drop, rng, n))
+        t = compute_terms(drop, *_draw_lazily(drop, rng, n))
         part = _Moments.of(np.vstack([
             rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]))
         acc = part if acc is None else acc.merge(part)

@@ -401,6 +401,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--half-length", "1e-300"],
+        ["sweep-L", "--l-grid", "1e-300"]])
+    def test_tiny_half_length_exit_code(self, argv, capsys):
+        # the closed form's spacing**4 underflows to zero
+        assert cli.main(argv) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
     def test_io_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--scenario", "uniform-room", "--devices", "4",
                        "--m-grid", "16", "--drops", "1", "--realizations",

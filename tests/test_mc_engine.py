@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lisrate.mc_engine import (
     Z,
     Drop,
     Link,
+    _chunks,
     _Moments,
     compute_terms,
     crandn,
@@ -251,6 +253,17 @@ class TestSinrPaths:
                  for link, gj in zip(drop.links, g)]
             np.testing.assert_allclose(t["y"][i], y, rtol=1e-12)
 
+    @pytest.mark.parametrize("kernel", [compute_terms, sinr_direct])
+    def test_short_fading_raises(self, kernel):
+        # a link without its fading block must not drop out of the sum
+        drop = small_drop(seed=3)
+        eps, g_des, g = draw_fading(drop, np.random.default_rng(0), 4)
+        spent = iter(g)
+        list(spent)
+        for short in (g[:-1], spent):
+            with pytest.raises(ValueError):
+                kernel(drop, eps, g_des, short)
+
     def test_sinr_positive(self):
         drop = small_drop(seed=5)
         t = compute_terms(drop, crandn(np.random.default_rng(0), (100, 16)),
@@ -365,6 +378,44 @@ class TestRunMonteCarlo:
         two_pass = math.sqrt((m4 - (n - 3) / (n - 1) * m2**2) / n)
         assert mc.variance[Z] == pytest.approx(z.var(ddof=1), rel=1e-6)
         assert two_pass / 1.5 < mc.se_variance[Z] < 1.5 * two_pass
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_streamed_draws_equal_listed_draws(self, stochastic):
+        # run_monte_carlo draws each link's fading as the kernel reaches it;
+        # every statistic must equal the kernel fed draw_fading's lists
+        if stochastic:
+            devices = [Device(position=np.array([r, 0.0, 1.0]), index=i)
+                       for i, r in enumerate((1.0, 3.0, 7.0))]
+            drop = build_mimo_drop(devices, 16, 0.1, seed=8)
+        else:
+            drop = small_drop(seed=4)
+        n, chunk, seed, tag = 1000, 256, 9, 2
+        mc = run_monte_carlo(drop, n, seed, drop_tag=tag, chunk_size=chunk)
+        acc = None
+        for rng, k in _chunks(n, chunk, seed, tag):
+            t = compute_terms(drop, *draw_fading(drop, rng, k))
+            part = _Moments.of(np.vstack([rate_sample(t["gamma"]), t["x"],
+                                          t["z"], t["i"], t["y"].T]))
+            acc = part if acc is None else acc.merge(part)
+        for got, want in zip((mc.mean, mc.variance, mc.se_mean,
+                              mc.se_variance), acc.stats()):
+            assert np.array_equal(got, want)
+
+    def test_chunk_holds_one_links_fading(self):
+        # numpy reports its buffers to tracemalloc: one default chunk must
+        # peak below the bytes of all links' fading held at once
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="nlos-only", num_devices=10,
+            m_grid=(400,), drops=1, realizations=2048, seed=3), 0)
+        n = 2048
+        all_fading = sum(16 * n * link.num_paths for link in drop.links)
+        tracemalloc.start()
+        try:
+            run_monte_carlo(drop, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < all_fading
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
