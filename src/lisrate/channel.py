@@ -28,14 +28,13 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     return np.exp(1j * np.multiply.outer(np.arange(n), steps))
 
 
-def _steering(n_v: int, n_h: int, step_v, step_h) -> np.ndarray:
-    """(d_v kron d_h) / sqrt(n_v n_h) for the phase ramps d_v, d_h of
-    lengths n_v and n_h, one column per step pair: shape
+def _steering(n_v: int, n_h: int, step_v, step_h, gains=1.0) -> np.ndarray:
+    """gains (d_v kron d_h) / sqrt(n_v n_h) for the phase ramps d_v, d_h of
+    lengths n_v and n_h, one column per step pair, in one pass: shape
     (n_v n_h,) + steps' shape, a fresh C-contiguous array."""
-    d_v, d_h = _phase_ramp(n_v, step_v), _phase_ramp(n_h, step_h)
-    out = (d_v[:, None] * d_h[None, :]).reshape((n_v * n_h,) + d_v.shape[1:])
-    out /= math.sqrt(n_v * n_h)
-    return out
+    d_v = _phase_ramp(n_v, step_v) * gains
+    d_h = _phase_ramp(n_h, step_h) / math.sqrt(n_v * n_h)
+    return (d_v[:, None] * d_h[None, :]).reshape((n_v * n_h,) + d_v.shape[1:])
 
 
 def _upa_steps(theta_v, theta_h, spacing: float, wavelength: float):
@@ -106,15 +105,22 @@ class Scattering:
         return np.broadcast_to(np.square(self.loss), m) \
             * (np.sum(self.gains**2) / m)
 
-    def projected_power(self, h: np.ndarray) -> float:
-        """||h^H R||^2 without forming R, in O(MP) time and O(M + n_v P)
-        memory: reshape conj(h) loss to (n_v, n_h), multiply by the
-        horizontal ramps, then take column dot products with the vertical
-        ramps (Van Loan 2000, "The ubiquitous Kronecker product")."""
+    def _contract(self, h: np.ndarray) -> np.ndarray:
+        """u = h^H R sqrt(M) / gains, shape (P,), in O(MP) time and
+        O(M + n_v P) memory without forming R: conj(h) loss as (n_v, n_h)
+        times the horizontal ramps, then column dot products with the
+        vertical ramps (Van Loan 2000, "The ubiquitous Kronecker product")."""
         c = (h.conj() * self.loss).reshape(self.n_v, self.n_h)
-        u = np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
-                      c @ _phase_ramp(self.n_h, self.step_h))
-        return float(np.sum(self.gains**2 * np.abs(u) ** 2)
+        return np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
+                         c @ _phase_ramp(self.n_h, self.step_h))
+
+    def project(self, h: np.ndarray) -> np.ndarray:
+        """h^H R, shape (P,), from the separable form."""
+        return self._contract(h) * (self.gains / math.sqrt(self.num_antennas))
+
+    def projected_power(self, h: np.ndarray) -> float:
+        """||h^H R||^2 from the separable form."""
+        return float(np.sum(self.gains**2 * np.abs(self._contract(h)) ** 2)
                      / self.num_antennas)
 
 
@@ -135,11 +141,12 @@ def nlos_scattering(device: Device, grid: AntennaGrid, angles,
                       n_h=grid.side)
 
 
-def correlation_factor(scattering: Scattering) -> np.ndarray:
-    """The dense C-contiguous (M, P) correlation factor
-    diag(loss) @ [gains_p steering_p], built in place in that order."""
-    s = scattering
-    r = _steering(s.n_v, s.n_h, s.step_v, s.step_h)
-    r *= s.gains
-    r *= np.reshape(s.loss, (-1, 1))
+def correlation_factor(s: Scattering, scale=1.0,
+                       conjugate: bool = False) -> np.ndarray:
+    """The dense C-contiguous (M, P) factor diag(scale loss) [gains_p
+    steering_p], or its conjugate (negated phase steps) when `conjugate`,
+    in two passes: the ramps' outer product, then one row scale."""
+    sign = -1.0 if conjugate else 1.0
+    r = _steering(s.n_v, s.n_h, sign * s.step_v, sign * s.step_h, s.gains)
+    r *= np.reshape(s.loss * scale, (-1, 1))
     return r

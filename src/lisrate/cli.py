@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or out
+of memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -100,6 +100,7 @@ def _cmd_sweep_l(args) -> int:
     return 0
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _cmd_validate(args) -> int:
     """Compare MC term moments against their closed forms on one drop."""
     config = _build_config(args)
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

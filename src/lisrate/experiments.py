@@ -305,6 +305,8 @@ def _fan_out(fn, args: list[tuple], workers: int) -> list:
 #  Scenario execution
 # ---------------------------------------------------------------------------
 
+# A task raises FloatingPointError at its first overflow, NaN or 1/0.
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
     drop = make_drop(config, drop_index, num_antennas=m)
     mc = run_monte_carlo(drop, config.realizations, config.seed,
@@ -365,6 +367,7 @@ def write_csv(reports: list[RateReport], path):
                 r.log_base, r.seed])
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _l_task(config: ScenarioConfig, hl: float, drop_index: int) -> float:
     drop = make_drop(config, drop_index, half_length=hl)
     return asymptotics.asymptotic_rate_moments(drop).mean

@@ -5,14 +5,15 @@ A drop keeps each link's scattered paths in separable form; a kernel builds
 one link's dense (M, P) correlation factor R at a time and drops it after
 use, so a drop never holds them all.  The SINR is computed two ways, which
 agree to roundoff and the tests enforce it.  The term decomposition
-(desired power S, error leak X, per-interferer Y, combined noise Z) takes
-the estimated channel's conjugate once per batch, projects it on all LOS
-vectors in one product and applies each correlation factor first (f^H R,
-then g).  The receiver path builds each channel first (h_j = a h_los +
-b R g) and groups the inner products as the matched filter sees them.
-A CN(0, 1) array is one standard_normal draw with each entry's real and
-imaginary parts adjacent (crandn); the kernel keeps f^H as its one (n, M)
-temporary and sums squares over float views, with no complex abs.
+(desired power S, error leak X, per-interferer Y, combined noise Z) writes
+the combining vector as f = k + d X, affine in the draws X, and projects
+the draws on all LOS vectors in one product and on each conj(R), row-scaled
+by d, in one more (f^H R, then g); with a deterministic desired channel X
+is the error draws themselves, so no (n, M) array is formed.  The receiver
+path builds each channel first (h_j = a h_los + b R g) and groups the inner
+products as the matched filter sees them.  A CN(0, 1) array is one
+standard_normal draw with each entry's real and imaginary parts adjacent
+(crandn); sums of squares run over float views, with no complex abs.
 Aggregation is chunked with per-chunk seeds derived from the master seed.
 Within a chunk the MC path draws each interferer's fading only when the
 kernel reaches that link and drops it after use, so a chunk holds one
@@ -116,11 +117,14 @@ def crandn(rng, shape) -> np.ndarray:
     return x.view(complex).reshape(shape)
 
 
-def _row_power(a: np.ndarray) -> np.ndarray:
-    """sum |a|^2 over the last axis, as the squares of the float view: no
-    complex abs, which goes through hypot, and no temporary."""
+def _row_power(a: np.ndarray, weights=None) -> np.ndarray:
+    """sum w |a|^2 over the last axis, with w = 1 or the (M,) weights, as
+    the squares of the float view: no complex abs, which goes through
+    hypot, and no temporary."""
     v = np.ascontiguousarray(a).view(float)
-    return np.einsum("...j,...j->...", v, v)
+    if weights is None:
+        return np.einsum("...j,...j->...", v, v)
+    return np.einsum("...j,...j,j->...", v, v, np.repeat(weights, 2))
 
 
 def estimated_channel(h: np.ndarray, tau: float, err: np.ndarray) -> np.ndarray:
@@ -173,33 +177,43 @@ def _desired_channel(drop: Drop, g_des):
 def compute_terms(drop: Drop, eps, g_des, g):
     """Decomposed SINR terms for a batch of realizations from draw_fading.
 
-    Every interference term is |f^H h_j|^2 for the combining vector
-    f = sqrt(1-tau^2) h + tau err, so f^H is formed once per batch, projected
-    on all J LOS vectors in one (n, M) x (M, J) product, and each link's
-    scattered part costs one (n, M) x (M, P_j) product, R first:
-    f^H h_j = a f^H h_los + b (f^H R) g.  R is built for one link at a time,
-    and g may be any iterable of the J links' fading, taken one block per
-    link (a short one raises ValueError).
-    Returns a dict of per-realization arrays: s, x, y (n, K-1), z, i, gamma.
+    f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
+    f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
+    the LOS vectors and, per link, one (n, M) x (M, P_j) product on conj(R)
+    row-scaled by d plus k^H R from the separable paths give
+    f^H h_j = a f^H h_los + b (f^H R) g.  A deterministic desired h has
+    k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only read; a
+    stochastic one has k = 0, d = 1 and X = f, built in place of its rows.
+    g is any iterable of the links' fading, one block per link (a short one
+    raises ValueError).  Returns arrays s, x, y (n, K-1), z, i, gamma.
     """
     tau = drop.tau
-    h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
-    # f^H is the only (n, M) temporary, built in place: each fresh one
-    # costs a pass and page faults
-    fh = np.multiply(eps, tau * drop.err_amp)
-    fh += math.sqrt(1.0 - tau**2) * h
-    np.conj(fh, out=fh)
-
-    s = np.broadcast_to(_row_power(h) ** 2, len(eps))
-    x = np.abs(np.einsum("...j,...j->...", eps,
-                         drop.err_amp * h.conj())) ** 2
-    z = _row_power(fh)
+    c = math.sqrt(1.0 - tau**2)
     los, a, b, rhos = drop.stacked()
+    h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
+    s = np.broadcast_to(_row_power(h) ** 2, len(eps))
+    if drop.desired.deterministic:
+        k, d, xs = c * h, tau * drop.err_amp, eps
+        proj = eps @ np.column_stack((los.conj() * d[:, None],
+                                      drop.err_amp * h.conj()))
+        u = proj[:, -1]
+        x = np.abs(u) ** 2
+        z = _row_power(k) + _row_power(eps, d * d) + 2 * c * tau * u.real
+    else:
+        x = np.abs(np.einsum("ij,ij->i", eps, drop.err_amp * h.conj())) ** 2
+        h *= c
+        h += eps * (tau * drop.err_amp)
+        k, d, xs = np.zeros(len(los)), 1.0, h
+        z = _row_power(h)
+        proj = h @ los.conj()
+    f_los = np.conj(proj[:, :los.shape[1]]) + k.conj() @ los
     scattered = np.zeros((len(eps), len(drop.links)), complex)
     for idx, (link, gj) in enumerate(zip(drop.links, g, strict=True)):
-        scattered[:, idx] = np.einsum(
-            "ij,ij->i", fh @ correlation_factor(link.paths), gj)
-    y = np.abs(a * (fh @ los) + b * scattered) ** 2
+        q = xs @ correlation_factor(link.paths, d, conjugate=True)
+        scattered[:, idx] = np.einsum("ij,ij->i", np.conj(q, out=q), gj) \
+            + gj @ link.paths.project(k)
+        del q           # before the next link's fading and block are made
+    y = np.abs(a * f_los + b * scattered) ** 2
 
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
     gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
@@ -348,11 +362,11 @@ def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
     link = drop.links[link_idx]
     if link.num_paths == 0:
         raise ValueError("link has no scattered paths")
-    w = drop.err_amp[:, None] * correlation_factor(link.paths)  # (M, P)
-    scale = math.sqrt(float(np.sum(np.abs(w) ** 2)))
+    w = correlation_factor(link.paths, drop.err_amp, conjugate=True)
+    scale = math.sqrt(float(drop.err_amp**2 @ link.paths.row_power()))
     out = []
     for rng, n in _chunks(n_real, chunk_size, seed, link_idx):
         eps = crandn(rng, (n, drop.num_antennas))
         g = crandn(rng, (n, link.num_paths))
-        out.append(np.einsum("ij,ij->i", eps.conj() @ w, g) / scale)
+        out.append(np.einsum("ij,ij->i", (eps @ w).conj(), g) / scale)
     return np.concatenate(out)

@@ -116,6 +116,25 @@ class TestCorrelationFactor:
         # unit path gain at normal incidence
         np.testing.assert_allclose(np.abs(rh[:, 0]), 1.0 / 4.0)
 
+    def test_scaled_conjugate(self, grid):
+        # the kernel's block conj(diag(scale) R): negated phase steps and one
+        # row scale; h^H R comes from the separable form without R
+        dev = Device(position=np.array([1.0, 2.0, 1.5]))
+        rng = np.random.default_rng(4)
+        paths = nlos_scattering(dev, grid,
+                                rng.uniform(-np.pi / 2, np.pi / 2, (2, 5)),
+                                3.7)
+        scale = rng.uniform(0.1, 2.0, 16)
+        r = correlation_factor(paths)
+        np.testing.assert_allclose(
+            correlation_factor(paths, scale, conjugate=True),
+            np.conj(scale[:, None] * r), rtol=1e-13)
+        h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        np.testing.assert_allclose(paths.project(h), h.conj() @ r,
+                                   rtol=1e-12)
+        assert paths.projected_power(h) == pytest.approx(
+            np.sum(np.abs(h.conj() @ r) ** 2), rel=1e-12)
+
     def test_empty_factor(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         rh = correlation_factor(nlos_scattering(dev, grid, np.empty((2, 0)),

@@ -1,10 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lisrate
 from lisrate import cli, experiments
 from lisrate.asymptotics import asymptotic_rate_moments
 from lisrate.channel import los_channel
@@ -409,6 +414,41 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--half-length", "1e300"],
+        ["sweep-L", "--l-grid", "1e300"]])
+    def test_huge_half_length_one_line(self, argv, workers):
+        # numpy's floating-point warnings are raised inside each task, so
+        # stderr holds only the exit message, from a pool worker too; a
+        # fresh interpreter shows what a user sees
+        src = str(Path(lisrate.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lisrate.cli", *argv, "--workers", workers],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert proc.stderr.startswith("numerical failure:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_validate_huge_half_length_one_line(self, capsys):
+        # validate samples in this process, under the same traps as a task
+        rc = cli.main(["validate", "--half-length", "1e300",
+                       "--realizations", "64"])
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_memory_error_exit_code(self, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        monkeypatch.setattr(experiments, "run_scenario", exhausted)
+        assert cli.main(["run", "--m-grid", "16"]) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: Unable to allocate")
+        assert err.count("\n") == 1
 
     def test_io_error_exit_code(self, tmp_path):
         rc = cli.main(["run", "--scenario", "uniform-room", "--devices", "4",

@@ -231,7 +231,11 @@ class TestSinrPaths:
                 realizations=2, seed=3), 0)
         n = 6
         eps, g_des, g = draw_fading(drop, np.random.default_rng(11), n)
+        before = [eps.copy(), *(gj.copy() for gj in g)]
         t = compute_terms(drop, eps, g_des, g)
+        # the draws are read, never written
+        for got, want in zip([eps, *g], before, strict=True):
+            np.testing.assert_array_equal(got, want)
 
         def channel(link, gi):
             a, b = link.weights
@@ -252,6 +256,21 @@ class TestSinrPaths:
             y = [abs(np.vdot(f, channel(link, gj[i]))) ** 2
                  for link, gj in zip(drop.links, g)]
             np.testing.assert_allclose(t["y"][i], y, rtol=1e-12)
+
+    def test_los_kernel_forms_no_combining_vector(self):
+        # with a deterministic desired channel the kernel projects the draws
+        # themselves: its traced peak must stay far below one (n, M) array
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="los-only", num_devices=10,
+            m_grid=(1600,), drops=1, realizations=2, seed=7), 0)
+        fading = draw_fading(drop, np.random.default_rng(0), 1024)
+        tracemalloc.start()
+        try:
+            compute_terms(drop, *fading)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < fading[0].nbytes / 4
 
     @pytest.mark.parametrize("kernel", [compute_terms, sinr_direct])
     def test_short_fading_raises(self, kernel):
@@ -428,6 +447,19 @@ class TestYn2Sampler:
         vals = sample_yn2_normalized(drop, 0, 20000, seed=3)
         assert np.mean(np.abs(vals) ** 2) == pytest.approx(1.0, rel=0.05)
         assert abs(np.mean(vals)) < 0.02
+
+    def test_matches_dense_definition(self):
+        # eps^H diag(err_amp) R g / ||diag(err_amp) R||_F on the same draws
+        drop = small_drop(m=16, n_interferers=2, num_paths=6, seed=6)
+        link = drop.links[1]
+        w = drop.err_amp[:, None] * correlation_factor(link.paths)
+        rng, n = next(_chunks(50, 64, 3, 1))
+        eps = crandn(rng, (n, 16))
+        g = crandn(rng, (n, link.num_paths))
+        want = np.einsum("ij,ij->i", eps.conj() @ w, g) \
+            / np.linalg.norm(w)
+        np.testing.assert_allclose(sample_yn2_normalized(drop, 1, 50, 3),
+                                   want, rtol=1e-12)
 
     def test_reproducible(self):
         drop = small_drop(seed=6)
