@@ -24,8 +24,22 @@ def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
 
 
 def _phase_ramp(n: int, steps) -> np.ndarray:
-    """exp(1j * step * k) for k < n, shape (n,) + steps.shape."""
-    return np.exp(1j * np.multiply.outer(np.arange(n), steps))
+    """exp(1j * step * k) for k < n, shape (n,) + steps.shape.
+
+    From n = 16 on, k = b k1 + k2 with b = ceil(sqrt(n)) splits each ramp
+    into the Kronecker product of a coarse ramp exp(1j step b k1) and a fine
+    one exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
+    product per entry instead of n exponentials (Van Loan 2000, "The
+    ubiquitous Kronecker product").  Shorter ramps, where the split would
+    not halve the exponentials, take them directly.  Every steering vector,
+    correlation factor and separable projection is built from these."""
+    if n < 16:
+        return np.exp(1j * np.multiply.outer(np.arange(n), steps))
+    b = math.isqrt(n - 1) + 1
+    coarse = np.exp(1j * np.multiply.outer(np.arange(0, n, b), steps))
+    fine = np.exp(1j * np.multiply.outer(np.arange(b), steps))
+    ramp = coarse[:, None] * fine[None, :]
+    return ramp.reshape((ramp.shape[0] * b,) + ramp.shape[2:])[:n]
 
 
 def _steering(n_v: int, n_h: int, step_v, step_h, gains=1.0) -> np.ndarray:
@@ -75,7 +89,10 @@ class Scattering:
     / sqrt(M), with phase ramps d_v,p = exp(1j step_v,p k), k < n_v, and
     d_h,p likewise over n_h; M = n_v n_h.  A planar array has
     n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
-    `correlation_factor` builds the dense (M, P) R."""
+    `correlation_factor` builds the dense (M, P) R.  Each ramp of n >= 16
+    entries is itself split as `_phase_ramp` does, into a coarse and a fine
+    ramp of about sqrt(n) entries: ~2 sqrt(n) exponentials per path instead
+    of n, in `correlation_factor`, `project` and `projected_power` alike."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains

@@ -133,14 +133,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Quick invariants: dual-path SINR identity and steering norms."""
+    """Quick invariants: dual-path SINR identity, on uniform-room drops and
+    on linear-array baseline drops (a stochastic desired channel), and
+    steering norms."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst = 0.0
     for trial in range(50):
         m = int(rng.choice([4, 16, 64]))
-        config = ScenarioConfig(kind="uniform-room", num_devices=4,
+        kind = ("uniform-room", "mimo-baseline")[trial % 2]
+        config = ScenarioConfig(kind=kind, num_devices=4,
                                 m_grid=(m,), realizations=2,
                                 mode="probabilistic", drops=1,
                                 seed=int(rng.integers(1 << 30)))

@@ -305,8 +305,25 @@ def _fan_out(fn, args: list[tuple], workers: int) -> list:
 #  Scenario execution
 # ---------------------------------------------------------------------------
 
-# A task raises FloatingPointError at its first overflow, NaN or 1/0.
-@np.errstate(over="raise", invalid="raise", divide="raise")
+def _trapped(label: str):
+    """Decorate a task fn(config, x, drop_index) to raise FloatingPointError
+    at its first overflow, NaN or 1/0, with `label`=x and the drop named in
+    front of numpy's message."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def task(config: ScenarioConfig, x, drop_index: int):
+            try:
+                with np.errstate(over="raise", invalid="raise",
+                                 divide="raise"):
+                    return fn(config, x, drop_index)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"{label}={x}, drop {drop_index}: {exc}") from exc
+        return task
+    return decorate
+
+
+@_trapped("M")
 def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
     drop = make_drop(config, drop_index, num_antennas=m)
     mc = run_monte_carlo(drop, config.realizations, config.seed,
@@ -367,7 +384,7 @@ def write_csv(reports: list[RateReport], path):
                 r.log_base, r.seed])
 
 
-@np.errstate(over="raise", invalid="raise", divide="raise")
+@_trapped("L")
 def _l_task(config: ScenarioConfig, hl: float, drop_index: int) -> float:
     drop = make_drop(config, drop_index, half_length=hl)
     return asymptotics.asymptotic_rate_moments(drop).mean

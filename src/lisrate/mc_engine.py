@@ -166,12 +166,15 @@ def draw_fading(drop: Drop, rng, n: int):
 
 
 def _desired_channel(drop: Drop, g_des):
-    """h_los (M,) for a deterministic desired link, else the (n, M) rows."""
+    """h_los (M,) for a deterministic desired link, else the (n, M) rows,
+    a fresh array built in place: g_des (b R)^T, then + a h_los."""
     des = drop.desired
     if des.deterministic:
         return des.h_los
     a, b = des.weights
-    return a * des.h_los + b * (g_des @ correlation_factor(des.paths).T)
+    h = g_des @ correlation_factor(des.paths, b).T
+    h += a * des.h_los
+    return h
 
 
 def compute_terms(drop: Drop, eps, g_des, g):
@@ -183,7 +186,8 @@ def compute_terms(drop: Drop, eps, g_des, g):
     row-scaled by d plus k^H R from the separable paths give
     f^H h_j = a f^H h_los + b (f^H R) g.  A deterministic desired h has
     k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only read; a
-    stochastic one has k = 0, d = 1 and X = f, built in place of its rows.
+    stochastic one has k = 0, so no k^H V is formed, d = 1 and X = f, built
+    in place of its rows with one (n, M) temporary.
     g is any iterable of the links' fading, one block per link (a short one
     raises ValueError).  Returns arrays s, x, y (n, K-1), z, i, gamma.
     """
@@ -199,19 +203,25 @@ def compute_terms(drop: Drop, eps, g_des, g):
         u = proj[:, -1]
         x = np.abs(u) ** 2
         z = _row_power(k) + _row_power(eps, d * d) + 2 * c * tau * u.real
+        f_los = k.conj() @ los + np.conj(proj[:, :-1])
+        k_paths = [link.paths.project(k) for link in drop.links]
     else:
-        x = np.abs(np.einsum("ij,ij->i", eps, drop.err_amp * h.conj())) ** 2
+        w = eps * drop.err_amp          # the only (n, M) temporary
+        x = np.abs(np.einsum("ij,ij->i", np.conj(w, out=w), h)) ** 2
         h *= c
-        h += eps * (tau * drop.err_amp)
-        k, d, xs = np.zeros(len(los)), 1.0, h
+        h += np.multiply(eps, tau * drop.err_amp, out=w)
+        del w
+        d, xs = 1.0, h
         z = _row_power(h)
-        proj = h @ los.conj()
-    f_los = np.conj(proj[:, :los.shape[1]]) + k.conj() @ los
-    scattered = np.zeros((len(eps), len(drop.links)), complex)
-    for idx, (link, gj) in enumerate(zip(drop.links, g, strict=True)):
+        f_los = np.conj(h @ los.conj())
+        k_paths = [None] * len(drop.links)          # k = 0: no k^H R
+    scattered = np.empty((len(eps), len(drop.links)), complex)
+    for idx, (link, gj, kr) in enumerate(
+            zip(drop.links, g, k_paths, strict=True)):
         q = xs @ correlation_factor(link.paths, d, conjugate=True)
-        scattered[:, idx] = np.einsum("ij,ij->i", np.conj(q, out=q), gj) \
-            + gj @ link.paths.project(k)
+        scattered[:, idx] = np.einsum("ij,ij->i", np.conj(q, out=q), gj)
+        if kr is not None:
+            scattered[:, idx] += gj @ kr
         del q           # before the next link's fading and block are made
     y = np.abs(a * f_los + b * scattered) ** 2
 

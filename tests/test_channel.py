@@ -5,6 +5,7 @@ import pytest
 
 from lisrate.channel import (
     NLOS_MIN_DISTANCE,
+    _phase_ramp,
     correlation_factor,
     los_channel,
     nlos_scattering,
@@ -35,6 +36,28 @@ class TestLosChannel:
         np.testing.assert_allclose(h, h[::-1, :])
         np.testing.assert_allclose(h, h[:, ::-1])
         np.testing.assert_allclose(h, h.T)
+
+
+class TestPhaseRamp:
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 15, 16, 17, 40, 100, 1600])
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3), (0,)])
+    def test_matches_direct_exponentials(self, n, shape):
+        # the split ramp (n >= 16) and the direct one agree with one
+        # exponential per entry, in shape too, for any number of steps
+        steps = np.random.default_rng(n).uniform(-np.pi, np.pi, shape)
+        if shape == ():
+            steps = float(steps)
+        got = _phase_ramp(n, steps)
+        want = np.exp(1j * np.multiply.outer(np.arange(n), steps))
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_extreme_steps(self):
+        steps = np.array([-np.pi, 0.0, np.pi])
+        np.testing.assert_allclose(
+            _phase_ramp(1600, steps),
+            np.exp(1j * np.multiply.outer(np.arange(1600), steps)),
+            rtol=0, atol=1e-12)
 
 
 class TestSteering:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lisrate
-from lisrate import cli, experiments
+from lisrate import cli, experiments, mc_engine
 from lisrate.asymptotics import asymptotic_rate_moments
 from lisrate.channel import los_channel
 from lisrate.experiments import (
@@ -433,6 +433,23 @@ class TestCli:
         assert proc.stderr.startswith("numerical failure:")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("argv,task", [
+        (["run", "--half-length", "1e300"], "M=100, drop 0: "),
+        (["sweep-L", "--l-grid", "1e300"], "L=1e+300, drop 0: ")])
+    def test_numerical_failure_names_its_task(self, argv, task, workers):
+        # the one exit line says which (M or L, drop) task failed, also
+        # when a pool worker raised it
+        src = str(Path(lisrate.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lisrate.cli", *argv, "--workers", workers],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_NUMERICAL
+        assert proc.stderr.startswith("numerical failure: " + task)
+        assert proc.stderr.count("\n") == 1
+
     def test_validate_huge_half_length_one_line(self, capsys):
         # validate samples in this process, under the same traps as a task
         rc = cli.main(["validate", "--half-length", "1e300",
@@ -476,6 +493,21 @@ class TestCli:
         rc = cli.main(["selftest", "--seed", "0"])
         assert rc == 0
         assert "OK" in capsys.readouterr().out
+
+    def test_selftest_checks_stochastic_desired_drops(self, monkeypatch,
+                                                      capsys):
+        # the dual-path identity is checked on both kernel branches
+        seen = []
+        kernel = mc_engine.compute_terms
+
+        def spy(drop, *fading):
+            seen.append(drop.desired.deterministic)
+            return kernel(drop, *fading)
+        monkeypatch.setattr(mc_engine, "compute_terms", spy)
+        assert cli.main(["selftest", "--seed", "0"]) == 0
+        assert True in seen and False in seen
+        out = capsys.readouterr().out
+        assert out.count("dual-path SINR identity") == 1
 
     def test_config_file_flow(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"

@@ -213,6 +213,35 @@ class TestSinrPaths:
             b = sinr_direct(drop, *fading)[0]
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_stochastic_desired_projects_nothing_on_k(self, monkeypatch):
+        # with a stochastic desired channel k = 0, so the kernel needs no
+        # k^H R: it must match the receiver path without Scattering.project
+        devices = [Device(position=np.array([r, 1.0, 1.0]), index=i)
+                   for i, r in enumerate((1.0, 2.0, 4.0, 6.0, 9.0))]
+        drop = build_mimo_drop(devices, 64, 0.1, seed=5)
+        fading = draw_fading(drop, np.random.default_rng(3), 8)
+
+        def forbidden(self, h):
+            raise AssertionError("projected k = 0 onto a link's paths")
+        monkeypatch.setattr(Scattering, "project", forbidden)
+        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                   sinr_direct(drop, *fading), rtol=1e-12)
+
+    def test_stochastic_kernel_keeps_one_temporary(self):
+        # the desired rows are built in place and x is read without copies:
+        # beside the rows, at most one (n, M) temporary is alive
+        devices = [Device(position=np.array([1.0 + 0.3 * i, 0.5 * i, 1.0]),
+                          index=i) for i in range(30)]
+        drop = build_mimo_drop(devices, 400, 0.1, seed=2)
+        fading = draw_fading(drop, np.random.default_rng(0), 1024)
+        tracemalloc.start()
+        try:
+            compute_terms(drop, *fading)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * fading[0].nbytes + 2 * 2**20
+
     @pytest.mark.parametrize("kind", ["los-only", "nlos-only", "mixed",
                                       "mimo"])
     def test_terms_match_definitions(self, kind):
