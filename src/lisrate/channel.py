@@ -89,10 +89,9 @@ class Scattering:
     / sqrt(M), with phase ramps d_v,p = exp(1j step_v,p k), k < n_v, and
     d_h,p likewise over n_h; M = n_v n_h.  A planar array has
     n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
-    `correlation_factor` builds the dense (M, P) R.  Each ramp of n >= 16
-    entries is itself split as `_phase_ramp` does, into a coarse and a fine
-    ramp of about sqrt(n) entries: ~2 sqrt(n) exponentials per path instead
-    of n, in `correlation_factor`, `project` and `projected_power` alike."""
+    `correlation_factor` builds the dense (M, P) R.  It, `project` and
+    `projected_power` build each ramp as `_phase_ramp` does: from n = 16
+    on, ~2 sqrt(n) exponentials per path instead of n."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains

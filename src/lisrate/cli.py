@@ -133,9 +133,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Quick invariants: dual-path SINR identity, on uniform-room drops and
-    on linear-array baseline drops (a stochastic desired channel), and
-    steering norms."""
+    """Quick invariants: dual-path SINR identity on uniform-room and
+    linear-array baseline drops, and steering norms."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)

@@ -311,11 +311,10 @@ def _trapped(label: str):
     front of numpy's message."""
     def decorate(fn):
         @functools.wraps(fn)
+        @np.errstate(over="raise", invalid="raise", divide="raise")
         def task(config: ScenarioConfig, x, drop_index: int):
             try:
-                with np.errstate(over="raise", invalid="raise",
-                                 divide="raise"):
-                    return fn(config, x, drop_index)
+                return fn(config, x, drop_index)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"{label}={x}, drop {drop_index}: {exc}") from exc
