@@ -26,15 +26,12 @@ def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
 def _phase_ramp(n: int, steps) -> np.ndarray:
     """exp(1j * step * k) for k < n, shape (n,) + steps.shape.
 
-    From n = 16 on, k = b k1 + k2 with b = ceil(sqrt(n)) splits each ramp
-    into the Kronecker product of a coarse ramp exp(1j step b k1) and a fine
-    one exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
+    k = b k1 + k2 with b = ceil(sqrt(n)) splits each ramp into the
+    Kronecker product of a coarse ramp exp(1j step b k1) and a fine one
+    exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
     product per entry instead of n exponentials (Van Loan 2000, "The
-    ubiquitous Kronecker product").  Shorter ramps, where the split would
-    not halve the exponentials, take them directly.  Every steering vector,
-    correlation factor and separable projection is built from these."""
-    if n < 16:
-        return np.exp(1j * np.multiply.outer(np.arange(n), steps))
+    ubiquitous Kronecker product").  Every steering vector, correlation
+    factor and separable projection is built from these."""
     b = math.isqrt(n - 1) + 1
     coarse = np.exp(1j * np.multiply.outer(np.arange(0, n, b), steps))
     fine = np.exp(1j * np.multiply.outer(np.arange(b), steps))
@@ -90,8 +87,8 @@ class Scattering:
     d_h,p likewise over n_h; M = n_v n_h.  A planar array has
     n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
     `correlation_factor` builds the dense (M, P) R.  It, `project` and
-    `projected_power` build each ramp as `_phase_ramp` does: from n = 16
-    on, ~2 sqrt(n) exponentials per path instead of n."""
+    `projected_power` build each ramp as `_phase_ramp` does, from
+    ~2 sqrt(n) exponentials per path instead of n."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains

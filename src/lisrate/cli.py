@@ -7,6 +7,7 @@ of memory, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 
@@ -139,9 +140,9 @@ def _cmd_selftest(args) -> int:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst = 0.0
-    for trial in range(50):
+    for kind, trial in itertools.product(("uniform-room", "mimo-baseline"),
+                                         range(50)):
         m = int(rng.choice([4, 16, 64]))
-        kind = ("uniform-room", "mimo-baseline")[trial % 2]
         config = ScenarioConfig(kind=kind, num_devices=4,
                                 m_grid=(m,), realizations=2,
                                 mode="probabilistic", drops=1,

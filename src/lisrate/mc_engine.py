@@ -204,7 +204,6 @@ def compute_terms(drop: Drop, eps, g_des, g):
         x = np.abs(u) ** 2
         z = _row_power(k) + _row_power(eps, d * d) + 2 * c * tau * u.real
         f_los = k.conj() @ los + np.conj(proj[:, :-1])
-        k_paths = [link.paths.project(k) for link in drop.links]
     else:
         w = eps * drop.err_amp          # the only (n, M) temporary
         x = np.abs(np.einsum("ij,ij->i", np.conj(w, out=w), h)) ** 2
@@ -214,14 +213,12 @@ def compute_terms(drop: Drop, eps, g_des, g):
         d, xs = 1.0, h
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
-        k_paths = [None] * len(drop.links)          # k = 0: no k^H R
     scattered = np.empty((len(eps), len(drop.links)), complex)
-    for idx, (link, gj, kr) in enumerate(
-            zip(drop.links, g, k_paths, strict=True)):
+    for idx, (link, gj) in enumerate(zip(drop.links, g, strict=True)):
         q = xs @ correlation_factor(link.paths, d, conjugate=True)
         scattered[:, idx] = np.einsum("ij,ij->i", np.conj(q, out=q), gj)
-        if kr is not None:
-            scattered[:, idx] += gj @ kr
+        if drop.desired.deterministic:          # else k = 0: no k^H R
+            scattered[:, idx] += gj @ link.paths.project(k)
         del q           # before the next link's fading and block are made
     y = np.abs(a * f_los + b * scattered) ** 2
 

@@ -42,8 +42,8 @@ class TestPhaseRamp:
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 15, 16, 17, 40, 100, 1600])
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3), (0,)])
     def test_matches_direct_exponentials(self, n, shape):
-        # the split ramp (n >= 16) and the direct one agree with one
-        # exponential per entry, in shape too, for any number of steps
+        # the split ramp agrees with one exponential per entry, in shape
+        # too, for any length and number of steps
         steps = np.random.default_rng(n).uniform(-np.pi, np.pi, shape)
         if shape == ():
             steps = float(steps)
