@@ -1,9 +1,5 @@
-"""Closed-form asymptotic moments of the uplink SINR and rate.
-
-Everything here is a deterministic function of a frozen Drop: the surface
-integrals p and q governing the desired-signal limits, the per-term moment
-formulas, the interference-pair covariance, the Taylor-propagated SINR/rate
-moments, and the large-M rate bound.
+"""Closed-form asymptotic moments of the uplink SINR and rate, each a
+deterministic function of a frozen Drop.
 
 The two-term closed form for q is stated in its dimensionally consistent
 form q = L^2/((L^2+z^2)(2L^2+z^2))
@@ -26,22 +22,9 @@ UNBOUNDED = math.inf
 
 @dataclass(frozen=True)
 class MomentPair:
-    mean: float
-    variance: float
+    mean: float | np.ndarray      # (J,) arrays for the per-interferer terms
+    variance: float | np.ndarray
     clamped: bool = False  # variance clipped at zero (Taylor regime exceeded)
-
-
-@dataclass(frozen=True)
-class LinkMoments:
-    """Deterministic moment ingredients of the interference terms, one entry
-    per interferer (arrays of shape (J,))."""
-
-    mu_los: np.ndarray    # mean of the LOS part
-    s_los: np.ndarray     # variance of the LOS part
-    s_n1: np.ndarray      # variance of the channel-side scattered part
-    s_n2: np.ndarray      # variance of the error-times-scattering part
-    mean: np.ndarray      # s_los + s_n1 + s_n2 + |mu_los|^2
-    variance: np.ndarray  # (s_los+s_n1+s_n2)^2 + 2|mu_los|^2 (s_los+s_n1+s_n2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +83,6 @@ def _beta_sums(drop: Drop, asymptotic: bool) -> tuple[float, float]:
     return float(beta2.sum()), float((beta2**2).sum())
 
 
-def desired_power(drop: Drop, asymptotic: bool = True) -> float:
-    """S, the squared total LOS power of the desired link."""
-    return _beta_sums(drop, asymptotic)[0] ** 2
-
-
 # ---------------------------------------------------------------------------
 #  Per-term moments
 # ---------------------------------------------------------------------------
@@ -116,27 +94,22 @@ def error_leak_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
     return MomentPair(mean=b4, variance=b4**2)
 
 
-def interference_term_moments(drop: Drop) -> LinkMoments:
-    """Deterministic moments of every interference term.  The scattered
-    parts come from each link's separable paths; no correlation factor is
-    built."""
+def interference_term_moments(drop: Drop) -> MomentPair:
+    """Moments of every interference term as (J,) arrays: mean s + |mu|^2
+    and variance s^2 + 2 |mu|^2 s, with mu the coherent LOS mean and s the
+    variance of the LOS, channel-side scattered and error-times-scattering
+    parts, taken from the separable paths without building R."""
     h = _require_los_desired(drop)
     tau = drop.tau
     los, a, b, _ = drop.stacked()
     beta_k2 = np.abs(h) ** 2
-
-    mu_los = _los_coupling(drop)[0]
-    s_los = a**2 * tau**2 * (beta_k2 @ np.abs(los) ** 2)
-    s_n1 = b**2 * (1 - tau**2) * np.array(
-        [link.paths.projected_power(h) for link in drop.links])
-    s_n2 = b**2 * tau**2 * np.array(
-        [link.paths.row_power() @ beta_k2 for link in drop.links])
-
-    s_sum = s_los + s_n1 + s_n2
-    return LinkMoments(
-        mu_los=mu_los, s_los=s_los, s_n1=s_n1, s_n2=s_n2,
-        mean=s_sum + np.abs(mu_los) ** 2,
-        variance=s_sum**2 + 2 * np.abs(mu_los) ** 2 * s_sum)
+    mu2 = np.abs(_los_coupling(drop)[0]) ** 2
+    s = (a**2 * tau**2 * (beta_k2 @ np.abs(los) ** 2)
+         + b**2 * (1 - tau**2) * np.array(
+             [link.paths.projected_power(h) for link in drop.links])
+         + b**2 * tau**2 * np.array(
+             [link.paths.row_power() @ beta_k2 for link in drop.links]))
+    return MomentPair(mean=s + mu2, variance=s**2 + 2 * mu2 * s)
 
 
 def noise_term_moments(drop: Drop, asymptotic: bool = False) -> MomentPair:
@@ -169,16 +142,18 @@ def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
 
 
 def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
-    """Deterministic mean and variance of the total interference-plus-noise."""
-    b2, b4 = _beta_sums(drop, asymptotic)
+    """Deterministic mean and variance of the total interference-plus-noise
+    I = rho_k tau^2 X + Z + sum_j rho_j Y_j, from the moments of its terms."""
+    x = error_leak_moments(drop, asymptotic)
+    z = noise_term_moments(drop, asymptotic)
+    y = interference_term_moments(drop)
     tau = drop.tau
     rho_k = drop.desired.rho
     rho = drop.stacked()[3]
-    lm = interference_term_moments(drop)
 
-    mean = rho_k * tau**2 * b4 + b2 + float(rho @ lm.mean)
-    var = rho_k**2 * tau**4 * b4**2 + tau**2 * (2 - tau**2) * b4 \
-        + float(rho**2 @ lm.variance)
+    mean = rho_k * tau**2 * x.mean + z.mean + float(rho @ y.mean)
+    var = rho_k**2 * tau**4 * x.variance + z.variance \
+        + float(rho**2 @ y.variance)
     # Sum over pairs i < j of 2 rho_i rho_j cov(i, j), in O(KM): with
     # w_i = rho_i conj(mu_c,i) mu_a,i it is 2 (|sum_i w_i|^2 - sum_i |w_i|^2).
     mu_c, mu_a = _los_coupling(drop)
@@ -215,13 +190,12 @@ def rate_moments(gamma_moments: MomentPair) -> MomentPair:
     return MomentPair(mean=mean, variance=max(rvar, 0.0), clamped=rvar < 0.0)
 
 
-def asymptotic_rate_moments(drop: Drop, use_finite_sums: bool = False) -> MomentPair:
-    """Full closed-form pipeline from a drop to the asymptotic rate moments."""
-    asymptotic = not use_finite_sums
-    s = desired_power(drop, asymptotic=asymptotic)
-    i_mom = total_interference_moments(drop, asymptotic=asymptotic)
-    g_mom = sinr_moments(s, drop.desired.rho, drop.tau, i_mom)
-    return rate_moments(g_mom)
+def asymptotic_rate_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
+    """Closed-form rate moments of a drop, desired power S = (sum beta^2)^2
+    included: integral limits, or with asymptotic=False the finite-M sums."""
+    s = _beta_sums(drop, asymptotic)[0] ** 2
+    i_mom = total_interference_moments(drop, asymptotic)
+    return rate_moments(sinr_moments(s, drop.desired.rho, drop.tau, i_mom))
 
 
 def interference_mean_limit(drop: Drop) -> float:

@@ -7,6 +7,7 @@ of memory, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import math
 import sys
@@ -69,11 +70,7 @@ def _cmd_run(args) -> int:
         print("numerical failure: non-finite Monte-Carlo mean", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:
-        try:
-            experiments.write_csv(reports, args.out)
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        experiments.write_csv(reports, args.out)
     for r in reports:
         print(f"M={r.num_antennas:5d}  mc_mean={r.mc_mean:.4f} "
               f"mc_var={r.mc_var:.3e}  asym_mean={r.asym_mean:.4f} "
@@ -90,14 +87,9 @@ def _cmd_sweep_l(args) -> int:
         print(f"L={hl:.3f}  asym_mean={rate:.4f}")
     print(f"optimal L = {best:.3f}")
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write("L,asym_mean\n")
-                for hl, rate in curve:
-                    fh.write(f"{hl!r},{rate!r}\n")
-        except OSError as exc:
-            print(f"I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [("L", "asym_mean"), *curve])
     return 0
 
 

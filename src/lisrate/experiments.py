@@ -34,8 +34,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One experiment description; defaults follow the reference parameter set
-    (3 GHz carrier, 3 dB target SNR, tau 0.5, unit side 0.5 m, cutoff 10 m)."""
+    """One experiment, checked on construction; defaults are the reference
+    set (3 GHz, 3 dB target SNR, tau 0.5, unit side 0.5 m, cutoff 10 m)."""
 
     kind: str = "uniform-room"
     num_devices: int = 10
@@ -60,7 +60,7 @@ class ScenarioConfig:
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.frequency
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}")
         if self.mode not in INTERFERENCE_MODES:
@@ -155,7 +155,6 @@ def make_drop(config: ScenarioConfig, drop_index: int,
     only on (seed, drop_index), so sweeping M or the unit size re-materializes
     the same geometric realization.
     """
-    config.validate()
     m = num_antennas if num_antennas is not None else config.m_grid[0]
     hl = half_length if half_length is not None else config.half_length
     devices = _place_devices(config, drop_index)
@@ -306,17 +305,17 @@ def _fan_out(fn, args: list[tuple], workers: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _trapped(label: str):
-    """Decorate a task fn(config, x, drop_index) to raise FloatingPointError
-    at its first overflow, NaN or 1/0, with `label`=x and the drop named in
-    front of numpy's message."""
+    """Decorate a task fn(config, x, drop_index) to raise at its first
+    overflow, NaN or 1/0, numpy's or Python's, an ArithmeticError of the
+    same type with `label`=x and the drop named in front of its message."""
     def decorate(fn):
         @functools.wraps(fn)
         @np.errstate(over="raise", invalid="raise", divide="raise")
         def task(config: ScenarioConfig, x, drop_index: int):
             try:
                 return fn(config, x, drop_index)
-            except FloatingPointError as exc:
-                raise FloatingPointError(
+            except ArithmeticError as exc:
+                raise type(exc)(
                     f"{label}={x}, drop {drop_index}: {exc}") from exc
         return task
     return decorate
@@ -350,7 +349,6 @@ def _per_drop(fn, config: ScenarioConfig, xs, workers: int) -> np.ndarray:
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
     """Evaluate every M on the grid, averaging drops; deterministic for a
     fixed (config, seed) regardless of the worker count."""
-    config.validate()
     per_m = _per_drop(_drop_task, config, config.m_grid, workers)
     n_drops = config.drops
     return [RateReport(
@@ -369,18 +367,12 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
 
 
 def write_csv(reports: list[RateReport], path):
-    """Emit the fixed-schema CSV; an unbounded rate serializes as `inf`."""
+    """Emit the fixed-schema CSV, one report's fields per row in their
+    declaration order; an unbounded rate serializes as `inf`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
-        for r in reports:
-            writer.writerow([
-                r.scenario, r.num_antennas, r.num_devices,
-                repr(r.half_length), repr(r.tau),
-                repr(r.mc_mean), repr(r.mc_mean_se),
-                repr(r.mc_var), repr(r.mc_var_se),
-                repr(r.asym_mean), repr(r.asym_var), repr(r.bound),
-                r.log_base, r.seed])
+        writer.writerows(map(dataclasses.astuple, reports))
 
 
 @_trapped("L")
@@ -393,7 +385,9 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
                      workers: int = 1) -> tuple[float, list[tuple[float, float]]]:
     """Closed-form rate as a function of the unit half-length; returns the
     argmax (ties toward smaller L) and the full drop-averaged curve."""
-    config.validate()
+    if config.kind == "mimo-baseline":
+        raise ConfigError("sweep-L needs a deterministic LOS desired "
+                          "channel, which mimo-baseline does not have")
     if not len(l_grid) or not all(math.isfinite(hl) and hl > 0
                                   for hl in l_grid):
         raise ConfigError("l_grid must list one or more positive, finite "
@@ -438,7 +432,7 @@ def parse_config_file(path) -> dict:
     """Flat `key = value` lines with '#' comments; keys are the
     ScenarioConfig fields except plane and room."""
     out = {}
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # bad bytes read as U+FFFD
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -463,8 +457,6 @@ def config_from_sources(file_path=None, **overrides) -> ScenarioConfig:
         values.update(parse_config_file(file_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        config = ScenarioConfig(**values)
+        return ScenarioConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    config.validate()
-    return config

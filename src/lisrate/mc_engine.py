@@ -1,28 +1,11 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
-Every kernel takes a batch of realizations from draw_fading, one per row.
-A drop keeps each link's scattered paths in separable form; a kernel builds
-one link's dense (M, P) correlation factor R at a time and drops it after
-use, so a drop never holds them all.  The SINR is computed two ways, which
-agree to roundoff and the tests enforce it.  The term decomposition
-(desired power S, error leak X, per-interferer Y, combined noise Z) writes
-the combining vector as f = k + d X, affine in the draws X, and projects
-the draws on all LOS vectors in one product and on each conj(R), row-scaled
-by d, in one more (f^H R, then g); with a deterministic desired channel X
-is the error draws themselves, so no (n, M) array is formed.  The receiver
-path builds each channel first (h_j = a h_los + b R g) and groups the inner
-products as the matched filter sees them.  A CN(0, 1) array is one
-standard_normal draw with each entry's real and imaginary parts adjacent
-(crandn); sums of squares run over float views, with no complex abs.
-Aggregation is chunked with per-chunk seeds derived from the master seed.
-Within a chunk the MC path draws each interferer's fading only when the
-kernel reaches that link and drops it after use, so a chunk holds one
-link's fading, block and product at a time; the draw order, and so the
-stream, is the one draw_fading materialises.
-Each chunk reduces to central moments (mean, M2, M3, M4), which stay
-accurate when the channel hardens and a term's spread is tiny next to its
-mean; chunks merge one by one in index order, so results are bit-identical
-regardless of worker count.
+The README's engine paragraph describes the two SINR paths, the separable
+paths, the lazy per-link fading and the chunked central moments.  Beyond
+it: every kernel takes a batch of realizations from draw_fading, one per
+row; sums of squares run over float views, with no complex abs; and chunks
+merge in index order with seeds derived from (seed, drop, chunk), so the
+result does not depend on the worker count.
 """
 
 from __future__ import annotations

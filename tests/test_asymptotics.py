@@ -122,9 +122,9 @@ class TestTermMoments:
         drop = small_drop(seed=1)
         j = [i for i, l in enumerate(drop.links) if l.kappa == 0.0][0]
         lm = asy.interference_term_moments(drop)
-        assert lm.mu_los[j] == 0.0
-        assert lm.s_los[j] == 0.0
-        assert lm.mean[j] == pytest.approx(lm.s_n1[j] + lm.s_n2[j])
+        # with no coherent mean mu the term is s: mean s, variance s^2
+        assert lm.mean[j] > 0.0
+        assert lm.variance[j] == lm.mean[j] ** 2
 
     def test_requires_deterministic_desired(self):
         from lisrate.mc_engine import Drop, Link
@@ -148,8 +148,8 @@ class TestSeparableForms:
     @pytest.mark.parametrize("mode", ["los-only", "nlos-only",
                                       "probabilistic"])
     def test_match_dense_block(self, mode):
-        # row powers and s_n1 = (1-tau^2) b^2 ||h^H R||^2 are taken from
-        # the separable paths; the reference is the dense block itself
+        # row powers and the term means are taken from the separable
+        # paths; the reference is the dense block itself
         cfg = ScenarioConfig(kind="uniform-room", num_devices=6,
                              m_grid=(100,), mode=mode, seed=3)
         for drop in (make_drop(cfg, d) for d in range(2)):
@@ -160,9 +160,15 @@ class TestSeparableForms:
                 np.testing.assert_allclose(
                     link.paths.row_power(), np.sum(np.abs(r) ** 2, axis=1),
                     rtol=1e-12)
-                s_n1 = link.weights[1] ** 2 * (1 - tau**2) \
-                    * np.sum(np.abs(h.conj() @ r) ** 2)
-                assert lm.s_n1[j] == pytest.approx(s_n1, rel=1e-12)
+                a, b = link.weights
+                beta2 = np.abs(h) ** 2
+                mean = (a**2 * tau**2 * beta2 @ np.abs(link.h_los) ** 2
+                        + b**2 * (1 - tau**2)
+                        * np.sum(np.abs(h.conj() @ r) ** 2)
+                        + b**2 * tau**2 * beta2 @ np.sum(np.abs(r) ** 2, 1)
+                        + a**2 * (1 - tau**2)
+                        * abs(h.conj() @ link.h_los) ** 2)
+                assert lm.mean[j] == pytest.approx(mean, rel=1e-12)
 
 
 class TestCovariance:
@@ -245,8 +251,8 @@ class TestTaylorMoments:
 class TestEndToEnd:
     def test_finite_and_asymptotic_agree_at_large_m(self):
         drop = small_drop(m=64 ** 2, n_interferers=2, seed=3)
-        a = asy.asymptotic_rate_moments(drop, use_finite_sums=False)
-        b = asy.asymptotic_rate_moments(drop, use_finite_sums=True)
+        a = asy.asymptotic_rate_moments(drop, asymptotic=True)
+        b = asy.asymptotic_rate_moments(drop, asymptotic=False)
         assert a.mean == pytest.approx(b.mean, rel=5e-3)
         assert a.variance == pytest.approx(b.variance, rel=5e-2)
 

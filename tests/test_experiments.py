@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lisrate
 from lisrate import cli, experiments, mc_engine
@@ -33,6 +34,21 @@ from lisrate.mc_engine import run_monte_carlo
 FAST = dict(kind="uniform-room", num_devices=4, m_grid=(16,), drops=2,
             realizations=64, seed=1)
 
+# What a config-file line may hold: ints, lists of antenna counts, floats
+# (nan, inf and huge ones too) or free text, under a file key or any other.
+CONFIG_VALUES = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.lists(st.integers(-4, 2000), min_size=1, max_size=3).map(
+        lambda ms: ", ".join(map(str, ms))),
+    st.floats().map(repr),
+    st.sampled_from(["1e400", "-1e400", "1e308", "-1e308"]),
+    st.text(max_size=12))
+CONFIG_LINES = st.builds(
+    lambda known, other: [*known.items(), *other],
+    st.dictionaries(st.sampled_from(sorted(experiments._FILE_KEYS)),
+                    CONFIG_VALUES, max_size=6),
+    st.lists(st.tuples(st.text(max_size=8), CONFIG_VALUES), max_size=1))
+
 
 class TestConfig:
     def test_wavelength(self):
@@ -51,18 +67,16 @@ class TestConfig:
         ("beta_pl", math.nan), ("beta_pl", math.inf),
     ])
     def test_validation(self, field, value):
-        cfg = ScenarioConfig(**{**FAST, field: value})
         with pytest.raises(ConfigError):
-            cfg.validate()
+            ScenarioConfig(**{**FAST, field: value})
 
     def test_mimo_allows_non_square_m(self):
-        ScenarioConfig(**{**FAST, "kind": "mimo-baseline",
-                          "m_grid": (8,)}).validate()
+        ScenarioConfig(**{**FAST, "kind": "mimo-baseline", "m_grid": (8,)})
 
     def test_mimo_rejects_odd_m(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(**{**FAST, "kind": "mimo-baseline",
-                              "m_grid": (9,)}).validate()
+                              "m_grid": (9,)})
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -103,6 +117,26 @@ class TestConfig:
         path.write_text("just words\n")
         with pytest.raises(ConfigError):
             parse_config_file(path)
+
+    def test_config_file_with_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"tau = 0.5\n\xff\xfe = 1\n")
+        with pytest.raises(ConfigError, match="bad.cfg:2: unknown key"):
+            parse_config_file(path)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(CONFIG_LINES)
+    def test_any_config_file_gives_config_or_config_error(self, tmp_path,
+                                                          lines):
+        # parsing and checking only: no drop is built and no process starts
+        path = tmp_path / "gen.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines),
+                        encoding="utf-8")
+        try:
+            assert isinstance(config_from_sources(path), ScenarioConfig)
+        except ConfigError:
+            pass
 
 
 class TestLinkStatistics:
@@ -237,6 +271,18 @@ class TestRunScenario:
             row = list(csv.DictReader(fh))[0]
         assert row["bound"] == "inf"
 
+    def test_numpy_scalar_labels(self, tmp_path):
+        # a config from the Python API may hold numpy scalars; the CSV
+        # labels must still be the plain numbers
+        cfg = ScenarioConfig(**{**FAST, "drops": 1,
+                                "half_length": np.float64(0.25),
+                                "tau": np.float32(0.5)})
+        out = tmp_path / "rates.csv"
+        write_csv(run_scenario(cfg), out)
+        with open(out) as fh:
+            row = list(csv.DictReader(fh))[0]
+        assert (row["L"], row["tau"]) == ("0.25", "0.5")
+
     def test_mimo_reports_nan_asymptotics(self):
         cfg = ScenarioConfig(**{**FAST, "kind": "mimo-baseline",
                                 "mode": "nlos-only", "m_grid": (8,)})
@@ -368,6 +414,8 @@ class TestCli:
         ("validate", ["--scenario", "mimo-baseline", "--m-grid", "8"]),
         ("validate", ["--workers", "0"]), ("run", ["--bogus"]),
         ("run", ["--mode", "bad"]),
+        ("sweep-L", ["--scenario", "mimo-baseline", "--m-grid", "8",
+                     "--l-grid", "0.2"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:
@@ -436,7 +484,9 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("argv,task", [
         (["run", "--half-length", "1e300"], "M=100, drop 0: "),
-        (["sweep-L", "--l-grid", "1e300"], "L=1e+300, drop 0: ")])
+        (["sweep-L", "--l-grid", "1e300"], "L=1e+300, drop 0: "),
+        (["run", "--half-length", "1e-300"], "M=100, drop 0: "),
+        (["sweep-L", "--l-grid", "1e-300"], "L=1e-300, drop 0: ")])
     def test_numerical_failure_names_its_task(self, argv, task, workers):
         # the one exit line says which (M or L, drop) task failed, also
         # when a pool worker raised it
