@@ -48,8 +48,10 @@ def _add_output(parser):
     parser.add_argument(
         "--workers", type=int, default=1,
         help="processes for the (M or L, drop) tasks, capped at the task "
-             "count and the usable CPUs; BLAS threads per task follow the "
-             "task count, so the output never depends on this value")
+             "count and the usable CPUs (in place where fork is "
+             "unavailable); the BLAS thread count follows the task count and "
+             "is set before workers fork, so the output never depends on "
+             "this value")
 
 
 def _build_config(args) -> ScenarioConfig:
@@ -186,14 +188,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"config error: {exc}"
     except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        code, message = EXIT_IO, f"I/O error: {exc}"
     except (ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    # one line, also where the message quotes an argument with a newline
+    print(message.replace("\n", "\\n"), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

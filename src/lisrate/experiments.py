@@ -8,6 +8,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import multiprocessing as mp
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -132,16 +133,13 @@ def rician_factor(d: float) -> float:
 
 def _place_devices(config: ScenarioConfig, drop_index: int) -> list[geometry.Device]:
     if config.kind == "grid-plane":
-        (x0, x1), (y0, y1), z = config.plane
-        devices = geometry.place_devices_grid(config.d_m, (x0, x1), (y0, y1), z)
+        devices = geometry.place_devices_grid(config.d_m, *config.plane,
+                                              config.num_devices)
         if len(devices) < config.num_devices:
             raise ConfigError(
                 f"grid deployment yields {len(devices)} devices, "
                 f"need {config.num_devices}; decrease d_m or the device count")
-        target = devices[0]
-        rest = sorted(devices[1:], key=lambda d: (
-            float(np.linalg.norm(d.position - target.position)), d.index))
-        return [target] + rest[:config.num_devices - 1]
+        return devices
     seed = np.random.SeedSequence([config.seed, drop_index, 0])
     return geometry.place_devices_uniform(config.num_devices, config.room, seed)
 
@@ -243,12 +241,6 @@ def _blas_thread_control():
     return None
 
 
-def _set_blas_threads(n: int) -> None:
-    control = _blas_thread_control()
-    if control is not None:
-        control[1](n)
-
-
 @contextmanager
 def _blas_threads(n: int):
     """Run the body with `n` BLAS threads, then restore the previous count."""
@@ -283,21 +275,22 @@ def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
 
 
 def _fan_out(fn, args: list[tuple], workers: int) -> list:
-    """`[fn(*a) for a in args]`, in order, on at most `workers` processes;
-    a single process runs the tasks here, without a pool."""
+    """`[fn(*a) for a in args]`, in order, on at most `workers` processes.
+
+    The BLAS thread count is set here, once, and forked workers inherit it.
+    A single process, or a platform without fork, runs the tasks in place."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if not args:
         return []
     processes, threads = _fan_out_plan(len(args), _usable_cpus(), workers)
-    if processes <= 1:
-        with _blas_threads(threads):
+    with _blas_threads(threads):
+        if processes <= 1 or "fork" not in mp.get_all_start_methods():
             return [fn(*a) for a in args]
-    with ProcessPoolExecutor(max_workers=processes,
-                             initializer=_set_blas_threads,
-                             initargs=(threads,)) as pool:
-        futures = [pool.submit(fn, *a) for a in args]
-        return [f.result() for f in futures]
+        with ProcessPoolExecutor(max_workers=processes,
+                                 mp_context=mp.get_context("fork")) as pool:
+            futures = [pool.submit(fn, *a) for a in args]
+            return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,15 @@ def los_gain(device: Device, antenna_pos) -> np.ndarray:
     return np.sqrt(device.z / (4.0 * np.pi * d**3))
 
 
-def place_devices_grid(d_m: float, x_range, y_range, z: float) -> list[Device]:
-    """Square-lattice deployment with pitch d_m at height z.
+def place_devices_grid(d_m: float, x_range, y_range, z: float,
+                       count: int) -> list[Device]:
+    """The target device at (0, 0, z) and the `count` - 1 lattice devices
+    nearest to it (fewer if the lattice is smaller), nearest first.
 
-    Lattice points start at the range minima; the target device at (0, 0, z)
-    is always present and gets index 0.
+    The square lattice has pitch d_m at height z and starts at the range
+    minima.  The target gets index 0; lattice points are indexed from 1 in
+    row-major order (x fast), skipping a point at the origin.  Points at
+    equal distances keep index order.
     """
     if d_m <= 0:
         raise ValueError(f"d_m must be positive, got {d_m}")
@@ -107,14 +111,13 @@ def place_devices_grid(d_m: float, x_range, y_range, z: float) -> list[Device]:
     if xs.size == 0 or ys.size == 0:
         raise ValueError("empty deployment range")
 
-    points = [(0.0, 0.0)]
-    for y in ys:
-        for x in xs:
-            if abs(x) < 1e-9 * d_m and abs(y) < 1e-9 * d_m:
-                continue  # target already injected
-            points.append((float(x), float(y)))
-    return [Device(position=np.array([x, y, float(z)]), index=i)
-            for i, (x, y) in enumerate(points)]
+    xx, yy = (a.ravel() for a in np.meshgrid(xs, ys))
+    lattice = (np.abs(xx) >= 1e-9 * d_m) | (np.abs(yy) >= 1e-9 * d_m)
+    xx, yy = xx[lattice], yy[lattice]  # the target is injected at index 0
+    nearest = np.argsort(xx * xx + yy * yy, kind="stable")[:max(count - 1, 0)]
+    return [Device(position=np.array([0.0, 0.0, float(z)]), index=0)] + [
+        Device(position=np.array([xx[i], yy[i], float(z)]), index=int(i) + 1)
+        for i in nearest]
 
 
 def place_devices_uniform(num_devices: int, box, seed) -> list[Device]:

@@ -49,6 +49,85 @@ CONFIG_LINES = st.builds(
                     CONFIG_VALUES, max_size=6),
     st.lists(st.tuples(st.text(max_size=8), CONFIG_VALUES), max_size=1))
 
+# CLI argv: a valid command line for one command, then at most two flags
+# (any command's, or one unknown flag) given any value: ints, floats (nan,
+# inf, tiny and huge ones too) or free text.  A size flag's value is small
+# or invalid, never large; its text holds no digit.
+NUMBERS = st.one_of(st.integers(-10**30, 10**30).map(str),
+                    st.floats().map(repr),
+                    st.sampled_from(["nan", "inf", "1e-300", "1e308"]))
+TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+NO_DIGITS = st.text(st.characters(codec="utf-8", exclude_categories=["Nd"]),
+                    max_size=12)
+FRACTIONS = st.floats(0.05, 0.95).map(repr)
+
+
+def _csv(values):
+    return values.map(lambda vs: ",".join(map(str, vs)))
+
+
+def _count(low: int, high: int):
+    """(valid, any) values of a count flag: at most `high`, valid from
+    `low`, and otherwise a float or text, which no count accepts."""
+    return (st.integers(low, high).map(str), st.one_of(
+        st.integers(-1, high).map(str), st.floats().map(repr), NO_DIGITS))
+
+
+SCENARIO_FLAGS = {  # flag: (valid values, any values)
+    "--m-grid": (_csv(st.lists(st.sampled_from([4, 9, 16]), min_size=1,
+                               max_size=3)),
+                 st.one_of(_csv(st.lists(st.sampled_from([0, -4, 10, 16]),
+                                         min_size=1, max_size=3)), NO_DIGITS)),
+    "--devices": _count(1, 4),
+    "--drops": _count(1, 2),
+    "--realizations": _count(2, 64),
+    "--seed": (st.integers(0, 2**32).map(str), st.one_of(NUMBERS, TEXT)),
+    "--tau": (FRACTIONS, st.one_of(NUMBERS, TEXT)),
+    "--half-length": (FRACTIONS, st.one_of(NUMBERS, TEXT)),
+    "--mode": (st.sampled_from(experiments.INTERFERENCE_MODES), TEXT),
+    "--scenario": (st.sampled_from(experiments.SCENARIO_KINDS), TEXT),
+    # file names in the test's working directory
+    "--config": (st.just("good.cfg"),
+                 st.sampled_from(["bad.cfg", "missing.cfg", "."])),
+}
+SIZE_FLAGS = ("--m-grid", "--devices", "--drops", "--realizations")
+OUTPUT_FLAGS = {
+    "--out": (st.just("o.csv"), st.sampled_from(["missing/o.csv", "."])),
+    "--workers": (st.sampled_from(["1", "2"]),
+                  st.sampled_from(["-1", "0", "1", "2"])),
+}
+L_GRID = {"--l-grid": (
+    _csv(st.lists(FRACTIONS, min_size=1, max_size=3)),
+    st.one_of(_csv(st.lists(NUMBERS, min_size=1, max_size=3)),
+              TEXT.filter(lambda t: t.count(",") <= 2)))}
+COMMAND_FLAGS = {
+    "run": {**SCENARIO_FLAGS, **OUTPUT_FLAGS},
+    "sweep-L": {**SCENARIO_FLAGS, **OUTPUT_FLAGS, **L_GRID},
+    "validate": SCENARIO_FLAGS,
+    "selftest": {"--seed": SCENARIO_FLAGS["--seed"]},
+}
+ALL_FLAGS = {**SCENARIO_FLAGS, **OUTPUT_FLAGS, **L_GRID}
+UNKNOWN_FLAG = st.from_regex(r"--[a-z][a-z-]{0,8}", fullmatch=True).filter(
+    lambda f: not any(k.startswith(f) for k in [*ALL_FLAGS, "--help"]))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    known = COMMAND_FLAGS[command]
+    # the sizes and sweep-L's required --l-grid, then other flags it takes
+    required = [f for f in (*SIZE_FLAGS, "--l-grid") if f in known]
+    others = sorted(set(known) - set(required))
+    optional = draw(st.lists(st.sampled_from(others), unique=True))
+    flags = {f: draw(known[f][0]) for f in [*required, *optional]}
+    for flag in draw(st.lists(st.sampled_from([*ALL_FLAGS, None]),
+                              max_size=2, unique=True)):
+        if flag is None:
+            flags[draw(UNKNOWN_FLAG)] = draw(TEXT)
+        else:
+            flags[flag] = draw(ALL_FLAGS[flag][1])
+    return [command, *(x for kv in flags.items() for x in kv)]
+
 
 class TestConfig:
     def test_wavelength(self):
@@ -185,7 +264,8 @@ class TestMakeDrop:
         # neighbours 5 m away laterally; each link is matched to its
         # lattice device by the bytes of its LOS channel
         (x0, x1), (y0, y1), z = cfg.plane
-        lattice = place_devices_grid(cfg.d_m, (x0, x1), (y0, y1), z)[1:]
+        lattice = place_devices_grid(cfg.d_m, (x0, x1), (y0, y1), z,
+                                     25)[1:]  # the whole 5 x 5 lattice
         by_channel = {los_channel(d, drop.grid).tobytes(): d.index
                       for d in lattice}
         chosen = [by_channel[l.h_los.tobytes()] for l in drop.links]
@@ -335,16 +415,18 @@ class TestFanOut:
             assert seen == [threads] * tasks
 
     @needs_blas_control
-    def test_run_scenario_restores_thread_count(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_scenario_restores_thread_count(self, workers):
         cfg = ScenarioConfig(**FAST)
-        planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(), 1)[1]
+        planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(),
+                                workers)[1]
         # Start from a count other than the planned one, so that a missed
         # restore shows.
         before = 2 if planned == 1 else 1
         with experiments._blas_threads(before):
             if _blas_threads_now() != before:
                 pytest.skip("BLAS ignores the requested thread count")
-            run_scenario(cfg, workers=1)
+            run_scenario(cfg, workers=workers)
             assert _blas_threads_now() == before
 
 
@@ -416,6 +498,7 @@ class TestCli:
         ("run", ["--mode", "bad"]),
         ("sweep-L", ["--scenario", "mimo-baseline", "--m-grid", "8",
                      "--l-grid", "0.2"]),
+        ("run", ["--bogus", "two\nlines"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:
@@ -507,6 +590,22 @@ class TestCli:
         assert rc == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(cli_argv())
+    def test_any_argv_exits_cleanly(self, tmp_path, monkeypatch, capsys,
+                                    argv):
+        # every input ends in a documented exit code, with at most one line
+        # on stderr; file flags name files under tmp_path
+        monkeypatch.chdir(tmp_path)
+        Path("good.cfg").write_text("seed = 3\nsnr_db = 0\n")
+        Path("bad.cfg").write_text("drops = two\n")
+        capsys.readouterr()
+        assert cli.main(argv) in (0, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL,
+                                  cli.EXIT_IO)
+        err = capsys.readouterr().err
+        assert err == "" or (err.endswith("\n") and err.count("\n") == 1)
 
     def test_memory_error_exit_code(self, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

@@ -100,21 +100,41 @@ class TestDistance:
 
 class TestPlacement:
     def test_grid_has_target_first(self):
-        devs = place_devices_grid(5.0, (-10, 10), (-10, 10), 1.0)
+        devs = place_devices_grid(5.0, (-10, 10), (-10, 10), 1.0, 100)
         np.testing.assert_allclose(devs[0].position, [0, 0, 1.0])
         assert devs[0].index == 0
         assert len(devs) == 25  # 5x5 lattice, target coincides with (0,0)
 
     def test_grid_pitch(self):
-        devs = place_devices_grid(2.0, (-2, 2), (-2, 2), 1.0)
+        devs = place_devices_grid(2.0, (-2, 2), (-2, 2), 1.0, 50)
         pts = np.array([d.position[:2] for d in devs])
-        assert len(devs) == 9
+        assert len(devs) == 9  # the whole 3x3 lattice, fewer than asked
         # every lattice point is a multiple of the pitch
         np.testing.assert_allclose(pts % 2.0, 0, atol=1e-9)
 
+    def test_grid_keeps_count_nearest(self):
+        devs = place_devices_grid(2.0, (-4, 4), (-4, 4), 1.0, 5)
+        # the target and its four neighbours one pitch away, by index
+        assert [d.index for d in devs] == [0, 8, 12, 13, 17]
+        np.testing.assert_allclose(
+            [d.position[:2] for d in devs[1:]],
+            [[0, -2], [-2, 0], [2, 0], [0, 2]])
+
+    def test_grid_ties_keep_index_order(self):
+        # (1.1, -0.1) and (-0.1, 1.1) are mirror images, so equally far
+        # from the target; the lower index comes first
+        devs = place_devices_grid(0.3, (-10, 10), (-10, 10), 1.0, 64)
+        order = [d.index for d in devs]
+        assert order.index(2249) < order.index(2513)
+        np.testing.assert_array_equal(devs[order.index(2249)].position[:2],
+                                      devs[order.index(2513)].position[1::-1])
+        keys = [(d.position[0] ** 2 + d.position[1] ** 2, d.index)
+                for d in devs]
+        assert keys == sorted(keys)
+
     def test_grid_rejects_bad_pitch(self):
         with pytest.raises(ValueError):
-            place_devices_grid(0.0, (-10, 10), (-10, 10), 1.0)
+            place_devices_grid(0.0, (-10, 10), (-10, 10), 1.0, 4)
 
     def test_uniform_respects_min_distance(self):
         devs = place_devices_uniform(
