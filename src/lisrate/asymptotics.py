@@ -101,7 +101,7 @@ def interference_term_moments(drop: Drop) -> MomentPair:
     parts, taken from the separable paths without building R."""
     h = _require_los_desired(drop)
     tau = drop.tau
-    los, a, b, _ = drop.stacked()
+    los, a, b, _ = drop.stacked
     beta_k2 = np.abs(h) ** 2
     mu2 = np.abs(_los_coupling(drop)[0]) ** 2
     s = (a**2 * tau**2 * (beta_k2 @ np.abs(los) ** 2)
@@ -125,7 +125,7 @@ def _los_coupling(drop: Drop) -> tuple[np.ndarray, np.ndarray]:
     and the LOS vectors (M, J) their error leaks project on; the pair
     covariance of links i and j is 2 Re(mu_c,i conj(mu_c,j) mu_a,i^H mu_a,j)."""
     h = _require_los_desired(drop)
-    los, a, _, _ = drop.stacked()
+    los, a, _, _ = drop.stacked
     tau = drop.tau
     return (a * math.sqrt(1 - tau**2) * (h.conj() @ los),
             a * tau * np.abs(h)[:, None] * los)
@@ -149,7 +149,7 @@ def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPai
     y = interference_term_moments(drop)
     tau = drop.tau
     rho_k = drop.desired.rho
-    rho = drop.stacked()[3]
+    rho = drop.stacked[3]
 
     mean = rho_k * tau**2 * x.mean + z.mean + float(rho @ y.mean)
     var = rho_k**2 * tau**4 * x.variance + z.variance \
@@ -201,7 +201,7 @@ def asymptotic_rate_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
 def interference_mean_limit(drop: Drop) -> float:
     """Large-M limit of the normalized interference mean; only the LOS
     components of the interferers survive."""
-    rho = drop.stacked()[3]
+    rho = drop.stacked[3]
     return float(rho @ np.abs(_los_coupling(drop)[0]) ** 2) \
         / drop.num_antennas**2
 

@@ -30,8 +30,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _path(text: str) -> str:
+    """A file path, refused at parse time if it holds a NUL byte."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path {text!r} holds a NUL byte")
+    return text
+
+
 def _add_scenario(parser):
-    parser.add_argument("--config", help="flat key=value config file")
+    parser.add_argument("--config", type=_path, help="key=value config file")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--m-grid", help="comma-separated antenna counts")
     parser.add_argument("--drops", type=int)
@@ -44,7 +51,7 @@ def _add_scenario(parser):
 
 
 def _add_output(parser):
-    parser.add_argument("--out", help="output CSV path")
+    parser.add_argument("--out", type=_path, help="output CSV path")
     parser.add_argument(
         "--workers", type=int, default=1,
         help="processes for the (M or L, drop) tasks, capped at the task "

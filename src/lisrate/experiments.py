@@ -29,6 +29,10 @@ CSV_HEADER = ("scenario,M,K,L,tau,mc_mean,mc_mean_se,mc_var,mc_var_se,"
               "asym_mean,asym_var,bound,log_base,seed")
 
 
+PLANE = ((-10.0, 10.0), (-10.0, 10.0), 1.0)  # grid-plane x, y ranges + height
+ROOM = ((-2.0, 2.0), (-2.0, 2.0), (0.0, 2.0))  # uniform-room deployment box
+
+
 class ConfigError(ValueError):
     pass
 
@@ -54,8 +58,6 @@ class ScenarioConfig:
     log_base: str = "e"
     beta_pl: float = 3.7
     paths_per_antenna: float = 0.5      # P = round(M * paths_per_antenna)
-    plane: tuple = ((-10.0, 10.0), (-10.0, 10.0), 1.0)   # x, y ranges + height
-    room: tuple = ((-2.0, 2.0), (-2.0, 2.0), (0.0, 2.0))  # uniform-deploy box
 
     @property
     def wavelength(self) -> float:
@@ -133,7 +135,7 @@ def rician_factor(d: float) -> float:
 
 def _place_devices(config: ScenarioConfig, drop_index: int) -> list[geometry.Device]:
     if config.kind == "grid-plane":
-        devices = geometry.place_devices_grid(config.d_m, *config.plane,
+        devices = geometry.place_devices_grid(config.d_m, *PLANE,
                                               config.num_devices)
         if len(devices) < config.num_devices:
             raise ConfigError(
@@ -141,7 +143,7 @@ def _place_devices(config: ScenarioConfig, drop_index: int) -> list[geometry.Dev
                 f"need {config.num_devices}; decrease d_m or the device count")
         return devices
     seed = np.random.SeedSequence([config.seed, drop_index, 0])
-    return geometry.place_devices_uniform(config.num_devices, config.room, seed)
+    return geometry.place_devices_uniform(config.num_devices, ROOM, seed)
 
 
 def make_drop(config: ScenarioConfig, drop_index: int,
@@ -377,7 +379,8 @@ def _l_task(config: ScenarioConfig, hl: float, drop_index: int) -> float:
 def optimal_l_search(config: ScenarioConfig, l_grid,
                      workers: int = 1) -> tuple[float, list[tuple[float, float]]]:
     """Closed-form rate as a function of the unit half-length; returns the
-    argmax (ties toward smaller L) and the full drop-averaged curve."""
+    argmax and the full drop-averaged curve.  Of equal rates the one first
+    in `l_grid` wins, and a NaN rate wins if and only if it comes first."""
     if config.kind == "mimo-baseline":
         raise ConfigError("sweep-L needs a deterministic LOS desired "
                           "channel, which mimo-baseline does not have")
@@ -387,20 +390,14 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
                           "half-lengths")
     rates = _per_drop(_l_task, config, l_grid, workers)
     curve = [(float(hl), float(np.mean(r))) for hl, r in zip(l_grid, rates)]
-    best_l, best_rate = curve[0]
-    for hl, rate in curve[1:]:
-        if rate > best_rate:
-            best_l, best_rate = hl, rate
-    return best_l, curve
+    return max(curve, key=lambda point: point[1])[0], curve
 
 
 # ---------------------------------------------------------------------------
 #  Config files
 # ---------------------------------------------------------------------------
 
-# plane and room are tuples of ranges, which the flat file format cannot hold.
-_FILE_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)} \
-    - {"plane", "room"}
+_FILE_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
 
 
 def parse_tuple(text: str, kind=int) -> tuple:
@@ -423,7 +420,7 @@ _PARSERS = {"m_grid": parse_tuple, "num_devices": int, "drops": int,
 
 def parse_config_file(path) -> dict:
     """Flat `key = value` lines with '#' comments; keys are the
-    ScenarioConfig fields except plane and room."""
+    ScenarioConfig fields."""
     out = {}
     with open(path, errors="replace") as fh:  # bad bytes read as U+FFFD
         for lineno, raw in enumerate(fh, 1):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,9 +82,10 @@ class Drop:
     def num_devices(self) -> int:
         return len(self.links) + 1
 
+    @cached_property
     def stacked(self):
-        """The interferers stacked over J = K-1 columns: LOS vectors (M, J),
-        LOS and scattered weights (J,) each, transmit SNRs (J,)."""
+        """The interferers over J = K-1 columns, built once: LOS vectors
+        (M, J), LOS and scattered weights (J,) each, transmit SNRs (J,)."""
         m = self.num_antennas
         los = np.array([l.h_los for l in self.links], complex).reshape(-1, m)
         a, b = np.array([l.weights for l in self.links]).reshape(-1, 2).T
@@ -176,7 +178,7 @@ def compute_terms(drop: Drop, eps, g_des, g):
     """
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
-    los, a, b, rhos = drop.stacked()
+    los, a, b, rhos = drop.stacked
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
     s = np.broadcast_to(_row_power(h) ** 2, len(eps))
     if drop.desired.deterministic:
@@ -240,21 +242,30 @@ def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
 #  Moment estimation
 # ---------------------------------------------------------------------------
 
+# Rows of McResult's statistics arrays: the rate, the error leak X, the
+# combined noise Z and the total interference-plus-noise I, then one row per
+# interferer's term Y.
+RATE, X, Z, I = range(4)
+Y = slice(4, None)
+
+
 @dataclass(frozen=True)
-class _Moments:
-    """Count, means and central sums M2, M3, M4 of the statistics of a
-    sample, one entry per statistic.  `merge` pools two disjoint samples
-    with the pairwise updates of Chan, Golub & LeVeque (1979) and Pebay
-    (2008, SAND2008-6212); M3 is kept because the M4 update needs it."""
+class McResult:
+    """Monte-Carlo moments of a drop or of one chunk of it: count, means and
+    central sums M2, M3, M4 per statistic (rows RATE, X, Z, I, Y), with the
+    variance and the standard errors as properties.  `merge` pools two
+    disjoint samples with the pairwise updates of Chan, Golub & LeVeque
+    (1979) and Pebay (2008, SAND2008-6212); the M4 update needs M3."""
 
     n: int
     mean: np.ndarray
     m2: np.ndarray
     m3: np.ndarray
     m4: np.ndarray
+    y_samples: np.ndarray | None = None  # (n, K-1) when collected
 
     @classmethod
-    def of(cls, x: np.ndarray) -> _Moments:
+    def of(cls, x: np.ndarray, y_samples=None) -> McResult:
         """Moments of the rows of the (c, n) array x, one statistic per row,
         so every sum runs over contiguous memory.  Centring each row on its
         first value before taking the mean makes the central sums of a
@@ -267,14 +278,16 @@ class _Moments:
         d *= d2
         d2 *= d2
         return cls(x.shape[1], x[:, 0] + shift, m2, d.sum(axis=1),
-                   d2.sum(axis=1))
+                   d2.sum(axis=1), y_samples)
 
-    def merge(self, other: _Moments) -> _Moments:
+    def merge(self, other: McResult) -> McResult:
         na, nb = self.n, other.n
         n = na + nb
         delta = other.mean - self.mean
         dn = delta / n
-        return _Moments(
+        y = None if self.y_samples is None else np.concatenate(
+            (self.y_samples, other.y_samples))
+        return McResult(
             n, self.mean + nb * dn,
             self.m2 + other.m2 + na * nb * delta * dn,
             self.m3 + other.m3 + na * nb * (na - nb) * delta * dn**2
@@ -282,36 +295,21 @@ class _Moments:
             self.m4 + other.m4
             + na * nb * (na * na - na * nb + nb * nb) * delta * dn**3
             + 6 * dn**2 * (na * na * other.m2 + nb * nb * self.m2)
-            + 4 * dn * (na * other.m3 - nb * self.m3))
+            + 4 * dn * (na * other.m3 - nb * self.m3), y)
 
-    def stats(self):
-        """Per-statistic mean, unbiased variance and their standard errors."""
+    @property
+    def variance(self) -> np.ndarray:
+        return self.m2 / (self.n - 1)           # unbiased
+
+    @property
+    def se_mean(self) -> np.ndarray:
+        return np.sqrt(self.variance / self.n)
+
+    @property
+    def se_variance(self) -> np.ndarray:
         n = self.n
-        var = self.m2 / (n - 1)
-        se_var = np.sqrt(np.maximum(
+        return np.sqrt(np.maximum(
             self.m4 / n - (n - 3) / (n - 1) * (self.m2 / n) ** 2, 0.0) / n)
-        return self.mean, var, np.sqrt(var / n), se_var
-
-
-# Rows of McResult's statistics arrays: the rate, the error leak X, the
-# combined noise Z and the total interference-plus-noise I, then one row per
-# interferer's term Y.
-RATE, X, Z, I = range(4)
-Y = slice(4, None)
-
-
-@dataclass(frozen=True)
-class McResult:
-    """Aggregated Monte-Carlo moments of one drop: per-statistic mean,
-    unbiased variance and their standard errors, indexed by the rows RATE,
-    X, Z, I and Y."""
-
-    n: int
-    mean: np.ndarray
-    variance: np.ndarray
-    se_mean: np.ndarray
-    se_variance: np.ndarray
-    y_samples: np.ndarray | None = None  # (n, K-1) when collected
 
 
 def _chunks(n_real: int, chunk_size: int, *words):
@@ -333,20 +331,18 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
     """
     if n_real < 2:
         raise ValueError("need at least two realizations")
-    acc, y_parts = None, []
+    acc = None
     for rng, n in _chunks(n_real, chunk_size, seed, drop_tag):
         t = compute_terms(drop, *_draw_lazily(drop, rng, n))
-        part = _Moments.of(np.vstack([
-            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]))
+        part = McResult.of(np.vstack([
+            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]),
+            t["y"] if collect_y else None)
         acc = part if acc is None else acc.merge(part)
-        if collect_y:
-            y_parts.append(t["y"])
-    return McResult(n_real, *acc.stats(),
-                    y_samples=np.concatenate(y_parts) if collect_y else None)
+    return acc
 
 
-def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
-                          chunk_size: int = DEFAULT_CHUNK) -> np.ndarray:
+def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int,
+                          seed) -> np.ndarray:
     """Draws of the error-times-scattering interference term, normalized to
     unit variance; asymptotically standard complex Gaussian."""
     link = drop.links[link_idx]
@@ -355,7 +351,7 @@ def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int, seed,
     w = correlation_factor(link.paths, drop.err_amp, conjugate=True)
     scale = math.sqrt(float(drop.err_amp**2 @ link.paths.row_power()))
     out = []
-    for rng, n in _chunks(n_real, chunk_size, seed, link_idx):
+    for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, link_idx):
         eps = crandn(rng, (n, drop.num_antennas))
         g = crandn(rng, (n, link.num_paths))
         out.append(np.einsum("ij,ij->i", (eps @ w).conj(), g) / scale)

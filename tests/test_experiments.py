@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import os
 import subprocess
@@ -174,6 +175,18 @@ class TestConfig:
         cfg = config_from_sources(path, seed=9, drops=1)
         assert cfg.kind == "grid-plane" and cfg.seed == 9 and cfg.tau == 0.3
 
+    def test_every_field_is_a_file_key(self, tmp_path):
+        # each default written in file syntax reads back as the default
+        lines = []
+        for f in dataclasses.fields(ScenarioConfig):
+            value = f.default
+            if isinstance(value, tuple):
+                value = ", ".join(map(str, value))
+            lines.append(f"{f.name} = {value}\n")
+        path = tmp_path / "defaults.cfg"
+        path.write_text("".join(lines))
+        assert config_from_sources(path) == ScenarioConfig()
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("antennas = 4\n")
@@ -263,7 +276,7 @@ class TestMakeDrop:
         # the target sits at the lattice origin and its 4 nearest
         # neighbours 5 m away laterally; each link is matched to its
         # lattice device by the bytes of its LOS channel
-        (x0, x1), (y0, y1), z = cfg.plane
+        (x0, x1), (y0, y1), z = experiments.PLANE
         lattice = place_devices_grid(cfg.d_m, (x0, x1), (y0, y1), z,
                                      25)[1:]  # the whole 5 x 5 lattice
         by_channel = {los_channel(d, drop.grid).tobytes(): d.index
@@ -437,6 +450,19 @@ class TestOptimalL:
         assert best == 0.25
         assert curve[0][1] == pytest.approx(curve[1][1])
 
+    @pytest.mark.parametrize("rates,best", [
+        ([2.0, 2.0, 1.0], 0.5), ([1.0, 2.0, 2.0], 0.3),
+        ([math.nan, 2.0, 1.0], 0.5), ([1.0, math.nan, 2.0], 0.4)])
+    def test_argmax_keeps_first_of_equal_rates(self, monkeypatch, rates,
+                                               best):
+        # equal rates go to the earlier grid entry, even when it is the
+        # larger L; a NaN rate wins only as the first entry
+        monkeypatch.setattr(experiments, "_per_drop",
+                            lambda fn, cfg, xs, workers: np.array(rates))
+        got, curve = optimal_l_search(ScenarioConfig(**FAST), [0.5, 0.3, 0.4])
+        assert got == best
+        assert [hl for hl, _ in curve] == [0.5, 0.3, 0.4]
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             optimal_l_search(ScenarioConfig(**FAST), [])
@@ -499,6 +525,10 @@ class TestCli:
         ("sweep-L", ["--scenario", "mimo-baseline", "--m-grid", "8",
                      "--l-grid", "0.2"]),
         ("run", ["--bogus", "two\nlines"]),
+        # a path holding a NUL is refused before any task runs; --config=
+        # keeps the value a path, not file text
+        ("run", ["--out", "o\x00.csv"]), ("run", ["--config=c\x00.cfg"]),
+        ("sweep-L", ["--out", "o\x00.csv", "--l-grid", "0.2"]),
     ])
     def test_bad_input_exit_code(self, command, flags, tmp_path, capsys):
         if "--config" in flags:

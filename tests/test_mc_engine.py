@@ -20,8 +20,8 @@ from lisrate.mc_engine import (
     Z,
     Drop,
     Link,
+    McResult,
     _chunks,
-    _Moments,
     compute_terms,
     crandn,
     draw_fading,
@@ -150,6 +150,13 @@ class TestDropValidation:
         d = small_drop(m=25, n_interferers=4)
         assert d.num_antennas == 25
         assert d.num_devices == 5
+
+    def test_stacked_is_built_once(self):
+        d = small_drop(m=25, n_interferers=4)
+        assert d.stacked is d.stacked
+        los, a, b, rhos = d.stacked
+        assert los.shape == (25, 4)
+        assert a.shape == b.shape == rhos.shape == (4,)
 
 
 class TestSinrPaths:
@@ -321,9 +328,14 @@ class TestSinrPaths:
         assert np.all(t["i"] > 0)
 
 
+def stats(m: McResult):
+    """(mean, variance, se_mean, se_variance) arrays of a moments record."""
+    return m.mean, m.variance, m.se_mean, m.se_variance
+
+
 def stats_of(x):
     """(mean, variance, se_mean, se_variance) of a 1-D sample."""
-    return tuple(float(s[0]) for s in _Moments.of(np.asarray(x)[None]).stats())
+    return tuple(float(s[0]) for s in stats(McResult.of(np.asarray(x)[None])))
 
 
 class TestEstimateMoments:
@@ -355,7 +367,7 @@ class TestEstimateMoments:
     def test_merged_chunks_equal_one_pass(self, xs, cuts):
         x = np.array(xs)
         bounds = [0, *sorted({c for c in cuts if c < len(x)}), len(x)]
-        parts = [_Moments.of(x[None, a:b]) for a, b in zip(bounds, bounds[1:])]
+        parts = [McResult.of(x[None, a:b]) for a, b in zip(bounds, bounds[1:])]
         merged = parts[0]
         for part in parts[1:]:
             merged = merged.merge(part)
@@ -363,7 +375,7 @@ class TestEstimateMoments:
         # A spread far below the values' magnitude leaves only roundoff of
         # that magnitude; the absolute floor is ~100 ulps of it.
         scale = float(np.max(np.abs(x))) + 1.0
-        for got, want, power in zip(merged.stats(), one, (1, 2, 1, 2)):
+        for got, want, power in zip(stats(merged), one, (1, 2, 1, 2)):
             assert float(got[0]) == pytest.approx(
                 want, rel=1e-10, abs=1e-14 * scale**power)
 
@@ -387,6 +399,7 @@ class TestRunMonteCarlo:
         # chunked accumulation must equal direct computation on the samples
         drop = small_drop(seed=4)
         mc = run_monte_carlo(drop, 3000, 5, chunk_size=1024, collect_y=True)
+        assert mc.n == 3000
         assert mc.y_samples.shape == (3000, 3)
         np.testing.assert_allclose(mc.mean[Y], mc.y_samples.mean(0),
                                    rtol=1e-10)
@@ -442,11 +455,10 @@ class TestRunMonteCarlo:
         acc = None
         for rng, k in _chunks(n, chunk, seed, tag):
             t = compute_terms(drop, *draw_fading(drop, rng, k))
-            part = _Moments.of(np.vstack([rate_sample(t["gamma"]), t["x"],
+            part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
                                           t["z"], t["i"], t["y"].T]))
             acc = part if acc is None else acc.merge(part)
-        for got, want in zip((mc.mean, mc.variance, mc.se_mean,
-                              mc.se_variance), acc.stats()):
+        for got, want in zip(stats(mc), stats(acc)):
             assert np.array_equal(got, want)
 
     def test_chunk_holds_one_links_fading(self):
