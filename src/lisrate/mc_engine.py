@@ -1,11 +1,10 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 The README's engine paragraph describes the two SINR paths, the separable
-paths, the lazy per-link fading and the chunked central moments.  Beyond
-it: every kernel takes a batch of realizations from draw_fading, one per
-row; sums of squares run over float views, with no complex abs; and chunks
-merge in index order with seeds derived from (seed, drop, chunk), so the
-result does not depend on the worker count.
+paths, the one fading draw per interferer and the chunked moments.  Every
+kernel takes a batch of draw_fading's realizations, one per row; sums of
+squares run over float views, with no complex abs; and chunks merge in
+index order with seeds from (seed, drop, chunk), whatever the worker count.
 """
 
 from __future__ import annotations
@@ -127,27 +126,22 @@ def rate_sample(gamma) -> np.ndarray:
     return np.log1p(gamma)
 
 
-def _draw_lazily(drop: Drop, rng, n: int):
-    """draw_fading with g as a generator: eps and g_des are drawn now, and
-    each link's (n, P_j) block only when the consumer reaches it.  The draw
-    order is the same, so a consumer that draws nothing else from rng in
-    between sees the same stream."""
+def draw_fading(drop: Drop, rng, n: int):
+    """n realizations (rows) of (eps, g_des, w), drawn in that order: the
+    error (n, M), the desired fading (n, P) or None when it is deterministic,
+    and one CN(0, 1) scalar per interferer (n, K-1).  f sees a link's path
+    fading g only through f^H R g, CN(0, ||R^H f||^2) given f, which is the
+    law of ||R^H f|| w_j: w_j is g's component along R^H f."""
     eps = crandn(rng, (n, drop.num_antennas))
     g_des = None
     if not drop.desired.deterministic:
         g_des = crandn(rng, (n, drop.desired.num_paths))
-    return eps, g_des, (crandn(rng, (n, link.num_paths))
-                        for link in drop.links)
+    return eps, g_des, crandn(rng, (n, len(drop.links)))
 
 
-def draw_fading(drop: Drop, rng, n: int):
-    """n realizations (rows) of (eps, g_des, g): the estimation error
-    (n, M), the desired-link fading (n, P) or None when that link is
-    deterministic, and a list of per-link (n, P_j) fading, drawn in that
-    order.  run_monte_carlo takes the same draws with g unmaterialised, one
-    link's block at a time as the kernel reaches it."""
-    eps, g_des, g = _draw_lazily(drop, rng, n)
-    return eps, g_des, list(g)
+def _check_links(drop: Drop, eps, w) -> None:
+    if np.shape(w) != (len(eps), len(drop.links)):
+        raise ValueError("need one fading draw per row and interferer")
 
 
 def _desired_channel(drop: Drop, g_des):
@@ -162,20 +156,20 @@ def _desired_channel(drop: Drop, g_des):
     return h
 
 
-def compute_terms(drop: Drop, eps, g_des, g):
+def compute_terms(drop: Drop, eps, g_des, w):
     """Decomposed SINR terms for a batch of realizations from draw_fading.
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
     the LOS vectors and, per link, one (n, M) x (M, P_j) product on conj(R)
-    row-scaled by d plus k^H R from the separable paths give
-    f^H h_j = a f^H h_los + b (f^H R) g.  A deterministic desired h has
-    k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only read; a
-    stochastic one has k = 0, so no k^H V is formed, d = 1 and X = f, built
-    in place of its rows with one (n, M) temporary.
-    g is any iterable of the links' fading, one block per link (a short one
-    raises ValueError).  Returns arrays s, x, y (n, K-1), z, i, gamma.
+    row-scaled by d plus k^H R from the separable paths give f^H R_j, and
+    f^H h_j is drawn as a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
+    desired h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only
+    read; a stochastic one has k = 0, so no k^H V is formed, d = 1 and
+    X = f, built in place of its rows with one (n, M) temporary.
+    w must be (n, K-1).  Returns arrays s, x, y (n, K-1), z, i, gamma.
     """
+    _check_links(drop, eps, w)
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
     los, a, b, rhos = drop.stacked
@@ -190,36 +184,38 @@ def compute_terms(drop: Drop, eps, g_des, g):
         z = _row_power(k) + _row_power(eps, d * d) + 2 * c * tau * u.real
         f_los = k.conj() @ los + np.conj(proj[:, :-1])
     else:
-        w = eps * drop.err_amp          # the only (n, M) temporary
-        x = np.abs(np.einsum("ij,ij->i", np.conj(w, out=w), h)) ** 2
+        e = eps * drop.err_amp          # the only (n, M) temporary
+        x = np.abs(np.einsum("ij,ij->i", np.conj(e, out=e), h)) ** 2
         h *= c
-        h += np.multiply(eps, tau * drop.err_amp, out=w)
-        del w
+        h += np.multiply(eps, tau * drop.err_amp, out=e)
+        del e
         d, xs = 1.0, h
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
-    scattered = np.empty((len(eps), len(drop.links)), complex)
-    for idx, (link, gj) in enumerate(zip(drop.links, g, strict=True)):
+    power = np.empty((len(eps), len(drop.links)))      # ||f^H R_j||^2
+    for idx, link in enumerate(drop.links):
         q = xs @ correlation_factor(link.paths, d, conjugate=True)
-        scattered[:, idx] = np.einsum("ij,ij->i", np.conj(q, out=q), gj)
         if drop.desired.deterministic:          # else k = 0: no k^H R
-            scattered[:, idx] += gj @ link.paths.project(k)
-        del q           # before the next link's fading and block are made
-    y = np.abs(a * f_los + b * scattered) ** 2
+            q += np.conj(link.paths.project(k))
+        power[:, idx] = _row_power(q)           # q = conj(f^H R_j)
+        del q                       # before the next link's block is made
+    y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
 
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
     gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
     return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma}
 
 
-def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
+def sinr_direct(drop: Drop, eps, g_des, w) -> np.ndarray:
     """Receiver-path SINR of each row of a draw_fading batch, built from the
-    inner products of the least-squares estimate with each channel.
+    inner products of the least-squares estimate f with each channel.
 
     Groups the terms as the matched filter sees them and builds each
     interferer's channel first, h_j = a h_los + b R g, without the per-term
-    decomposition; agrees with compute_terms to roundoff.
+    decomposition; g = w_j R^H f / ||R^H f|| (0 where R^H f = 0) is the one
+    direction of g that f sees.  Agrees with compute_terms to roundoff.
     """
+    _check_links(drop, eps, w)
     tau = drop.tau
     err = drop.err_amp * eps
     h = _desired_channel(drop, g_des)
@@ -229,9 +225,13 @@ def sinr_direct(drop: Drop, eps, g_des, g) -> np.ndarray:
     leak = drop.desired.rho * tau**2 \
         * np.abs(np.sum(err.conj() * h, axis=-1)) ** 2
     interf = 0.0
-    for link, gj in zip(drop.links, g, strict=True):
+    for link, wj in zip(drop.links, w.T):
         a, b = link.weights
-        hj = a * link.h_los + b * (gj @ correlation_factor(link.paths).T)
+        r = correlation_factor(link.paths)
+        v = fh @ r                                      # f^H R, (n, P)
+        norm = np.sqrt(_row_power(v))
+        lift = np.divide(wj, norm, out=np.zeros_like(wj), where=norm > 0)
+        hj = a * link.h_los + b * ((v.conj() * lift[:, None]) @ r.T)
         interf += link.rho * np.abs(np.sum(fh * hj, axis=-1)) ** 2
     noise = np.sum(np.abs(fh) ** 2, axis=-1)
     denom = leak + (1.0 - tau**2) * (interf + noise)
@@ -333,7 +333,7 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
         raise ValueError("need at least two realizations")
     acc = None
     for rng, n in _chunks(n_real, chunk_size, seed, drop_tag):
-        t = compute_terms(drop, *_draw_lazily(drop, rng, n))
+        t = compute_terms(drop, *draw_fading(drop, rng, n))
         part = McResult.of(np.vstack([
             rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]),
             t["y"] if collect_y else None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -176,11 +177,10 @@ class TestSinrPaths:
         rng = np.random.default_rng(42)
         n = 5
         eps = crandn(rng, (n, drop.num_antennas))
-        g = [crandn(rng, (n, link.num_paths)) for link in drop.links]
-        batch = compute_terms(drop, eps, None, g)
+        w = crandn(rng, (n, len(drop.links)))
+        batch = compute_terms(drop, eps, None, w)
         for i in range(n):
-            single = compute_terms(drop, eps[i:i + 1], None,
-                                   [gj[i:i + 1] for gj in g])
+            single = compute_terms(drop, eps[i:i + 1], None, w[i:i + 1])
             assert batch["gamma"][i] == pytest.approx(single["gamma"][0],
                                                       rel=1e-12)
             assert batch["x"][i] == pytest.approx(single["x"][0], rel=1e-12)
@@ -195,13 +195,13 @@ class TestSinrPaths:
             drop = build_mimo_drop(devices, 16, 0.1, seed=8)
         else:
             drop = small_drop(seed=7)
-        eps, g_des, g = draw_fading(drop, np.random.default_rng(7), 6)
-        batch = sinr_direct(drop, eps, g_des, g)
+        eps, g_des, w = draw_fading(drop, np.random.default_rng(7), 6)
+        batch = sinr_direct(drop, eps, g_des, w)
         assert batch.shape == (6,)
         for i in range(6):
             row = sinr_direct(drop, eps[i:i + 1],
                               None if g_des is None else g_des[i:i + 1],
-                              [gj[i:i + 1] for gj in g])
+                              w[i:i + 1])
             assert batch[i] == pytest.approx(row[0], rel=1e-12)
 
     def test_identity_with_stochastic_desired(self):
@@ -253,7 +253,8 @@ class TestSinrPaths:
                                       "mimo"])
     def test_terms_match_definitions(self, kind):
         # every kernel term against its plain per-row definition, with
-        # each channel built first: h = a h_los + b R g
+        # each channel built first: h = a h_los + b R g, where an
+        # interferer's g is its draw lifted to w_j R^H f / ||R^H f||
         if kind == "mixed":
             drop = small_drop(seed=2)
         elif kind == "mimo":
@@ -266,16 +267,21 @@ class TestSinrPaths:
                 mode=kind, num_devices=5, m_grid=(16,), drops=1,
                 realizations=2, seed=3), 0)
         n = 6
-        eps, g_des, g = draw_fading(drop, np.random.default_rng(11), n)
-        before = [eps.copy(), *(gj.copy() for gj in g)]
-        t = compute_terms(drop, eps, g_des, g)
+        eps, g_des, w = draw_fading(drop, np.random.default_rng(11), n)
+        before = [eps.copy(), w.copy()]
+        t = compute_terms(drop, eps, g_des, w)
         # the draws are read, never written
-        for got, want in zip([eps, *g], before, strict=True):
+        for got, want in zip([eps, w], before, strict=True):
             np.testing.assert_array_equal(got, want)
 
         def channel(link, gi):
             a, b = link.weights
             return a * link.h_los + b * (correlation_factor(link.paths) @ gi)
+
+        def lifted(link, f, wi):
+            u = correlation_factor(link.paths).conj().T @ f
+            norm = np.linalg.norm(u)
+            return wi * u / norm if norm > 0 else np.zeros_like(u)
 
         tau = drop.tau
         for i in range(n):
@@ -289,8 +295,8 @@ class TestSinrPaths:
                 abs(np.sum(err * np.conj(h))) ** 2, rel=1e-12)
             assert t["z"][i] == pytest.approx(np.sum(np.abs(f) ** 2),
                                               rel=1e-12)
-            y = [abs(np.vdot(f, channel(link, gj[i]))) ** 2
-                 for link, gj in zip(drop.links, g)]
+            y = [abs(np.vdot(f, channel(link, lifted(link, f, wi)))) ** 2
+                 for link, wi in zip(drop.links, w[i], strict=True)]
             np.testing.assert_allclose(t["y"][i], y, rtol=1e-12)
 
     def test_los_kernel_forms_no_combining_vector(self):
@@ -310,20 +316,36 @@ class TestSinrPaths:
 
     @pytest.mark.parametrize("kernel", [compute_terms, sinr_direct])
     def test_short_fading_raises(self, kernel):
-        # a link without its fading block must not drop out of the sum
+        # a link or row without its fading draw must not drop out of the
+        # sum, nor be filled in by broadcasting another link's draw
         drop = small_drop(seed=3)
-        eps, g_des, g = draw_fading(drop, np.random.default_rng(0), 4)
-        spent = iter(g)
-        list(spent)
-        for short in (g[:-1], spent):
+        eps, g_des, w = draw_fading(drop, np.random.default_rng(0), 4)
+        for short in (w[:, :-1], w[:, :1], w[:1], w[:, 0]):
             with pytest.raises(ValueError):
                 kernel(drop, eps, g_des, short)
+
+    def test_direct_lift_of_pathless_and_blind_links(self):
+        # los-only links have no paths (P = 0) and a link with a zero factor
+        # has R^H f = 0: the receiver path's lift must give g = 0 there
+        # without evaluating 0/0, and still agree with the kernel
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="los-only", num_devices=5,
+            m_grid=(16,), drops=1, realizations=2, seed=3), 0)
+        paths = dataclasses.replace(small_drop().links[0].paths, loss=0.0)
+        blind = Link(kappa=1.0, h_los=drop.links[0].h_los, paths=paths,
+                     rho=2.0)
+        for d in (drop, dataclasses.replace(drop, links=(*drop.links, blind))):
+            with np.errstate(all="raise"):
+                fading = draw_fading(d, np.random.default_rng(5), 8)
+                direct = sinr_direct(d, *fading)
+                kernel = compute_terms(d, *fading)["gamma"]
+            np.testing.assert_allclose(direct, kernel, rtol=1e-12)
 
     def test_sinr_positive(self):
         drop = small_drop(seed=5)
         t = compute_terms(drop, crandn(np.random.default_rng(0), (100, 16)),
-                          None, [crandn(np.random.default_rng(1), (100, 4))
-                                 for _ in drop.links])
+                          None, crandn(np.random.default_rng(1),
+                                       (100, len(drop.links))))
         assert np.all(t["gamma"] > 0)
         assert np.all(t["i"] > 0)
 
@@ -336,6 +358,30 @@ def stats(m: McResult):
 def stats_of(x):
     """(mean, variance, se_mean, se_variance) of a 1-D sample."""
     return tuple(float(s[0]) for s in stats(McResult.of(np.asarray(x)[None])))
+
+
+def dense_reference(drop: Drop, n: int, rng):
+    """n rates and (n, K-1) interferer terms |f^H h_j|^2 with every link's
+    path fading drawn in full, g ~ CN(0, I_P), each channel built as
+    a h_los + b R g and the SINR from the receiver's inner products."""
+    tau = drop.tau
+
+    def channel(link):
+        a, b = link.weights
+        g = crandn(rng, (n, link.num_paths))
+        return a * link.h_los + b * (g @ correlation_factor(link.paths).T)
+
+    err = drop.err_amp * crandn(rng, (n, drop.num_antennas))
+    h = channel(drop.desired)
+    f = math.sqrt(1.0 - tau**2) * h + tau * err
+    y = np.column_stack([np.abs(np.sum(f.conj() * channel(link), axis=1)) ** 2
+                         for link in drop.links])
+    leak = np.abs(np.sum(err.conj() * h, axis=1)) ** 2
+    i = drop.desired.rho * tau**2 * leak \
+        + y @ np.array([link.rho for link in drop.links]) \
+        + np.sum(np.abs(f) ** 2, axis=1)
+    s = np.sum(np.abs(h) ** 2, axis=1) ** 2
+    return np.log1p(drop.desired.rho * (1.0 - tau**2) * s / i), y
 
 
 class TestEstimateMoments:
@@ -442,8 +488,8 @@ class TestRunMonteCarlo:
 
     @pytest.mark.parametrize("stochastic", [False, True])
     def test_streamed_draws_equal_listed_draws(self, stochastic):
-        # run_monte_carlo draws each link's fading as the kernel reaches it;
-        # every statistic must equal the kernel fed draw_fading's lists
+        # every statistic of run_monte_carlo must equal, bit for bit, the
+        # kernel fed draw_fading's (eps, g_des, w) chunk by chunk
         if stochastic:
             devices = [Device(position=np.array([r, 0.0, 1.0]), index=i)
                        for i, r in enumerate((1.0, 3.0, 7.0))]
@@ -461,14 +507,43 @@ class TestRunMonteCarlo:
         for got, want in zip(stats(mc), stats(acc)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("kind", ["nlos-only", "mimo", "mixed"])
+    def test_scattered_draw_is_exact_in_distribution(self, kind):
+        # one CN(0, 1) draw per interferer must give the rate and every
+        # interferer term the law of full CN(0, I_P) path fading: the MC
+        # means against a reference that draws every path gain and builds
+        # each channel densely, within 3 combined standard errors
+        if kind == "nlos-only":
+            drop = make_drop(ScenarioConfig(
+                kind="uniform-room", mode="nlos-only", num_devices=6,
+                m_grid=(64,), drops=1, realizations=2, seed=4), 0)
+        elif kind == "mimo":
+            drop = make_drop(ScenarioConfig(
+                kind="mimo-baseline", mode="nlos-only", num_devices=6,
+                m_grid=(16,), drops=1, realizations=2, seed=4), 0)
+        else:
+            drop = small_drop(m=64, n_interferers=4, num_paths=16, seed=4)
+        n = 20000
+        mc = run_monte_carlo(drop, n, 1)
+        rate, y = dense_reference(drop, n, np.random.default_rng(2))
+        ref = McResult.of(np.vstack([rate, y.T]))
+        got = np.concatenate([[mc.mean[RATE]], mc.mean[Y]])
+        se = np.hypot(np.concatenate([[mc.se_mean[RATE]], mc.se_mean[Y]]),
+                      ref.se_mean)
+        assert np.all(np.abs(got - ref.mean) < 3 * se)
+
     def test_chunk_holds_one_links_fading(self):
         # numpy reports its buffers to tracemalloc: one default chunk must
-        # peak below the bytes of all links' fading held at once
+        # peak below the bytes of all links' path fading held at once, and
+        # below eps plus two (n, P) complex blocks: no link's path fading
+        # is drawn, so beside eps a chunk holds one link's f^H R product
+        # and that link's (M, P) factor
         drop = make_drop(ScenarioConfig(
             kind="grid-plane", mode="nlos-only", num_devices=10,
             m_grid=(400,), drops=1, realizations=2048, seed=3), 0)
         n = 2048
         all_fading = sum(16 * n * link.num_paths for link in drop.links)
+        p = max(link.num_paths for link in drop.links)
         tracemalloc.start()
         try:
             run_monte_carlo(drop, n, 3)
@@ -476,6 +551,7 @@ class TestRunMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < all_fading
+        assert peak < 16 * n * drop.num_antennas + 2 * 16 * n * p
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
