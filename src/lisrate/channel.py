@@ -5,6 +5,7 @@ them as `mc_engine.Link`."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -14,6 +15,10 @@ from .geometry import AntennaGrid, Device, distance, los_gain
 
 # NLOS distances below 1 m would amplify under d**(-beta_pl/2); clamp there.
 NLOS_MIN_DISTANCE = 1.0
+
+# A ramp basis keeps the singular directions above this share of the
+# largest: every ramp of its band lies in its span to ~1e-13 relative.
+RAMP_BASIS_RTOL = 1e-13
 
 
 def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
@@ -37,6 +42,21 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     fine = np.exp(1j * np.multiply.outer(np.arange(b), steps))
     ramp = coarse[:, None] * fine[None, :]
     return ramp.reshape((ramp.shape[0] * b,) + ramp.shape[2:])[:n]
+
+
+@functools.lru_cache(maxsize=64)
+def ramp_basis(n: int, band: float) -> np.ndarray:
+    """Read-only orthonormal (n, r) basis of every phase ramp
+    exp(1j t k), k < n, with |t| <= band: the left singular vectors of 4n + 1
+    ramps spread evenly over the band.  Its rank r is about the Shannon
+    number n band / pi plus a few, so on a grid of fixed aperture it stops
+    growing with n (Slepian 1978, "Prolate spheroidal wave functions,
+    Fourier analysis, and uncertainty - V: the discrete case")."""
+    steps = np.linspace(-band, band, 4 * n + 1)
+    u, sv, _ = np.linalg.svd(_phase_ramp(n, steps), full_matrices=False)
+    u = u[:, sv > RAMP_BASIS_RTOL * sv[0]]
+    u.flags.writeable = False
+    return u
 
 
 def _steering(n_v: int, n_h: int, step_v, step_h, gains=1.0) -> np.ndarray:
@@ -88,7 +108,9 @@ class Scattering:
     n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
     `correlation_factor` builds the dense (M, P) R.  It, `project` and
     `projected_power` build each ramp as `_phase_ramp` does, from
-    ~2 sqrt(n) exponentials per path instead of n."""
+    ~2 sqrt(n) exponentials per path instead of n.  `band`, when known,
+    bounds (|step_v|, |step_h|) and lets `basis` span the paths with fewer
+    than P directions."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains
@@ -96,6 +118,7 @@ class Scattering:
     step_h: np.ndarray        # (P,) horizontal phase steps, radians
     n_v: int
     n_h: int
+    band: tuple[float, float] | None = None  # bounds on |step_v|, |step_h|
 
     @classmethod
     def none(cls, num_antennas: int) -> "Scattering":
@@ -136,6 +159,24 @@ class Scattering:
         return float(np.sum(self.gains**2 * np.abs(self._contract(h)) ** 2)
                      / self.num_antennas)
 
+    def basis(self):
+        """(U_v, U_h, conj(C)) when the ramp bases of the band have
+        r = r_v r_h < P directions, else None.  B = U_v kron U_h then spans
+        every steering vector, so R = diag(loss) B C with the (r, P)
+        C = B^H [gains_p steering_p], whose column p is
+        (U_v^H d_v,p kron U_h^H d_h,p) gains_p / sqrt(M)."""
+        if self.band is None:
+            return None
+        u_v, u_h = ramp_basis(self.n_v, self.band[0]), \
+            ramp_basis(self.n_h, self.band[1])
+        if u_v.shape[1] * u_h.shape[1] >= self.num_paths:
+            return None
+        c_v = u_v.T @ _phase_ramp(self.n_v, -self.step_v)
+        c_h = u_h.T @ _phase_ramp(self.n_h, -self.step_h) \
+            * (self.gains / math.sqrt(self.num_antennas))
+        return u_v, u_h, (c_v[:, None] * c_h[None, :]).reshape(
+            -1, self.num_paths)
+
 
 def nlos_scattering(device: Device, grid: AntennaGrid, angles,
                     beta_pl: float) -> Scattering:
@@ -143,15 +184,17 @@ def nlos_scattering(device: Device, grid: AntennaGrid, angles,
     angles, radians in (-pi/2, pi/2): per-antenna NLOS loss
     d_m**(-beta_pl/2), with the device-to-antenna distance clamped at
     NLOS_MIN_DISTANCE, per-path gains sqrt(cos(theta_v) cos(theta_h)), and
-    `upa_steering`'s phase steps."""
+    `upa_steering`'s phase steps, which lie in the band |step_v| <= s and
+    |step_h| <= s/2 with s = 2 pi spacing / wavelength."""
     theta_v, theta_h = angles
+    band = 2.0 * math.pi * grid.spacing / grid.wavelength
     d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
     step_v, step_h = _upa_steps(theta_v, theta_h, grid.spacing,
                                 grid.wavelength)
     return Scattering(loss=d ** (-beta_pl / 2.0),
                       gains=np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
                       step_v=step_v, step_h=step_h, n_v=grid.side,
-                      n_h=grid.side)
+                      n_h=grid.side, band=(band, band / 2.0))
 
 
 def correlation_factor(s: Scattering, scale=1.0,

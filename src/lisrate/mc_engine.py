@@ -1,10 +1,14 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 The README's engine paragraph describes the two SINR paths, the separable
-paths, the one fading draw per interferer and the chunked moments.  Every
-kernel takes a batch of draw_fading's realizations, one per row; sums of
-squares run over float views, with no complex abs; and chunks merge in
-index order with seeds from (seed, drop, chunk), whatever the worker count.
+paths, the one fading draw per interferer and the chunked moments.
+compute_terms projects a link through its cached ramp basis wherever that
+spans fewer directions than the link has paths (`Scattering.basis`), and
+through the dense factor elsewhere; sinr_direct always takes the dense
+factor, so the two paths check each other.  Every kernel takes a batch of
+draw_fading's realizations, one per row; sums of squares run over float
+views, with no complex abs; and chunks merge in index order with seeds from
+(seed, drop, chunk), whatever the worker count.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
 DEFAULT_CHUNK = 2048
+# Rows per pass of the basis projection: bounds its (rows, M) temporary.
+BASIS_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -131,12 +137,16 @@ def draw_fading(drop: Drop, rng, n: int):
     error (n, M), the desired fading (n, P) or None when it is deterministic,
     and one CN(0, 1) scalar per interferer (n, K-1).  f sees a link's path
     fading g only through f^H R g, CN(0, ||R^H f||^2) given f, which is the
-    law of ||R^H f|| w_j: w_j is g's component along R^H f."""
+    law of ||R^H f|| w_j: w_j is g's component along R^H f.  When no
+    interferer has paths, w is zeros and draws nothing."""
     eps = crandn(rng, (n, drop.num_antennas))
     g_des = None
     if not drop.desired.deterministic:
         g_des = crandn(rng, (n, drop.desired.num_paths))
-    return eps, g_des, crandn(rng, (n, len(drop.links)))
+    shape = (n, len(drop.links))
+    if not any(link.num_paths for link in drop.links):
+        return eps, g_des, np.zeros(shape, complex)
+    return eps, g_des, crandn(rng, shape)
 
 
 def _check_links(drop: Drop, eps, w) -> None:
@@ -156,13 +166,39 @@ def _desired_channel(drop: Drop, g_des):
     return h
 
 
+def _path_power(paths, xs, d, k) -> np.ndarray:
+    """||f^H R||^2 per row of f = k + d xs (k None for k = 0), as the power
+    of q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
+    `paths.basis()` gives (U_v, U_h, conj(C)), R / loss = B C with
+    B = U_v kron U_h, so q = (y conj(B)) conj(C): two small GEMMs on the
+    (n_v, n_h) reshape of BASIS_ROWS rows of y at a time, then one (r, P)
+    product.  Elsewhere one (n, M) x (M, P) product on conj(R) row-scaled
+    by d, plus k^H R from the separable paths."""
+    basis = paths.basis()
+    if basis is None:
+        q = xs @ correlation_factor(paths, d, conjugate=True)
+        if k is not None:
+            q += np.conj(paths.project(k))
+        return _row_power(q)
+    u_v, u_h, c = basis
+    power = np.empty(len(xs))
+    for start in range(0, len(xs), BASIS_ROWS):
+        y = xs[start:start + BASIS_ROWS] * (paths.loss * d)
+        if k is not None:
+            y += paths.loss * k
+        t = (y.reshape(-1, paths.n_h) @ u_h.conj()).reshape(
+            len(y), paths.n_v, -1)
+        v = (u_v.conj().T @ t).reshape(len(y), -1)
+        power[start:start + BASIS_ROWS] = _row_power(v @ c)
+    return power
+
+
 def compute_terms(drop: Drop, eps, g_des, w):
     """Decomposed SINR terms for a batch of realizations from draw_fading.
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
-    the LOS vectors and, per link, one (n, M) x (M, P_j) product on conj(R)
-    row-scaled by d plus k^H R from the separable paths give f^H R_j, and
+    the LOS vectors, ||f^H R_j||^2 per link from `_path_power`, and
     f^H h_j is drawn as a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
     desired h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only
     read; a stochastic one has k = 0, so no k^H V is formed, d = 1 and
@@ -189,16 +225,12 @@ def compute_terms(drop: Drop, eps, g_des, w):
         h *= c
         h += np.multiply(eps, tau * drop.err_amp, out=e)
         del e
-        d, xs = 1.0, h
+        d, xs, k = 1.0, h, None
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
     power = np.empty((len(eps), len(drop.links)))      # ||f^H R_j||^2
     for idx, link in enumerate(drop.links):
-        q = xs @ correlation_factor(link.paths, d, conjugate=True)
-        if drop.desired.deterministic:          # else k = 0: no k^H R
-            q += np.conj(link.paths.project(k))
-        power[:, idx] = _row_power(q)           # q = conj(f^H R_j)
-        del q                       # before the next link's block is made
+        power[:, idx] = _path_power(link.paths, xs, d, k)
     y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
 
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z

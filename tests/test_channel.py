@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from lisrate.channel import (
     correlation_factor,
     los_channel,
     nlos_scattering,
+    ramp_basis,
     ula_steering,
     upa_steering,
 )
@@ -163,3 +165,48 @@ class TestCorrelationFactor:
         rh = correlation_factor(nlos_scattering(dev, grid, np.empty((2, 0)),
                                                 3.7))
         assert rh.shape == (16, 0)
+
+
+class TestRampBasis:
+    @pytest.mark.parametrize("n,band", [(20, 0.6), (40, 0.9), (40, 0.45),
+                                        (80, 0.2), (7, 4.0)])
+    def test_orthonormal_and_spans_band(self, n, band):
+        # fresh steps, the band's edges among them, not only the sampled ones
+        u = ramp_basis(n, band)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(u.shape[1]),
+                                   atol=1e-12)
+        steps = np.concatenate([
+            [-band, band], np.random.default_rng(n).uniform(-band, band, 500)])
+        d = _phase_ramp(n, steps)
+        residual = d - u @ (u.conj().T @ d)
+        assert np.max(np.linalg.norm(residual, axis=0)) < 1e-12 * math.sqrt(n)
+        assert not u.flags.writeable and ramp_basis(n, band) is u
+
+    def test_rank_is_set_by_the_aperture(self):
+        # a 0.5 m unit at lambda = 0.1 m: the ramps' rank r_v r_h stops
+        # growing with M while P = M/2 does
+        ranks = []
+        for m in (1600, 3600, 6400):
+            grid = build_grid((0.0, 0.0), 0.25, m, 0.1)
+            s = 2 * np.pi * grid.spacing / 0.1
+            ranks.append(ramp_basis(grid.side, s).shape[1]
+                         * ramp_basis(grid.side, s / 2).shape[1])
+        assert ranks == sorted(ranks) and ranks[-1] - ranks[0] <= 40
+        assert ranks[0] < 800
+
+    def test_basis_spans_the_factor(self):
+        # diag(loss) B C rebuilds R wherever basis() is taken; without a
+        # band, or with r >= P, it is not
+        grid = build_grid((0.0, 0.0), 0.25, 1600, 0.1)
+        dev = Device(position=np.array([1.0, 2.0, 1.5]))
+        angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2,
+                                                  (2, 800))
+        paths = nlos_scattering(dev, grid, angles, 3.7)
+        u_v, u_h, c = paths.basis()
+        assert c.shape == (u_v.shape[1] * u_h.shape[1], 800)
+        r = correlation_factor(paths)
+        rebuilt = paths.loss[:, None] * (np.kron(u_v, u_h) @ c.conj())
+        assert np.linalg.norm(rebuilt - r) < 1e-12 * np.linalg.norm(r)
+        assert dataclasses.replace(paths, band=None).basis() is None
+        few = nlos_scattering(dev, grid, angles[:, :500], 3.7)
+        assert few.basis() is None

@@ -15,7 +15,9 @@ from lisrate.channel import (
 )
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
+from lisrate import mc_engine
 from lisrate.mc_engine import (
+    BASIS_ROWS,
     RATE,
     Y,
     Z,
@@ -23,6 +25,7 @@ from lisrate.mc_engine import (
     Link,
     McResult,
     _chunks,
+    _path_power,
     compute_terms,
     crandn,
     draw_fading,
@@ -348,6 +351,77 @@ class TestSinrPaths:
                                        (100, len(drop.links))))
         assert np.all(t["gamma"] > 0)
         assert np.all(t["i"] > 0)
+
+
+def nlos_drop(kind, m, half_length, mode="nlos-only", num_devices=10):
+    return make_drop(ScenarioConfig(
+        kind=kind, mode=mode, num_devices=num_devices, m_grid=(m,), drops=1,
+        realizations=2, seed=7, half_length=half_length), 0)
+
+
+class TestBasisPath:
+    @pytest.mark.parametrize("kind", ["grid-plane", "uniform-room"])
+    def test_power_matches_dense_factor(self, kind):
+        # at M = 1600 on a 0.5 m unit the ramps have r = 588 < P = 800: the
+        # basis power against the dense (M, P) product, with k and with
+        # k = 0, over rows that end in a partial block; one extra link has
+        # fresh angles with both steps at the edges of their band
+        drop = nlos_drop(kind, 1600, 0.25)
+        dev = Device(position=np.array([2.0, -1.0, 1.5]), index=99)
+        theta = np.random.default_rng(5).uniform(-np.pi / 2, np.pi / 2,
+                                                 (2, 800))
+        theta[:, :4] = [[np.pi / 2, -np.pi / 2, 0.0, 0.0],
+                        [0.0, 0.0, np.pi / 4, -np.pi / 4]]
+        extra = nlos_scattering(dev, drop.grid, theta, 3.7)
+        rng = np.random.default_rng(1)
+        xs = crandn(rng, (BASIS_ROWS + 9, 1600))
+        d = drop.tau * drop.err_amp
+        k = math.sqrt(1 - drop.tau**2) * drop.desired.h_los
+        for paths in [link.paths for link in drop.links] + [extra]:
+            assert paths.basis() is not None
+            q = xs @ correlation_factor(paths, d, conjugate=True)
+            np.testing.assert_allclose(_path_power(paths, xs, d, None),
+                                       np.sum(np.abs(q) ** 2, axis=1),
+                                       rtol=1e-12)
+            q += np.conj(paths.project(k))
+            np.testing.assert_allclose(_path_power(paths, xs, d, k),
+                                       np.sum(np.abs(q) ** 2, axis=1),
+                                       rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["nlos-only", "probabilistic"])
+    def test_dual_path_identity(self, mode, monkeypatch):
+        # L = 0.05 at M = 400 has r = 180 < P = 200: the kernel takes the
+        # basis, builds no dense factor, and matches the receiver path
+        drop = nlos_drop("uniform-room", 400, 0.05, mode=mode, num_devices=6)
+        assert all(link.paths.basis() is not None for link in drop.links)
+        fading = draw_fading(drop, np.random.default_rng(3), 100)
+        direct = sinr_direct(drop, *fading)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("built a dense factor on the basis path")
+        monkeypatch.setattr(mc_engine, "correlation_factor", forbidden)
+        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                   direct, rtol=1e-10)
+
+    @pytest.mark.parametrize("kind,m,half_length", [
+        ("grid-plane", 1600, 0.5), ("uniform-room", 1600, 0.5),
+        ("grid-plane", 900, 0.25), ("mimo-baseline", 100, 0.25)])
+    def test_dense_where_rank_reaches_paths(self, kind, m, half_length):
+        # r >= P (1064 >= 800, 567 >= 450), or a linear array whose
+        # half-wavelength ramps fill their band: the dense product
+        drop = nlos_drop(kind, m, half_length)
+        assert all(link.paths.basis() is None for link in drop.links)
+
+    def test_pathless_links_draw_no_fading(self):
+        # a los-only drop draws eps and nothing after it: w is zeros
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="los-only", num_devices=5,
+            m_grid=(16,), drops=1, realizations=2, seed=3), 0)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        eps, g_des, w = draw_fading(drop, rng, 8)
+        np.testing.assert_array_equal(eps, crandn(ref, (8, 16)))
+        assert g_des is None and w.shape == (8, 4) and not w.any()
+        assert rng.standard_normal() == ref.standard_normal()
 
 
 def stats(m: McResult):
