@@ -56,9 +56,9 @@ def _add_output(parser):
         "--workers", type=int, default=1,
         help="processes for the (M or L, drop) tasks, capped at the task "
              "count and the usable CPUs (in place where fork is "
-             "unavailable); the BLAS thread count follows the task count and "
-             "is set before workers fork, so the output never depends on "
-             "this value")
+             "unavailable); BLAS threads follow the task and CPU counts and "
+             "are set before workers fork, so the output never depends on "
+             "this value, though its last digits can depend on the CPU count")
 
 
 def _build_config(args) -> ScenarioConfig:

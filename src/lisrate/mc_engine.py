@@ -83,10 +83,6 @@ class Drop:
     def num_antennas(self) -> int:
         return self.desired.h_los.shape[0]
 
-    @property
-    def num_devices(self) -> int:
-        return len(self.links) + 1
-
     @cached_property
     def stacked(self):
         """The interferers over J = K-1 columns, built once: LOS vectors
@@ -294,10 +290,9 @@ class McResult:
     m2: np.ndarray
     m3: np.ndarray
     m4: np.ndarray
-    y_samples: np.ndarray | None = None  # (n, K-1) when collected
 
     @classmethod
-    def of(cls, x: np.ndarray, y_samples=None) -> McResult:
+    def of(cls, x: np.ndarray) -> McResult:
         """Moments of the rows of the (c, n) array x, one statistic per row,
         so every sum runs over contiguous memory.  Centring each row on its
         first value before taking the mean makes the central sums of a
@@ -310,15 +305,13 @@ class McResult:
         d *= d2
         d2 *= d2
         return cls(x.shape[1], x[:, 0] + shift, m2, d.sum(axis=1),
-                   d2.sum(axis=1), y_samples)
+                   d2.sum(axis=1))
 
     def merge(self, other: McResult) -> McResult:
         na, nb = self.n, other.n
         n = na + nb
         delta = other.mean - self.mean
         dn = delta / n
-        y = None if self.y_samples is None else np.concatenate(
-            (self.y_samples, other.y_samples))
         return McResult(
             n, self.mean + nb * dn,
             self.m2 + other.m2 + na * nb * delta * dn,
@@ -327,7 +320,7 @@ class McResult:
             self.m4 + other.m4
             + na * nb * (na * na - na * nb + nb * nb) * delta * dn**3
             + 6 * dn**2 * (na * na * other.m2 + nb * nb * self.m2)
-            + 4 * dn * (na * other.m3 - nb * self.m3), y)
+            + 4 * dn * (na * other.m3 - nb * self.m3))
 
     @property
     def variance(self) -> np.ndarray:
@@ -352,23 +345,20 @@ def _chunks(n_real: int, chunk_size: int, *words):
         yield np.random.default_rng(seq), min(chunk_size, n_real - start)
 
 
-def run_monte_carlo(drop: Drop, n_real: int, seed, *, drop_tag: int = 0,
-                    chunk_size: int = DEFAULT_CHUNK,
-                    collect_y: bool = False) -> McResult:
-    """Estimate the MC moments of the rate and of every decomposition term.
-
-    Chunk boundaries and per-chunk seeds depend only on (seed, drop_tag,
-    chunk index), and chunks merge in index order, so the result is
-    independent of scheduling.
-    """
+def run_monte_carlo(drop: Drop, n_real: int, seed, *,
+                    drop_tag: int = 0) -> McResult:
+    """Estimate the MC moments of the rate and of every decomposition term
+    over chunks of DEFAULT_CHUNK draws seeded from (seed, drop_tag, chunk
+    index) and merged in index order, so the result is independent of
+    scheduling.  The per-draw terms are compute_terms over the same
+    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag)."""
     if n_real < 2:
         raise ValueError("need at least two realizations")
     acc = None
-    for rng, n in _chunks(n_real, chunk_size, seed, drop_tag):
+    for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag):
         t = compute_terms(drop, *draw_fading(drop, rng, n))
         part = McResult.of(np.vstack([
-            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]),
-            t["y"] if collect_y else None)
+            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]))
         acc = part if acc is None else acc.merge(part)
     return acc
 

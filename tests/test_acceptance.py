@@ -16,10 +16,12 @@ from scipy import stats
 from lisrate import asymptotics as asy
 from lisrate.experiments import ScenarioConfig, make_drop, run_scenario, write_csv
 from lisrate.mc_engine import (
+    DEFAULT_CHUNK,
     RATE,
     X,
     Y,
     Z,
+    _chunks,
     compute_terms,
     crandn,
     draw_fading,
@@ -120,8 +122,9 @@ def test_criterion_03_covariance_oracle():
                          mode="los-only", m_grid=(400,), drops=1,
                          realizations=100000, seed=5)
     drop = make_drop(cfg, 0, num_antennas=400)
-    mc = run_monte_carlo(drop, 100000, 5, collect_y=True)
-    ys = mc.y_samples
+    ys = np.concatenate([
+        compute_terms(drop, *draw_fading(drop, rng, k))["y"]
+        for rng, k in _chunks(100000, DEFAULT_CHUNK, 5, 0)])
     n = ys.shape[0]
     los = [i for i, l in enumerate(drop.links) if l.kappa > 0]
     pairs = list(combinations(los, 2))

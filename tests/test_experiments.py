@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -694,3 +695,50 @@ class TestCli:
                         "m_grid = 16\ndrops = 1\nrealizations = 64\n")
         rc = cli.main(["run", "--config", str(path), "--seed", "4"])
         assert rc == 0
+
+
+# The engines at their edges: one antenna or one device, perfect and almost
+# useless CSI, a vanishing and a huge unit.
+EDGE_TAUS = (0.0, 0.5, 1 - 1e-9)
+EDGE_LENGTHS = (1e-6, 0.25, 100.0)
+MC_CELLS = ("mc_mean", "mc_mean_se", "mc_var", "mc_var_se")
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("kind, mode", itertools.product(
+        experiments.SCENARIO_KINDS, experiments.INTERFERENCE_MODES))
+    def test_every_edge_run_exits_with_finite_cells(self, kind, mode,
+                                                     tmp_path):
+        # every M, K, tau and L combination, 1 drop x 16 draws, through the
+        # CLI: exit 0, finite MC cells, finite closed-form cells (nan on
+        # the baseline, as documented) and a finite or infinite bound; and
+        # a sweep-L over a vanishing and a huge unit where sweep-L applies
+        out = tmp_path / "o.csv"
+        m_grid = (2, 4, 16) if kind == "mimo-baseline" else (1, 4, 16)
+        for m, k, tau in itertools.product(m_grid, (1, 2, 3), EDGE_TAUS):
+            base = ["--scenario", kind, "--mode", mode, "--m-grid", str(m),
+                    "--devices", str(k), "--tau", repr(tau), "--drops", "1",
+                    "--realizations", "16", "--out", str(out)]
+            for hl in EDGE_LENGTHS:
+                argv = ["run", *base, "--half-length", repr(hl)]
+                assert cli.main(argv) == 0, argv
+                with open(out) as fh:
+                    (row,) = csv.DictReader(fh)
+                cells = {c: float(row[c]) for c in (
+                    *MC_CELLS, "asym_mean", "asym_var", "bound")}
+                closed = [cells["asym_mean"], cells["asym_var"]]
+                assert all(math.isfinite(cells[c]) for c in MC_CELLS), row
+                if kind == "mimo-baseline":
+                    assert all(map(math.isnan, closed)), row
+                else:
+                    assert all(map(math.isfinite, closed)), row
+                assert cells["bound"] == math.inf \
+                    or math.isfinite(cells["bound"]), row
+            if kind != "mimo-baseline":
+                argv = ["sweep-L", *base, "--l-grid", "1e-6,100"]
+                assert cli.main(argv) == 0, argv
+                with open(out) as fh:
+                    rows = list(csv.DictReader(fh))
+                assert len(rows) == 2, argv
+                assert all(math.isfinite(float(r["asym_mean"]))
+                           for r in rows), rows

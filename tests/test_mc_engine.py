@@ -18,6 +18,7 @@ from lisrate.geometry import Device, build_grid
 from lisrate import mc_engine
 from lisrate.mc_engine import (
     BASIS_ROWS,
+    DEFAULT_CHUNK,
     RATE,
     Y,
     Z,
@@ -153,7 +154,6 @@ class TestDropValidation:
     def test_counts(self):
         d = small_drop(m=25, n_interferers=4)
         assert d.num_antennas == 25
-        assert d.num_devices == 5
 
     def test_stacked_is_built_once(self):
         d = small_drop(m=25, n_interferers=4)
@@ -517,13 +517,17 @@ class TestRunMonteCarlo:
 
     def test_multi_chunk_consistency(self):
         # chunked accumulation must equal direct computation on the samples
+        # of the same chunk stream
         drop = small_drop(seed=4)
-        mc = run_monte_carlo(drop, 3000, 5, chunk_size=1024, collect_y=True)
-        assert mc.n == 3000
-        assert mc.y_samples.shape == (3000, 3)
-        np.testing.assert_allclose(mc.mean[Y], mc.y_samples.mean(0),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(mc.variance[Y], mc.y_samples.var(0, ddof=1),
+        n = 3000
+        mc = run_monte_carlo(drop, n, 5)
+        ys = np.concatenate([
+            compute_terms(drop, *draw_fading(drop, rng, k))["y"]
+            for rng, k in _chunks(n, DEFAULT_CHUNK, 5, 0)])
+        assert mc.n == n
+        assert ys.shape == (n, 3)
+        np.testing.assert_allclose(mc.mean[Y], ys.mean(0), rtol=1e-10)
+        np.testing.assert_allclose(mc.variance[Y], ys.var(0, ddof=1),
                                    rtol=1e-8)
 
     def test_perfect_csi_single_device_rate_is_deterministic(self):
@@ -534,9 +538,9 @@ class TestRunMonteCarlo:
                     tau=0.0, grid=grid, target_z=1.0)
         expect = math.log1p(2.0 * float(np.sum(np.abs(h) ** 2)) ** 2
                             / float(np.sum(np.abs(h) ** 2)))
-        # one chunk, and four merged ones
-        for chunk_size in (2048, 128):
-            mc = run_monte_carlo(drop, 400, 0, chunk_size=chunk_size)
+        # one chunk, and three merged ones
+        for n in (400, 2 * DEFAULT_CHUNK + 400):
+            mc = run_monte_carlo(drop, n, 0)
             assert mc.variance[RATE] == 0.0
             assert mc.se_mean[RATE] == 0.0
             assert mc.se_variance[RATE] == 0.0
@@ -549,11 +553,11 @@ class TestRunMonteCarlo:
         cfg = ScenarioConfig(kind="grid-plane", mode="los-only",
                              num_devices=2, m_grid=(400,), tau=tau, seed=1)
         drop = make_drop(cfg, 0)
-        n, chunk = 4096, 1024
-        mc = run_monte_carlo(drop, n, 1, chunk_size=chunk)
-        z = np.concatenate([compute_terms(drop, *draw_fading(
-            drop, np.random.default_rng(np.random.SeedSequence([1, 0, idx])),
-            chunk))["z"] for idx in range(n // chunk)])
+        n = 2 * DEFAULT_CHUNK
+        mc = run_monte_carlo(drop, n, 1)
+        z = np.concatenate([
+            compute_terms(drop, *draw_fading(drop, rng, k))["z"]
+            for rng, k in _chunks(n, DEFAULT_CHUNK, 1, 0)])
         d = z - z.mean()
         m2, m4 = np.mean(d**2), np.mean(d**4)
         two_pass = math.sqrt((m4 - (n - 3) / (n - 1) * m2**2) / n)
@@ -570,10 +574,10 @@ class TestRunMonteCarlo:
             drop = build_mimo_drop(devices, 16, 0.1, seed=8)
         else:
             drop = small_drop(seed=4)
-        n, chunk, seed, tag = 1000, 256, 9, 2
-        mc = run_monte_carlo(drop, n, seed, drop_tag=tag, chunk_size=chunk)
+        n, seed, tag = 2 * DEFAULT_CHUNK + 500, 9, 2
+        mc = run_monte_carlo(drop, n, seed, drop_tag=tag)
         acc = None
-        for rng, k in _chunks(n, chunk, seed, tag):
+        for rng, k in _chunks(n, DEFAULT_CHUNK, seed, tag):
             t = compute_terms(drop, *draw_fading(drop, rng, k))
             part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
                                           t["z"], t["i"], t["y"].T]))
