@@ -7,7 +7,6 @@ of memory, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import sys
@@ -81,7 +80,7 @@ def _cmd_run(args) -> int:
     if args.out:
         experiments.write_csv(reports, args.out)
     for r in reports:
-        print(f"M={r.num_antennas:5d}  mc_mean={r.mc_mean:.4f} "
+        print(f"M={r.M:5d}  mc_mean={r.mc_mean:.4f} "
               f"mc_var={r.mc_var:.3e}  asym_mean={r.asym_mean:.4f} "
               f"bound={r.bound:.4f}")
     return 0
@@ -96,9 +95,7 @@ def _cmd_sweep_l(args) -> int:
         print(f"L={hl:.3f}  asym_mean={rate:.4f}")
     print(f"optimal L = {best:.3f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(
-                [("L", "asym_mean"), *curve])
+        experiments.write_csv(curve, args.out)
     return 0
 
 

@@ -3,6 +3,7 @@ the surface-size search, and CSV emission."""
 
 from __future__ import annotations
 
+import collections
 import csv
 import ctypes
 import dataclasses
@@ -13,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,6 @@ SPEED_OF_LIGHT = 299792458.0
 
 SCENARIO_KINDS = ("grid-plane", "uniform-room", "mimo-baseline")
 INTERFERENCE_MODES = ("los-only", "nlos-only", "probabilistic")
-
-CSV_HEADER = ("scenario,M,K,L,tau,mc_mean,mc_mean_se,mc_var,mc_var_se,"
-              "asym_mean,asym_var,bound,log_base,seed")
-
 
 PLANE = ((-10.0, 10.0), (-10.0, 10.0), 1.0)  # grid-plane x, y ranges + height
 ROOM = ((-2.0, 2.0), (-2.0, 2.0), (0.0, 2.0))  # uniform-room deployment box
@@ -101,22 +98,13 @@ class ScenarioConfig:
                 raise ConfigError(f"M = {m} is not a perfect square")
 
 
-@dataclass(frozen=True)
-class RateReport:
-    scenario: str
-    num_antennas: int
-    num_devices: int
-    half_length: float
-    tau: float
-    mc_mean: float
-    mc_mean_se: float
-    mc_var: float
-    mc_var_se: float
-    asym_mean: float
-    asym_var: float
-    bound: float
-    log_base: str
-    seed: int
+# One row of `run`'s CSV; its fields are the columns, in order.
+RateReport = collections.namedtuple(
+    "RateReport", "scenario M K L tau mc_mean mc_mean_se mc_var mc_var_se "
+                  "asym_mean asym_var bound log_base seed")
+
+# One point of `sweep-L`'s curve and one row of its CSV.
+CurvePoint = collections.namedtuple("CurvePoint", "L asym_mean")
 
 
 def los_probability(d: float, d_c: float) -> float:
@@ -329,6 +317,7 @@ def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
         th1 = asymptotics.asymptotic_rate_moments(drop)
         asym_mean, asym_var = th1.mean, th1.variance
         bound = asymptotics.rate_bound(drop)
+    # in the order of _DROP_CELLS
     return (mc.mean[RATE], mc.se_mean[RATE], mc.variance[RATE],
             mc.se_variance[RATE], asym_mean, asym_var, bound)
 
@@ -341,33 +330,39 @@ def _per_drop(fn, config: ScenarioConfig, xs, workers: int) -> np.ndarray:
     return out.reshape((len(xs), config.drops) + out.shape[1:])
 
 
+# The RateReport cells that _drop_task gives per drop.  run_scenario averages
+# each over the drops, except the standard errors, which add in quadrature.
+_DROP_CELLS = ("mc_mean", "mc_mean_se", "mc_var", "mc_var_se", "asym_mean",
+               "asym_var", "bound")
+
+
+def _over_drops(name: str, cells: np.ndarray) -> float:
+    if name in ("mc_mean_se", "mc_var_se"):
+        return float(np.sqrt(np.sum(cells ** 2)) / len(cells))
+    return float(cells.mean())
+
+
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
     """Evaluate every M on the grid, averaging drops; deterministic for a
     fixed (config, seed) regardless of the worker count."""
     per_m = _per_drop(_drop_task, config, config.m_grid, workers)
-    n_drops = config.drops
+    # the linear-array baseline has no unit, so no unit size to label
+    hl = math.nan if config.kind == "mimo-baseline" else config.half_length
     return [RateReport(
-        scenario=config.kind, num_antennas=m,
-        num_devices=config.num_devices, half_length=config.half_length,
-        tau=config.tau,
-        mc_mean=float(per_drop[:, 0].mean()),
-        mc_mean_se=float(np.sqrt(np.sum(per_drop[:, 1] ** 2)) / n_drops),
-        mc_var=float(per_drop[:, 2].mean()),
-        mc_var_se=float(np.sqrt(np.sum(per_drop[:, 3] ** 2)) / n_drops),
-        asym_mean=float(per_drop[:, 4].mean()),
-        asym_var=float(per_drop[:, 5].mean()),
-        bound=float(per_drop[:, 6].mean()),
-        log_base=config.log_base, seed=config.seed)
+        scenario=config.kind, M=m, K=config.num_devices, L=hl, tau=config.tau,
+        log_base=config.log_base, seed=config.seed,
+        **{name: _over_drops(name, cells)
+           for name, cells in zip(_DROP_CELLS, per_drop.T)})
         for m, per_drop in zip(config.m_grid, per_m)]
 
 
-def write_csv(reports: list[RateReport], path):
-    """Emit the fixed-schema CSV, one report's fields per row in their
-    declaration order; an unbounded rate serializes as `inf`."""
+def write_csv(rows: list[tuple], path):
+    """Emit namedtuple rows as CSV: the field names, then one row per
+    tuple; an unbounded rate serializes as `inf`."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerows(map(dataclasses.astuple, reports))
+        writer.writerow(rows[0]._fields)
+        writer.writerows(rows)
 
 
 @_trapped("L")
@@ -377,7 +372,7 @@ def _l_task(config: ScenarioConfig, hl: float, drop_index: int) -> float:
 
 
 def optimal_l_search(config: ScenarioConfig, l_grid,
-                     workers: int = 1) -> tuple[float, list[tuple[float, float]]]:
+                     workers: int = 1) -> tuple[float, list[CurvePoint]]:
     """Closed-form rate as a function of the unit half-length; returns the
     argmax and the full drop-averaged curve.  Of equal rates the one first
     in `l_grid` wins, and a NaN rate wins if and only if it comes first."""
@@ -389,8 +384,9 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
         raise ConfigError("l_grid must list one or more positive, finite "
                           "half-lengths")
     rates = _per_drop(_l_task, config, l_grid, workers)
-    curve = [(float(hl), float(np.mean(r))) for hl, r in zip(l_grid, rates)]
-    return max(curve, key=lambda point: point[1])[0], curve
+    curve = [CurvePoint(float(hl), float(np.mean(r)))
+             for hl, r in zip(l_grid, rates)]
+    return max(curve, key=lambda point: point.asym_mean).L, curve
 
 
 # ---------------------------------------------------------------------------

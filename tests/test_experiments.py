@@ -344,7 +344,7 @@ class TestRunScenario:
     def test_report_shape_and_csv(self, tmp_path):
         cfg = ScenarioConfig(**{**FAST, "m_grid": (16, 25)})
         reports = run_scenario(cfg)
-        assert [r.num_antennas for r in reports] == [16, 25]
+        assert [r.M for r in reports] == [16, 25]
         out = tmp_path / "rates.csv"
         write_csv(reports, out)
         with open(out) as fh:
@@ -660,6 +660,33 @@ class TestCli:
                        "--l-grid", "0.2,0.3"])
         assert rc == 0
         assert "optimal L" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,flags,header", [
+        ("run", [], b"scenario,M,K,L,tau,mc_mean,mc_mean_se,mc_var,mc_var_se,"
+                    b"asym_mean,asym_var,bound,log_base,seed"),
+        ("sweep-L", ["--l-grid", "0.2,0.3"], b"L,asym_mean"),
+    ], ids=["run", "sweep-L"])
+    def test_csv_header(self, command, flags, header, tmp_path):
+        # the README's column lists, in order, and CRLF line ends
+        out = tmp_path / "o.csv"
+        rc = cli.main([command, "--scenario", "uniform-room", "--devices",
+                       "4", "--m-grid", "16", "--drops", "1",
+                       "--realizations", "16", "--out", str(out), *flags])
+        assert rc == 0
+        assert out.read_bytes().split(b"\r\n")[0] == header
+
+    def test_mimo_baseline_has_no_unit_size(self, tmp_path):
+        # the linear array reads no half-length, so its CSV labels none
+        outs = [tmp_path / f"{hl}.csv" for hl in ("1e-6", "100")]
+        for hl, out in zip(("1e-6", "100"), outs):
+            rc = cli.main(["run", "--scenario", "mimo-baseline", "--devices",
+                           "3", "--m-grid", "8", "--drops", "1",
+                           "--realizations", "16", "--half-length", hl,
+                           "--out", str(out)])
+            assert rc == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        with open(outs[0], newline="") as fh:
+            assert [row["L"] for row in csv.DictReader(fh)] == ["nan"]
 
     def test_validate_passes(self, capsys):
         rc = cli.main(["validate", "--scenario", "uniform-room", "--devices",
