@@ -37,11 +37,18 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     product per entry instead of n exponentials (Van Loan 2000, "The
     ubiquitous Kronecker product").  Every steering vector, correlation
     factor and separable projection is built from these."""
-    b = math.isqrt(n - 1) + 1
-    coarse = np.exp(1j * np.multiply.outer(np.arange(0, n, b), steps))
-    fine = np.exp(1j * np.multiply.outer(np.arange(b), steps))
+    coarse, fine = _ramp_factors(n, steps)
     ramp = coarse[:, None] * fine[None, :]
-    return ramp.reshape((ramp.shape[0] * b,) + ramp.shape[2:])[:n]
+    return ramp.reshape((len(coarse) * len(fine),) + ramp.shape[2:])[:n]
+
+
+def _ramp_factors(n: int, steps):
+    """`_phase_ramp`'s coarse and fine ramps, shapes (ceil(n/b),) and (b,)
+    + steps.shape with b = ceil(sqrt(n)): entry b k1 + k2 of the ramp is
+    coarse[k1] fine[k2]."""
+    b = math.isqrt(n - 1) + 1
+    return (np.exp(1j * np.multiply.outer(np.arange(0, n, b), steps)),
+            np.exp(1j * np.multiply.outer(np.arange(b), steps)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -158,6 +165,19 @@ class Scattering:
         """||h^H R||^2 from the separable form."""
         return float(np.sum(self.gains**2 * np.abs(self._contract(h)) ** 2)
                      / self.num_antennas)
+
+    def lags(self):
+        """The (M,) lags t(delta) = loss^2 sum_p gains_p^2
+        exp(1j step_h,p delta) / M, delta < M, when one scalar loss on a
+        linear array (n_v = 1) makes R R^H the Hermitian Toeplitz matrix
+        [t(m - m')], with t(-delta) = conj(t(delta)); else None.  The sum
+        over paths is one (ceil(M/b), P) x (P, b) product of `_ramp_factors`'
+        coarse and fine ramps, so no (M, P) array is formed."""
+        if self.n_v != 1 or np.ndim(self.loss) or not self.num_paths:
+            return None
+        coarse, fine = _ramp_factors(self.n_h, self.step_h)
+        t = ((coarse * self.gains**2) @ fine.T).reshape(-1)[:self.n_h]
+        return t * (self.loss**2 / self.n_h)
 
     def basis(self):
         """(U_v, U_h, conj(C)) when the ramp bases of the band have

@@ -2,13 +2,15 @@
 
 The README's engine paragraph describes the two SINR paths, the separable
 paths, the one fading draw per interferer and the chunked moments.
-compute_terms projects a link through its cached ramp basis wherever that
-spans fewer directions than the link has paths (`Scattering.basis`), and
-through the dense factor elsewhere; sinr_direct always takes the dense
-factor, so the two paths check each other.  Every kernel takes a batch of
-draw_fading's realizations, one per row; sums of squares run over float
-views, with no complex abs; and chunks merge in index order with seeds from
-(seed, drop, chunk), whatever the worker count.
+compute_terms takes each interferer's ||f^H R||^2 by one of three routes,
+chosen by its paths: one shared FFT per row for every link whose R R^H is
+Toeplitz, i.e. one scalar loss on a linear array (`Scattering.lags`); the
+cached ramp basis for a link whose band it spans with fewer directions than
+it has paths (`Scattering.basis`); the dense factor elsewhere.  sinr_direct
+always takes the dense factor, so the two paths check each other.  Every
+kernel takes a batch of draw_fading's realizations, one per row; sums of
+squares run over float views, with no complex abs; and chunks merge in index
+order with seeds from (seed, drop, chunk), whatever the worker count.
 """
 
 from __future__ import annotations
@@ -189,12 +191,37 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
     return power
 
 
+def _spectral_power(lags, xs, d, k) -> np.ndarray:
+    """||f^H R_j||^2 per row of f = k + d xs (k None for k = 0) and per
+    link j whose R_j R_j^H is Toeplitz, from the (J, M) lags t_j of
+    `Scattering.lags`.  f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over
+    the length-L DFTs F of f and T_j of the lags (Gray 2006, "Toeplitz and
+    circulant matrices: a review"); L, the power of two >= 2M - 1, keeps
+    the negative lags from wrapping onto the positive ones, and
+    T_j = 2 Re DFT(t_j) - t_j(0) is real.  So one FFT per row serves every
+    link: BASIS_ROWS rows at a time, the squares of its float view times T
+    repeated per (re, im) pair.  Clamped at 0, which a sum of squares
+    cannot cross but this sum can round below."""
+    size = 1 << (2 * lags.shape[1] - 2).bit_length()
+    spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
+    weights = np.repeat(spectrum.T / size, 2, axis=0)      # (2L, J)
+    power = np.empty((len(xs), len(lags)))
+    for start in range(0, len(xs), BASIS_ROWS):
+        y = xs[start:start + BASIS_ROWS] * d
+        if k is not None:
+            y += k
+        v = np.fft.fft(y, size).view(float)
+        power[start:start + BASIS_ROWS] = np.square(v, out=v) @ weights
+    return np.maximum(power, 0.0, out=power)
+
+
 def compute_terms(drop: Drop, eps, g_des, w):
     """Decomposed SINR terms for a batch of realizations from draw_fading.
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
-    the LOS vectors, ||f^H R_j||^2 per link from `_path_power`, and
+    the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for all the links
+    with lags at once and from `_path_power` per link for the rest, and
     f^H h_j is drawn as a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
     desired h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only
     read; a stochastic one has k = 0, so no k^H V is formed, d = 1 and
@@ -225,8 +252,14 @@ def compute_terms(drop: Drop, eps, g_des, w):
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
     power = np.empty((len(eps), len(drop.links)))      # ||f^H R_j||^2
-    for idx, link in enumerate(drop.links):
-        power[:, idx] = _path_power(link.paths, xs, d, k)
+    lags = [link.paths.lags() for link in drop.links]
+    toeplitz = [j for j, t in enumerate(lags) if t is not None]
+    if toeplitz:
+        power[:, toeplitz] = _spectral_power(
+            np.array([lags[j] for j in toeplitz]), xs, d, k)
+    for j, link in enumerate(drop.links):
+        if lags[j] is None:
+            power[:, j] = _path_power(link.paths, xs, d, k)
     y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
 
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z

@@ -248,7 +248,7 @@ def test_criterion_08_surface_vs_linear_array():
 
 @pytest.mark.skipif(os.environ.get("LISRATE_RUN_SLOW") != "1",
                     reason="set LISRATE_RUN_SLOW=1 to run the large-M "
-                           "crossover check (~30 s)")
+                           "crossover check (~7 s)")
 def test_criterion_08b_large_m_crossover():
     """Optional: by M=2500 the linear array has caught up (ratio <= 1.3)."""
     lis = _mean_rate("uniform-room", "probabilistic", 2500, 5, 100)

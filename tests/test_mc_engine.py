@@ -27,6 +27,7 @@ from lisrate.mc_engine import (
     McResult,
     _chunks,
     _path_power,
+    _spectral_power,
     compute_terms,
     crandn,
     draw_fading,
@@ -408,7 +409,8 @@ class TestBasisPath:
         ("grid-plane", 900, 0.25), ("mimo-baseline", 100, 0.25)])
     def test_dense_where_rank_reaches_paths(self, kind, m, half_length):
         # r >= P (1064 >= 800, 567 >= 450), or a linear array whose
-        # half-wavelength ramps fill their band: the dense product
+        # half-wavelength ramps fill their band: no basis (the linear
+        # array takes the spectral route instead)
         drop = nlos_drop(kind, m, half_length)
         assert all(link.paths.basis() is None for link in drop.links)
 
@@ -422,6 +424,99 @@ class TestBasisPath:
         np.testing.assert_array_equal(eps, crandn(ref, (8, 16)))
         assert g_des is None and w.shape == (8, 4) and not w.any()
         assert rng.standard_normal() == ref.standard_normal()
+
+
+def baseline_drop(m, num_devices, seed=2):
+    """A linear-array baseline drop with devices spread from 1 m out."""
+    devices = [Device(position=np.array([1.0 + 0.3 * i, 0.5 * i, 1.0]),
+                      index=i) for i in range(num_devices)]
+    return build_mimo_drop(devices, m, 0.1, seed=seed)
+
+
+class TestSpectralPath:
+    @pytest.mark.parametrize("m", [2, 4, 100, 400])
+    @pytest.mark.parametrize("num_devices", [1, 2, 30])
+    def test_matches_receiver_path(self, m, num_devices):
+        # K = 1 has no interferer, M = 2 has P = 1, and the rows end in a
+        # partial block
+        drop = baseline_drop(m, num_devices)
+        fading = draw_fading(drop, np.random.default_rng(m + num_devices),
+                             BASIS_ROWS + 9)
+        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                   sinr_direct(drop, *fading), rtol=1e-12)
+
+    def test_builds_only_the_desired_factor(self, monkeypatch):
+        drop = baseline_drop(100, 30)
+        fading = draw_fading(drop, np.random.default_rng(1), 16)
+        built = []
+
+        def counted(paths, *args, **kwargs):
+            built.append(paths)
+            return correlation_factor(paths, *args, **kwargs)
+        monkeypatch.setattr(mc_engine, "correlation_factor", counted)
+        compute_terms(drop, *fading)
+        assert len(built) == 1 and built[0] is drop.desired.paths
+
+    def test_power_matches_dense_factor(self):
+        # with k and a per-antenna d, as a deterministic desired channel
+        # gives them: every link's power against the dense (M, P) product
+        drop = baseline_drop(100, 6)
+        rng = np.random.default_rng(3)
+        xs = crandn(rng, (BASIS_ROWS + 9, 100))
+        d = rng.uniform(0.5, 1.5, 100)
+        k = crandn(rng, 100)
+        lags = np.array([link.paths.lags() for link in drop.links])
+        for kk in (None, k):
+            power = _spectral_power(lags, xs, d, kk)
+            for link, col in zip(drop.links, power.T, strict=True):
+                q = xs @ correlation_factor(link.paths, d, conjugate=True)
+                if kk is not None:
+                    q += np.conj(link.paths.project(kk))
+                np.testing.assert_allclose(col, np.sum(np.abs(q) ** 2, 1),
+                                           rtol=1e-12)
+
+    def test_planar_and_pathless_links_take_no_route(self, monkeypatch):
+        # per-antenna loss (grid-plane, uniform-room), no paths (los-only)
+        # and the planar scalar-loss link of the blind-link test have no
+        # lags, and the kernel never takes the route for them
+        link = small_drop().links[0]
+        blind = dataclasses.replace(
+            link, paths=dataclasses.replace(link.paths, loss=0.0))
+        drops = [nlos_drop(kind, 100, 0.25, mode=mode, num_devices=4)
+                 for kind in ("grid-plane", "uniform-room")
+                 for mode in ("los-only", "nlos-only", "probabilistic")]
+        drops.append(dataclasses.replace(small_drop(), links=(blind,)))
+
+        def forbidden(*args):
+            raise AssertionError("took the spectral route")
+        monkeypatch.setattr(mc_engine, "_spectral_power", forbidden)
+        for drop in drops:
+            assert all(link.paths.lags() is None for link in drop.links)
+            compute_terms(drop, *draw_fading(drop, np.random.default_rng(0),
+                                             4))
+
+    def test_power_is_clamped_at_zero(self):
+        # M = 2, P = 1: f orthogonal to the interferer's only path has
+        # ||f^H R||^2 = 0, which the spectral sum rounds to either side of
+        # 0; clamped, the kernel's sqrt raises nothing
+        drop = baseline_drop(2, 2, seed=4)
+        (link,) = drop.links
+        rng = np.random.default_rng(6)
+        n = 64
+        scale = rng.uniform(0.1, 10.0, n) * np.exp(2j * np.pi * rng.random(n))
+        f = np.outer(scale, [1.0, -np.exp(1j * link.paths.step_h[0])])
+        g_des = crandn(rng, (n, 1))
+        h = g_des @ correlation_factor(drop.desired.paths).T
+        eps = (f - math.sqrt(1 - drop.tau**2) * h) \
+            / (drop.tau * drop.err_amp)
+        w = crandn(rng, (n, 1))
+        with np.errstate(invalid="raise"):
+            power = _spectral_power(link.paths.lags()[None], f, 1.0, None)
+            gamma = compute_terms(drop, eps, g_des, w)["gamma"]
+        assert np.all(power >= 0.0)
+        assert np.all(np.isfinite(gamma))
+        np.testing.assert_allclose(gamma, sinr_direct(drop, eps, g_des, w),
+                                   rtol=1e-12)
 
 
 def stats(m: McResult):
