@@ -1,6 +1,6 @@
-"""Deterministic channel construction: LOS vectors, steering vectors and
-the scattered paths of a link, kept in separable form (`Scattering`) and
-expanded to a dense correlation factor only on demand.  A link combines
+"""Deterministic channel construction: LOS vectors and the scattered paths
+of a link, kept in separable form (`Scattering`) and expanded to a dense
+correlation factor only on demand.  A link combines
 them as `mc_engine.Link`."""
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     Kronecker product of a coarse ramp exp(1j step b k1) and a fine one
     exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
     product per entry instead of n exponentials (Van Loan 2000, "The
-    ubiquitous Kronecker product").  Every steering vector, correlation
-    factor and separable projection is built from these."""
+    ubiquitous Kronecker product").  Every correlation factor, separable
+    projection and ramp basis is built from these."""
     coarse, fine = _ramp_factors(n, steps)
     ramp = coarse[:, None] * fine[None, :]
     return ramp.reshape((len(coarse) * len(fine),) + ramp.shape[2:])[:n]
@@ -64,46 +64,6 @@ def ramp_basis(n: int, band: float) -> np.ndarray:
     u = u[:, sv > RAMP_BASIS_RTOL * sv[0]]
     u.flags.writeable = False
     return u
-
-
-def _steering(n_v: int, n_h: int, step_v, step_h, gains=1.0) -> np.ndarray:
-    """gains (d_v kron d_h) / sqrt(n_v n_h) for the phase ramps d_v, d_h of
-    lengths n_v and n_h, one column per step pair, in one pass: shape
-    (n_v n_h,) + steps' shape, a fresh C-contiguous array."""
-    d_v = _phase_ramp(n_v, step_v) * gains
-    d_h = _phase_ramp(n_h, step_h) / math.sqrt(n_v * n_h)
-    return (d_v[:, None] * d_h[None, :]).reshape((n_v * n_h,) + d_v.shape[1:])
-
-
-def _upa_steps(theta_v, theta_h, spacing: float, wavelength: float):
-    """Planar-array phase steps (2 pi spacing / wavelength) * phi with
-    phi_v = sin(theta_v) and phi_h = sin(theta_h) cos(theta_h)."""
-    step = 2.0 * np.pi * spacing / wavelength
-    return step * np.sin(theta_v), step * (np.sin(theta_h) * np.cos(theta_h))
-
-
-def upa_steering(theta_v, theta_h, num_antennas: int, spacing: float,
-                 wavelength: float) -> np.ndarray:
-    """Planar-array steering vectors (1/sqrt(M)) d_v(phi_v) kron d_h(phi_h).
-
-    phi_v = sin(theta_v) and phi_h = sin(theta_h) cos(theta_h); both ramps
-    have phase step (2 pi spacing / wavelength) * phi.  The angles broadcast
-    against each other; the result has shape (M,) + that shape, one steering
-    vector per column.
-    """
-    n = math.isqrt(num_antennas)
-    if n * n != num_antennas:
-        raise ValueError(f"num_antennas must be a perfect square, got {num_antennas}")
-    theta_v, theta_h = np.broadcast_arrays(theta_v, theta_h)
-    return _steering(n, n, *_upa_steps(theta_v, theta_h, spacing, wavelength))
-
-
-def ula_steering(theta_h, num_antennas: int, spacing: float,
-                 wavelength: float) -> np.ndarray:
-    """Linear-array steering vectors with phase step (2 pi spacing/lambda)
-    sin(theta), shape (M,) + theta_h.shape."""
-    step = 2.0 * np.pi * spacing / wavelength * np.sin(theta_h)
-    return _phase_ramp(num_antennas, step) / math.sqrt(num_antennas)
 
 
 @dataclass(frozen=True)
@@ -204,25 +164,28 @@ def nlos_scattering(device: Device, grid: AntennaGrid, angles,
     angles, radians in (-pi/2, pi/2): per-antenna NLOS loss
     d_m**(-beta_pl/2), with the device-to-antenna distance clamped at
     NLOS_MIN_DISTANCE, per-path gains sqrt(cos(theta_v) cos(theta_h)), and
-    `upa_steering`'s phase steps, which lie in the band |step_v| <= s and
-    |step_h| <= s/2 with s = 2 pi spacing / wavelength."""
+    the planar phase steps s sin(theta_v) and s sin(theta_h) cos(theta_h)
+    with s = 2 pi spacing / wavelength, which lie in the band
+    |step_v| <= s and |step_h| <= s/2."""
     theta_v, theta_h = angles
     band = 2.0 * math.pi * grid.spacing / grid.wavelength
     d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
-    step_v, step_h = _upa_steps(theta_v, theta_h, grid.spacing,
-                                grid.wavelength)
     return Scattering(loss=d ** (-beta_pl / 2.0),
                       gains=np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
-                      step_v=step_v, step_h=step_h, n_v=grid.side,
-                      n_h=grid.side, band=(band, band / 2.0))
+                      step_v=band * np.sin(theta_v),
+                      step_h=band * (np.sin(theta_h) * np.cos(theta_h)),
+                      n_v=grid.side, n_h=grid.side, band=(band, band / 2.0))
 
 
 def correlation_factor(s: Scattering, scale=1.0,
                        conjugate: bool = False) -> np.ndarray:
     """The dense C-contiguous (M, P) factor diag(scale loss) [gains_p
-    steering_p], or its conjugate (negated phase steps) when `conjugate`,
-    in two passes: the ramps' outer product, then one row scale."""
+    (d_v,p kron d_h,p) / sqrt(M)], or its conjugate (negated phase steps)
+    when `conjugate`, in two passes: the ramps' outer product, then one
+    row scale."""
     sign = -1.0 if conjugate else 1.0
-    r = _steering(s.n_v, s.n_h, sign * s.step_v, sign * s.step_h, s.gains)
+    d_v = _phase_ramp(s.n_v, sign * s.step_v) * s.gains
+    d_h = _phase_ramp(s.n_h, sign * s.step_h) / math.sqrt(s.num_antennas)
+    r = (d_v[:, None] * d_h[None, :]).reshape(s.num_antennas, s.num_paths)
     r *= np.reshape(s.loss * scale, (-1, 1))
     return r

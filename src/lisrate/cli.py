@@ -7,13 +7,13 @@ of memory, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import sys
 
 import numpy as np
 
 from . import asymptotics, experiments, mc_engine
+from .channel import Scattering, correlation_factor
 from .experiments import ConfigError, ScenarioConfig
 from .mc_engine import I, X, Y, Z
 
@@ -132,37 +132,43 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    """Quick invariants: dual-path SINR identity on uniform-room and
-    linear-array baseline drops, and steering norms."""
+    """Quick invariants: the dual-path SINR identity on drops that take all
+    three routes of the term kernel, and unit-norm correlation-factor
+    columns of a planar and a linear array."""
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     worst = 0.0
-    for kind, trial in itertools.product(("uniform-room", "mimo-baseline"),
-                                         range(50)):
-        m = int(rng.choice([4, 16, 64]))
-        config = ScenarioConfig(kind=kind, num_devices=4,
-                                m_grid=(m,), realizations=2,
-                                mode="probabilistic", drops=1,
-                                seed=int(rng.integers(1 << 30)))
-        drop = experiments.make_drop(config, 0)
-        fade_rng = np.random.default_rng(trial)
-        fading = mc_engine.draw_fading(drop, fade_rng, 1)
-        a = mc_engine.compute_terms(drop, *fading)["gamma"][0]
-        b = mc_engine.sinr_direct(drop, *fading)[0]
-        worst = max(worst, abs(a - b) / b)
+    # Uniform-room drops take the dense route, the baseline's the spectral
+    # route, and a 0.1 m unit at M = 400 the ramp basis (r = 180 < P = 200).
+    for kind, mode, half_length, m_grid, trials in (
+            ("uniform-room", "probabilistic", 0.25, [4, 16, 64], 50),
+            ("mimo-baseline", "probabilistic", 0.25, [4, 16, 64], 50),
+            ("uniform-room", "nlos-only", 0.05, [400], 3)):
+        for trial in range(trials):
+            m = int(rng.choice(m_grid))
+            config = ScenarioConfig(kind=kind, num_devices=4, m_grid=(m,),
+                                    realizations=2, mode=mode, drops=1,
+                                    half_length=half_length,
+                                    seed=int(rng.integers(1 << 30)))
+            drop = experiments.make_drop(config, 0)
+            fade_rng = np.random.default_rng(trial)
+            fading = mc_engine.draw_fading(drop, fade_rng, 1)
+            a = mc_engine.compute_terms(drop, *fading)["gamma"][0]
+            b = mc_engine.sinr_direct(drop, *fading)[0]
+            worst = max(worst, abs(a - b) / b)
     print(f"dual-path SINR identity: worst relative gap {worst:.3e}")
     if worst > 1e-10:
         return EXIT_NUMERICAL
 
-    from .channel import ula_steering, upa_steering
-    for theta in np.linspace(-1.4, 1.4, 7):
-        n1 = np.linalg.norm(upa_steering(theta, -theta / 2, 16, 0.05, 0.1))
-        n2 = np.linalg.norm(ula_steering(theta, 16, 0.05, 0.1))
-        if abs(n1 - 1) > 1e-12 or abs(n2 - 1) > 1e-12:
-            print("steering vector norm check failed")
+    steps = np.pi * np.sin(np.linspace(-1.4, 1.4, 7))
+    for n_v, n_h in ((4, 4), (1, 16)):
+        paths = Scattering(1.0, np.ones(7), steps, -steps / 2, n_v, n_h)
+        norms = np.linalg.norm(correlation_factor(paths), axis=0)
+        if np.max(np.abs(norms - 1)) > 1e-12:
+            print("correlation factor column norm check failed")
             return EXIT_NUMERICAL
-    print("steering vector norms: OK")
+    print("correlation factor column norms: OK")
     return 0
 
 

@@ -6,7 +6,8 @@ compute_terms takes each interferer's ||f^H R||^2 by one of three routes,
 chosen by its paths: one shared FFT per row for every link whose R R^H is
 Toeplitz, i.e. one scalar loss on a linear array (`Scattering.lags`); the
 cached ramp basis for a link whose band it spans with fewer directions than
-it has paths (`Scattering.basis`); the dense factor elsewhere.  sinr_direct
+it has paths (`Scattering.basis`); the dense factor for every other link
+with paths.  A pathless link takes no route: its power is 0.  sinr_direct
 always takes the dense factor, so the two paths check each other.  Every
 kernel takes a batch of draw_fading's realizations, one per row; sums of
 squares run over float views, with no complex abs; and chunks merge in index
@@ -221,8 +222,9 @@ def compute_terms(drop: Drop, eps, g_des, w):
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
     the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for all the links
-    with lags at once and from `_path_power` per link for the rest, and
-    f^H h_j is drawn as a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
+    with lags at once and from `_path_power` per link for the other links
+    with paths (0 for a pathless link), and f^H h_j is drawn as
+    a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
     desired h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only
     read; a stochastic one has k = 0, so no k^H V is formed, d = 1 and
     X = f, built in place of its rows with one (n, M) temporary.
@@ -251,15 +253,16 @@ def compute_terms(drop: Drop, eps, g_des, w):
         d, xs, k = 1.0, h, None
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
-    power = np.empty((len(eps), len(drop.links)))      # ||f^H R_j||^2
-    lags = [link.paths.lags() for link in drop.links]
-    toeplitz = [j for j, t in enumerate(lags) if t is not None]
+    power = np.zeros((len(eps), len(drop.links)))      # ||f^H R_j||^2
+    lags = {j: link.paths.lags() for j, link in enumerate(drop.links)
+            if link.num_paths}
+    toeplitz = [j for j, t in lags.items() if t is not None]
     if toeplitz:
         power[:, toeplitz] = _spectral_power(
             np.array([lags[j] for j in toeplitz]), xs, d, k)
-    for j, link in enumerate(drop.links):
-        if lags[j] is None:
-            power[:, j] = _path_power(link.paths, xs, d, k)
+    for j, t in lags.items():
+        if t is None:
+            power[:, j] = _path_power(drop.links[j].paths, xs, d, k)
     y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
 
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lisrate.baseline_mimo import build_mimo_drop
-from lisrate.channel import correlation_factor, ula_steering
+from lisrate.channel import correlation_factor
 from lisrate.geometry import Device
 
 
@@ -21,16 +21,17 @@ def ring_devices(k, radius=3.0, z=1.5):
 class TestUlaPaths:
     def test_half_wavelength_steering(self):
         # each path's phase step is pi sin(theta): spacing lambda/2, and
-        # the built block is the scalar loss times ULA steering there
+        # the built block is the scalar loss times the ULA ramps
+        # exp(1j pi sin(theta) k) / sqrt(M) there
         drop = build_mimo_drop(ring_devices(3), 16, 0.1, seed=0)
         paths = drop.links[0].paths
         assert (paths.n_v, paths.n_h) == (1, 16)
         assert np.all(np.abs(paths.step_h) < np.pi)
         np.testing.assert_array_equal(paths.gains, 1.0)
         theta = np.arcsin(paths.step_h / np.pi)
-        np.testing.assert_allclose(
-            correlation_factor(paths),
-            paths.loss * ula_steering(theta, 16, 0.05, 0.1), rtol=1e-12)
+        ramps = np.exp(1j * np.pi * np.outer(np.arange(16), np.sin(theta)))
+        np.testing.assert_allclose(correlation_factor(paths),
+                                   paths.loss * ramps / 4.0, rtol=1e-12)
 
 
 class TestBuildMimoDrop:

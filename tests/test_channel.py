@@ -6,13 +6,12 @@ import pytest
 
 from lisrate.channel import (
     NLOS_MIN_DISTANCE,
+    Scattering,
     _phase_ramp,
     correlation_factor,
     los_channel,
     nlos_scattering,
     ramp_basis,
-    ula_steering,
-    upa_steering,
 )
 from lisrate.geometry import Device, build_grid, distance, los_gain
 
@@ -62,48 +61,63 @@ class TestPhaseRamp:
             rtol=0, atol=1e-12)
 
 
+# Phase step of half-wavelength spacing, 2 pi 0.05 / 0.1.
+STEP = math.pi
+
+
+def ramp(n, step):
+    """exp(1j step k) for k < n, one exponential per entry."""
+    return np.exp(1j * step * np.arange(n))
+
+
+def unit_paths(theta_v, theta_h, n_v, n_h):
+    """Unit-loss, unit-gain paths at the angles on an n_v x n_h array, with
+    the planar steps STEP sin(theta_v) and STEP sin(theta_h) cos(theta_h)."""
+    theta_v, theta_h = np.atleast_1d(theta_v, theta_h)
+    return Scattering(1.0, np.ones(theta_v.size), STEP * np.sin(theta_v),
+                      STEP * np.sin(theta_h) * np.cos(theta_h), n_v, n_h)
+
+
 class TestSteering:
+    # the columns of correlation_factor with unit loss and gains are the
+    # steering vectors (d_v kron d_h) / sqrt(M)
     @pytest.mark.parametrize("tv,th", [(0.0, 0.0), (0.5, -0.3), (-1.2, 0.9)])
     def test_upa_unit_norm(self, tv, th):
-        v = upa_steering(tv, th, 64, 0.05, 0.1)
+        v = correlation_factor(unit_paths(tv, th, 8, 8))[:, 0]
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
     def test_upa_is_kron_of_ramps(self):
-        v = upa_steering(0.4, -0.2, 16, 0.05, 0.1)
-        step = 2 * np.pi * 0.05 / 0.1
-        dv = np.exp(1j * step * math.sin(0.4) * np.arange(4))
-        dh = np.exp(1j * step * math.sin(-0.2) * math.cos(-0.2) * np.arange(4))
+        v = correlation_factor(unit_paths(0.4, -0.2, 4, 4))[:, 0]
+        dv = ramp(4, STEP * math.sin(0.4))
+        dh = ramp(4, STEP * math.sin(-0.2) * math.cos(-0.2))
         np.testing.assert_allclose(v, np.kron(dv, dh) / 4.0)
 
     def test_upa_broadside_is_flat(self):
-        v = upa_steering(0.0, 0.0, 25, 0.05, 0.1)
+        v = correlation_factor(unit_paths(0.0, 0.0, 5, 5))[:, 0]
         np.testing.assert_allclose(v, np.full(25, 0.2))
 
-    def test_upa_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            upa_steering(0.0, 0.0, 10, 0.05, 0.1)
-
     def test_broadcast_matches_kron_of_ramps(self):
-        # one steering vector per angle, in the angles' shape after M
+        # one column per path, vertical ramp outer, horizontal ramp inner;
+        # a linear array (n_v = 1) is the horizontal ramp alone
         rng = np.random.default_rng(4)
-        tv = rng.uniform(-1.5, 1.5, (2, 3))
-        th = rng.uniform(-1.5, 1.5, (2, 3))
-        step = 2 * np.pi * 0.05 / 0.1
-        k = np.arange(5)
-        upa = upa_steering(tv, th, 25, 0.05, 0.1)
-        ula = ula_steering(th, 25, 0.05, 0.1)
-        assert upa.shape == ula.shape == (25, 2, 3)
-        for i, j in np.ndindex(2, 3):
-            dv = np.exp(1j * step * math.sin(tv[i, j]) * k)
-            dh = np.exp(1j * step * math.sin(th[i, j])
-                        * math.cos(th[i, j]) * k)
-            np.testing.assert_allclose(upa[:, i, j], np.kron(dv, dh) / 5.0,
+        tv = rng.uniform(-1.5, 1.5, 6)
+        th = rng.uniform(-1.5, 1.5, 6)
+        upa = correlation_factor(unit_paths(tv, th, 5, 5))
+        ula = correlation_factor(unit_paths(tv, th, 1, 25))
+        assert upa.shape == ula.shape == (25, 6)
+        for p in range(6):
+            step_h = STEP * math.sin(th[p]) * math.cos(th[p])
+            dv = ramp(5, STEP * math.sin(tv[p]))
+            np.testing.assert_allclose(upa[:, p],
+                                       np.kron(dv, ramp(5, step_h)) / 5.0,
                                        rtol=1e-14)
-            ramp = np.exp(1j * step * math.sin(th[i, j]) * np.arange(25))
-            np.testing.assert_allclose(ula[:, i, j], ramp / 5.0, rtol=1e-14)
+            np.testing.assert_allclose(ula[:, p], ramp(25, step_h) / 5.0,
+                                       rtol=1e-14)
 
     def test_ula_unit_norm_and_step(self):
-        v = ula_steering(0.7, 8, 0.05, 0.1)
+        paths = Scattering(1.0, np.ones(1), np.zeros(1),
+                           np.array([STEP * math.sin(0.7)]), 1, 8)
+        v = correlation_factor(paths)[:, 0]
         assert np.linalg.norm(v) == pytest.approx(1.0)
         step = np.angle(v[1] / v[0])
         assert step == pytest.approx(2 * np.pi * 0.5 * math.sin(0.7))
@@ -129,9 +143,11 @@ class TestCorrelationFactor:
         d = np.maximum(distance(dev.position, grid.positions), NLOS_MIN_DISTANCE)
         loss = d ** (-3.7 / 2)
         gain0 = math.sqrt(math.cos(theta_v[0]) * math.cos(theta_h[0]))
-        col0 = gain0 * upa_steering(theta_v[0], theta_h[0], 16,
-                                    grid.spacing, 0.1)
-        np.testing.assert_allclose(rh[:, 0], loss * col0)
+        step = 2 * np.pi * grid.spacing / 0.1
+        dv = ramp(4, step * math.sin(theta_v[0]))
+        dh = ramp(4, step * math.sin(theta_h[0]) * math.cos(theta_h[0]))
+        np.testing.assert_allclose(rh[:, 0],
+                                   loss * gain0 * np.kron(dv, dh) / 4.0)
 
     def test_distance_clamp(self, grid):
         # device nearly touching the surface: distances < 1 m must clamp

@@ -716,6 +716,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("dual-path SINR identity") == 1
 
+    def test_selftest_reaches_every_route(self, monkeypatch):
+        # the identity is checked on each of the term kernel's three routes
+        # for ||f^H R_j||^2: spectral, ramp basis and dense factor
+        routes = []
+        spectral, path_power = mc_engine._spectral_power, mc_engine._path_power
+
+        def spectral_spy(*args):
+            routes.append("spectral")
+            return spectral(*args)
+
+        def path_spy(paths, *args):
+            routes.append("dense" if paths.basis() is None else "basis")
+            return path_power(paths, *args)
+        monkeypatch.setattr(mc_engine, "_spectral_power", spectral_spy)
+        monkeypatch.setattr(mc_engine, "_path_power", path_spy)
+        assert cli.main(["selftest", "--seed", "0"]) == 0
+        assert set(routes) == {"spectral", "basis", "dense"}
+
     def test_config_file_flow(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("kind = uniform-room\nnum_devices = 4\n"

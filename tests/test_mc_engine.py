@@ -478,7 +478,9 @@ class TestSpectralPath:
     def test_planar_and_pathless_links_take_no_route(self, monkeypatch):
         # per-antenna loss (grid-plane, uniform-room), no paths (los-only)
         # and the planar scalar-loss link of the blind-link test have no
-        # lags, and the kernel never takes the route for them
+        # lags, and the kernel never takes the spectral route for them; a
+        # los-only drop's pathless links take no route at all and keep
+        # power 0, so its kernel builds no factor
         link = small_drop().links[0]
         blind = dataclasses.replace(
             link, paths=dataclasses.replace(link.paths, loss=0.0))
@@ -487,13 +489,25 @@ class TestSpectralPath:
                  for mode in ("los-only", "nlos-only", "probabilistic")]
         drops.append(dataclasses.replace(small_drop(), links=(blind,)))
 
-        def forbidden(*args):
-            raise AssertionError("took the spectral route")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("took a route")
         monkeypatch.setattr(mc_engine, "_spectral_power", forbidden)
         for drop in drops:
             assert all(link.paths.lags() is None for link in drop.links)
             compute_terms(drop, *draw_fading(drop, np.random.default_rng(0),
                                              4))
+        monkeypatch.setattr(mc_engine, "_path_power", forbidden)
+        monkeypatch.setattr(mc_engine, "correlation_factor", forbidden)
+        for drop in drops[:6:3]:              # the two los-only drops
+            assert not any(link.num_paths for link in drop.links)
+            fading = draw_fading(drop, np.random.default_rng(0), 4)
+            terms = compute_terms(drop, *fading)
+            los, a = drop.stacked[:2]
+            f = (math.sqrt(1 - drop.tau**2) * drop.desired.h_los
+                 + drop.tau * drop.err_amp * fading[0])
+            np.testing.assert_allclose(terms["y"],
+                                       np.abs(a * (f.conj() @ los)) ** 2,
+                                       rtol=1e-12)
 
     def test_power_is_clamped_at_zero(self):
         # M = 2, P = 1: f orthogonal to the interferer's only path has
