@@ -11,7 +11,9 @@ with paths.  A pathless link takes no route: its power is 0.  sinr_direct
 always takes the dense factor, so the two paths check each other.  Every
 kernel takes a batch of draw_fading's realizations, one per row; sums of
 squares run over float views, with no complex abs; and chunks merge in index
-order with seeds from (seed, drop, chunk), whatever the worker count.
+order with seeds from (seed, drop, chunk), whatever the worker count.  A
+chunk whose rows draw eps alone is drawn and reduced BASIS_ROWS rows at a
+time, so it never holds its (n, M) error draws.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
 DEFAULT_CHUNK = 2048
-# Rows per pass of the basis projection: bounds its (rows, M) temporary.
+# Rows per pass of the basis projection, of the spectral FFT and of a
+# streamed chunk's draws: bounds each pass's (rows, M) arrays.
 BASIS_ROWS = 64
 
 
@@ -87,6 +90,11 @@ class Drop:
         return self.desired.h_los.shape[0]
 
     @cached_property
+    def pathless(self) -> bool:
+        """No interferer has scattered paths, so w draws nothing."""
+        return not any(link.num_paths for link in self.links)
+
+    @cached_property
     def stacked(self):
         """The interferers over J = K-1 columns, built once: LOS vectors
         (M, J), LOS and scattered weights (J,) each, transmit SNRs (J,)."""
@@ -143,7 +151,7 @@ def draw_fading(drop: Drop, rng, n: int):
     if not drop.desired.deterministic:
         g_des = crandn(rng, (n, drop.desired.num_paths))
     shape = (n, len(drop.links))
-    if not any(link.num_paths for link in drop.links):
+    if drop.pathless:
         return eps, g_des, np.zeros(shape, complex)
     return eps, g_des, crandn(rng, shape)
 
@@ -387,14 +395,26 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *,
     over chunks of DEFAULT_CHUNK draws seeded from (seed, drop_tag, chunk
     index) and merged in index order, so the result is independent of
     scheduling.  The per-draw terms are compute_terms over the same
-    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag)."""
+    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag).  With a deterministic
+    desired channel and pathless interferers a row draws its eps row alone,
+    so a chunk is drawn and reduced in blocks of BASIS_ROWS rows, the last
+    taking the remainder: a short block would go to BLAS's vector or
+    one-thread kernels, whose roundoff differs.  Other chunks are one
+    block, as their rows draw g or w too and a scattered link would rebuild
+    its route constants."""
     if n_real < 2:
         raise ValueError("need at least two realizations")
+    rows = BASIS_ROWS if drop.pathless and drop.desired.deterministic \
+        else DEFAULT_CHUNK
     acc = None
     for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag):
-        t = compute_terms(drop, *draw_fading(drop, rng, n))
-        part = McResult.of(np.vstack([
-            rate_sample(t["gamma"]), t["x"], t["z"], t["i"], t["y"].T]))
+        blocks = []
+        edges = [*range(0, max(n - rows, 0) + 1, rows), n]
+        for start, stop in zip(edges, edges[1:]):
+            t = compute_terms(drop, *draw_fading(drop, rng, stop - start))
+            blocks.append(np.vstack([rate_sample(t["gamma"]), t["x"],
+                                     t["z"], t["i"], t["y"].T]))
+        part = McResult.of(np.hstack(blocks))
         acc = part if acc is None else acc.merge(part)
     return acc
 

@@ -318,6 +318,22 @@ class TestSinrPaths:
             tracemalloc.stop()
         assert peak < fading[0].nbytes / 4
 
+    def test_los_chunk_streams_its_draws(self):
+        # a los-only row draws its eps row alone, so run_monte_carlo draws
+        # and reduces a chunk in BASIS_ROWS-row blocks: its traced peak
+        # must stay far below the chunk's (n, M) error draws
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="los-only", num_devices=10,
+            m_grid=(1600,), drops=1, realizations=2, seed=7), 0)
+        n = DEFAULT_CHUNK
+        tracemalloc.start()
+        try:
+            run_monte_carlo(drop, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * drop.num_antennas / 8
+
     @pytest.mark.parametrize("kernel", [compute_terms, sinr_direct])
     def test_short_fading_raises(self, kernel):
         # a link or row without its fading draw must not drop out of the
@@ -538,6 +554,21 @@ def stats(m: McResult):
     return m.mean, m.variance, m.se_mean, m.se_variance
 
 
+def assert_streamed_equals_listed(drop: Drop, n: int):
+    """run_monte_carlo's statistics equal, bit for bit, those of
+    compute_terms fed draw_fading's (eps, g_des, w) chunk by chunk."""
+    seed, tag = 9, 2
+    mc = run_monte_carlo(drop, n, seed, drop_tag=tag)
+    acc = None
+    for rng, k in _chunks(n, DEFAULT_CHUNK, seed, tag):
+        t = compute_terms(drop, *draw_fading(drop, rng, k))
+        part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
+                                      t["z"], t["i"], t["y"].T]))
+        acc = part if acc is None else acc.merge(part)
+    for got, want in zip(stats(mc), stats(acc)):
+        assert np.array_equal(got, want)
+
+
 def stats_of(x):
     """(mean, variance, se_mean, se_variance) of a 1-D sample."""
     return tuple(float(s[0]) for s in stats(McResult.of(np.asarray(x)[None])))
@@ -683,16 +714,19 @@ class TestRunMonteCarlo:
             drop = build_mimo_drop(devices, 16, 0.1, seed=8)
         else:
             drop = small_drop(seed=4)
-        n, seed, tag = 2 * DEFAULT_CHUNK + 500, 9, 2
-        mc = run_monte_carlo(drop, n, seed, drop_tag=tag)
-        acc = None
-        for rng, k in _chunks(n, DEFAULT_CHUNK, seed, tag):
-            t = compute_terms(drop, *draw_fading(drop, rng, k))
-            part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
-                                          t["z"], t["i"], t["y"].T]))
-            acc = part if acc is None else acc.merge(part)
-        for got, want in zip(stats(mc), stats(acc)):
-            assert np.array_equal(got, want)
+        assert_streamed_equals_listed(drop, 2 * DEFAULT_CHUNK + 500)
+
+    @pytest.mark.parametrize("n", [2 * DEFAULT_CHUNK + 500,
+                                   2 * BASIS_ROWS + 1])
+    def test_streamed_los_blocks_equal_listed_draws(self, n):
+        # a los-only chunk is drawn and reduced in BASIS_ROWS-row blocks,
+        # here over three chunks and a partial last block, or over one
+        # chunk that leaves a lone row past its last whole block: the
+        # statistics must still equal the whole-chunk kernel's bit for bit
+        drop = make_drop(ScenarioConfig(
+            kind="grid-plane", mode="los-only", num_devices=10,
+            m_grid=(100,), drops=1, realizations=2, seed=7), 0)
+        assert_streamed_equals_listed(drop, n)
 
     @pytest.mark.parametrize("kind", ["nlos-only", "mimo", "mixed"])
     def test_scattered_draw_is_exact_in_distribution(self, kind):
