@@ -1,7 +1,9 @@
 """Deterministic channel construction: LOS vectors and the scattered paths
 of a link, kept in separable form (`Scattering`) and expanded to a dense
-correlation factor only on demand.  A link combines
-them as `mc_engine.Link`."""
+correlation factor only on demand.  A link combines them as
+`mc_engine.Link`.  The closed form's ||h^H R||^2 contracts the separable
+form (`Scattering.projected_power`), which the Monte-Carlo kernel never
+calls, so a fault in that contraction cannot move both engines together."""
 
 from __future__ import annotations
 
@@ -73,11 +75,11 @@ class Scattering:
     / sqrt(M), with phase ramps d_v,p = exp(1j step_v,p k), k < n_v, and
     d_h,p likewise over n_h; M = n_v n_h.  A planar array has
     n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
-    `correlation_factor` builds the dense (M, P) R.  It, `project` and
-    `projected_power` build each ramp as `_phase_ramp` does, from
-    ~2 sqrt(n) exponentials per path instead of n.  `band`, when known,
-    bounds (|step_v|, |step_h|) and lets `basis` span the paths with fewer
-    than P directions."""
+    `correlation_factor` builds the dense (M, P) R.  It and
+    `projected_power`, the closed form's ||h^H R||^2, build each ramp as
+    `_phase_ramp` does, from ~2 sqrt(n) exponentials per path instead of
+    n.  `band`, when known, bounds (|step_v|, |step_h|) and lets `basis`
+    span the paths with fewer than P directions."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains
@@ -108,22 +110,16 @@ class Scattering:
         return np.broadcast_to(np.square(self.loss), m) \
             * (np.sum(self.gains**2) / m)
 
-    def _contract(self, h: np.ndarray) -> np.ndarray:
-        """u = h^H R sqrt(M) / gains, shape (P,), in O(MP) time and
-        O(M + n_v P) memory without forming R: conj(h) loss as (n_v, n_h)
-        times the horizontal ramps, then column dot products with the
-        vertical ramps (Van Loan 2000, "The ubiquitous Kronecker product")."""
-        c = (h.conj() * self.loss).reshape(self.n_v, self.n_h)
-        return np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
-                         c @ _phase_ramp(self.n_h, self.step_h))
-
-    def project(self, h: np.ndarray) -> np.ndarray:
-        """h^H R, shape (P,), from the separable form."""
-        return self._contract(h) * (self.gains / math.sqrt(self.num_antennas))
-
     def projected_power(self, h: np.ndarray) -> float:
-        """||h^H R||^2 from the separable form."""
-        return float(np.sum(self.gains**2 * np.abs(self._contract(h)) ** 2)
+        """||h^H R||^2 in O(MP) time and O(M + n_v P) memory without
+        forming R, from u = h^H R sqrt(M) / gains: conj(h) loss as
+        (n_v, n_h) times the horizontal ramps, then column dot products
+        with the vertical ramps (Van Loan 2000, "The ubiquitous Kronecker
+        product")."""
+        c = (h.conj() * self.loss).reshape(self.n_v, self.n_h)
+        u = np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
+                      c @ _phase_ramp(self.n_h, self.step_h))
+        return float(np.sum(self.gains**2 * np.abs(u) ** 2)
                      / self.num_antennas)
 
     def lags(self):

@@ -124,13 +124,6 @@ def _row_power(a: np.ndarray, weights=None) -> np.ndarray:
     return np.einsum("...j,...j,j->...", v, v, np.repeat(weights, 2))
 
 
-def estimated_channel(h: np.ndarray, tau: float, err: np.ndarray) -> np.ndarray:
-    """Least-squares channel estimate h + sqrt(tau^2/(1-tau^2)) * err."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    return h + math.sqrt(tau**2 / (1.0 - tau**2)) * err
-
-
 def rate_sample(gamma) -> np.ndarray:
     """Instantaneous rate log(1 + gamma) in nats."""
     gamma = np.asarray(gamma, dtype=float)
@@ -179,13 +172,17 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
     `paths.basis()` gives (U_v, U_h, conj(C)), R / loss = B C with
     B = U_v kron U_h, so q = (y conj(B)) conj(C): two small GEMMs on the
     (n_v, n_h) reshape of BASIS_ROWS rows of y at a time, then one (r, P)
-    product.  Elsewhere one (n, M) x (M, P) product on conj(R) row-scaled
-    by d, plus k^H R from the separable paths."""
+    product.  Elsewhere one dense conj(R) serves both terms: conj(k^H R) =
+    k conj(R), taken before its rows are scaled by d in place for the one
+    (n, M) x (M, P) product.  So no route shares the closed form's
+    separable contraction (`Scattering.projected_power`)."""
     basis = paths.basis()
     if basis is None:
-        q = xs @ correlation_factor(paths, d, conjugate=True)
-        if k is not None:
-            q += np.conj(paths.project(k))
+        r = correlation_factor(paths, conjugate=True)
+        k_r = 0.0 if k is None else k @ r
+        r *= np.reshape(d, (-1, 1))
+        q = xs @ r
+        q += k_r
         return _row_power(q)
     u_v, u_h, c = basis
     power = np.empty(len(xs))
@@ -231,11 +228,12 @@ def compute_terms(drop: Drop, eps, g_des, w):
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
     the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for all the links
     with lags at once and from `_path_power` per link for the other links
-    with paths (0 for a pathless link), and f^H h_j is drawn as
-    a f^H h_los + b ||f^H R_j|| w_j.  A deterministic
-    desired h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only
-    read; a stochastic one has k = 0, so no k^H V is formed, d = 1 and
-    X = f, built in place of its rows with one (n, M) temporary.
+    with paths (0 for a pathless link; a dense link's k^H R_j comes from
+    its own factor), and f^H h_j is drawn as a f^H h_los + b ||f^H R_j||
+    w_j.  A deterministic desired h has k = sqrt(1-tau^2) h,
+    d = tau err_amp and X = eps, only read; a stochastic one has k = 0, so
+    no k^H V is formed, d = 1 and X = f, built in place of its rows with
+    one (n, M) temporary.
     w must be (n, K-1).  Returns arrays s, x, y (n, K-1), z, i, gamma.
     """
     _check_links(drop, eps, w)
@@ -291,7 +289,7 @@ def sinr_direct(drop: Drop, eps, g_des, w) -> np.ndarray:
     tau = drop.tau
     err = drop.err_amp * eps
     h = _desired_channel(drop, g_des)
-    fh = estimated_channel(h, tau, err).conj()
+    fh = (h + math.sqrt(tau**2 / (1.0 - tau**2)) * err).conj()
     hn2 = np.sum(np.abs(h) ** 2, axis=-1)
 
     leak = drop.desired.rho * tau**2 \

@@ -158,8 +158,8 @@ class TestCorrelationFactor:
         np.testing.assert_allclose(np.abs(rh[:, 0]), 1.0 / 4.0)
 
     def test_scaled_conjugate(self, grid):
-        # the kernel's block conj(diag(scale) R): negated phase steps and one
-        # row scale; h^H R comes from the separable form without R
+        # conj(diag(scale) R): negated phase steps and one row scale;
+        # ||h^H R||^2 comes from the separable form without R
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         rng = np.random.default_rng(4)
         paths = nlos_scattering(dev, grid,
@@ -171,8 +171,6 @@ class TestCorrelationFactor:
             correlation_factor(paths, scale, conjugate=True),
             np.conj(scale[:, None] * r), rtol=1e-13)
         h = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(paths.project(h), h.conj() @ r,
-                                   rtol=1e-12)
         assert paths.projected_power(h) == pytest.approx(
             np.sum(np.abs(h.conj() @ r) ** 2), rel=1e-12)
 

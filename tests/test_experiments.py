@@ -696,6 +696,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_validate_passes_with_perfect_csi(self, capsys):
+        # at tau = 0 the term Z = ||h||^2 is constant, so its SE is exactly
+        # 0: the two sides' sums, which round differently, meet the
+        # tolerance's rounding floor instead
+        rc = cli.main(["validate", "--scenario", "uniform-room", "--mode",
+                       "nlos-only", "--devices", "6", "--m-grid", "400",
+                       "--drops", "1", "--realizations", "2000",
+                       "--tau", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0 and "FAIL" not in out
+        assert "PASS  Z mean" in out
+
     def test_selftest_passes(self, capsys):
         rc = cli.main(["selftest", "--seed", "0"])
         assert rc == 0

@@ -31,7 +31,6 @@ from lisrate.mc_engine import (
     compute_terms,
     crandn,
     draw_fading,
-    estimated_channel,
     rate_sample,
     run_monte_carlo,
     sample_yn2_normalized,
@@ -91,22 +90,6 @@ class TestPrimitives:
         np.testing.assert_array_equal(
             x, (math.sqrt(0.5) * twin).view(complex).reshape(full))
         assert x.shape == full and x.flags.c_contiguous
-
-    def test_estimated_channel_weights(self):
-        h = np.array([1.0 + 0j, -2j])
-        e = np.array([0.5 + 0j, 1j])
-        f = estimated_channel(h, 0.6, e)
-        np.testing.assert_allclose(f, h + math.sqrt(0.36 / 0.64) * e)
-
-    def test_estimated_channel_perfect_csi_copies(self):
-        h = np.ones(4, complex)
-        f = estimated_channel(h, 0.0, np.full(4, 100.0 + 0j))
-        np.testing.assert_array_equal(f, h)
-        assert f is not h
-
-    def test_estimated_channel_rejects_tau_one(self):
-        with pytest.raises(ValueError):
-            estimated_channel(np.ones(2, complex), 1.0, np.ones(2, complex))
 
     def test_rate_sample(self):
         np.testing.assert_allclose(rate_sample([0.0, math.e - 1]), [0.0, 1.0])
@@ -225,18 +208,37 @@ class TestSinrPaths:
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_stochastic_desired_projects_nothing_on_k(self, monkeypatch):
-        # with a stochastic desired channel k = 0, so the kernel needs no
-        # k^H R: it must match the receiver path without Scattering.project
+        # with a stochastic desired channel k = 0, so the kernel forms no
+        # k^H R: the spectral route (the baseline's links) and the dense
+        # route (separable paths with no band) each get k = None, and the
+        # kernel still matches the receiver path
         devices = [Device(position=np.array([r, 1.0, 1.0]), index=i)
                    for i, r in enumerate((1.0, 2.0, 4.0, 6.0, 9.0))]
-        drop = build_mimo_drop(devices, 64, 0.1, seed=5)
-        fading = draw_fading(drop, np.random.default_rng(3), 8)
+        rng = np.random.default_rng(9)
+        desired, link = (Link(kappa=0.0, h_los=np.zeros(8, complex),
+                              paths=random_paths(rng, 2, 4, 4), rho=rho)
+                         for rho in (2.0, 1.5))
+        drops = [build_mimo_drop(devices, 64, 0.1, seed=5),
+                 Drop(desired=desired, links=(link,),
+                      err_amp=np.full(8, 0.7), tau=0.4)]
+        seen = []
 
-        def forbidden(self, h):
-            raise AssertionError("projected k = 0 onto a link's paths")
-        monkeypatch.setattr(Scattering, "project", forbidden)
-        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
-                                   sinr_direct(drop, *fading), rtol=1e-12)
+        def spy(route):
+            def wrapped(*args):
+                seen.append((route.__name__, args[-1]))
+                return route(*args)
+            return wrapped
+        monkeypatch.setattr(mc_engine, "_path_power", spy(_path_power))
+        monkeypatch.setattr(mc_engine, "_spectral_power",
+                            spy(_spectral_power))
+        for drop in drops:
+            fading = draw_fading(drop, np.random.default_rng(3), 8)
+            np.testing.assert_allclose(
+                compute_terms(drop, *fading)["gamma"],
+                sinr_direct(drop, *fading), rtol=1e-12)
+        assert [name for name, _ in seen] == ["_spectral_power",
+                                              "_path_power"]
+        assert all(k is None for _, k in seen)
 
     def test_stochastic_kernel_keeps_one_temporary(self):
         # the desired rows are built in place and x is read without copies:
@@ -400,7 +402,7 @@ class TestBasisPath:
             np.testing.assert_allclose(_path_power(paths, xs, d, None),
                                        np.sum(np.abs(q) ** 2, axis=1),
                                        rtol=1e-12)
-            q += np.conj(paths.project(k))
+            q += np.conj(k.conj() @ correlation_factor(paths))
             np.testing.assert_allclose(_path_power(paths, xs, d, k),
                                        np.sum(np.abs(q) ** 2, axis=1),
                                        rtol=1e-12)
@@ -429,6 +431,34 @@ class TestBasisPath:
         # array takes the spectral route instead)
         drop = nlos_drop(kind, m, half_length)
         assert all(link.paths.basis() is None for link in drop.links)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_dense_route_shares_no_contraction(self, tau, monkeypatch):
+        # the closed form takes ||h^H R||^2 from the separable contraction;
+        # the dense route must take k^H R from its own factor, one per link,
+        # so the kernel matches the receiver path with that contraction
+        # unavailable.  At tau = 0, d = 0 while k != 0: k^H R must come
+        # before the row scale
+        drop = make_drop(ScenarioConfig(
+            kind="uniform-room", mode="nlos-only", num_devices=6,
+            m_grid=(100,), drops=1, realizations=2, seed=7, tau=tau), 0)
+        assert all(link.paths.basis() is None for link in drop.links)
+        fading = draw_fading(drop, np.random.default_rng(2), 16)
+        direct = sinr_direct(drop, *fading)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("used the closed form's contraction")
+        for name in ("project", "_contract", "projected_power"):
+            monkeypatch.setattr(Scattering, name, forbidden, raising=False)
+        built = []
+
+        def counted(paths, *args, **kwargs):
+            built.append(paths)
+            return correlation_factor(paths, *args, **kwargs)
+        monkeypatch.setattr(mc_engine, "correlation_factor", counted)
+        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                   direct, rtol=1e-12)
+        assert list(map(id, built)) == [id(link.paths) for link in drop.links]
 
     def test_pathless_links_draw_no_fading(self):
         # a los-only drop draws eps and nothing after it: w is zeros
@@ -487,7 +517,7 @@ class TestSpectralPath:
             for link, col in zip(drop.links, power.T, strict=True):
                 q = xs @ correlation_factor(link.paths, d, conjugate=True)
                 if kk is not None:
-                    q += np.conj(link.paths.project(kk))
+                    q += np.conj(kk.conj() @ correlation_factor(link.paths))
                 np.testing.assert_allclose(col, np.sum(np.abs(q) ** 2, 1),
                                            rtol=1e-12)
 
