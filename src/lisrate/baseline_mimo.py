@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Scattering
-from .geometry import Device, MIN_DEVICE_DISTANCE
+from .channel import NLOS_MIN_DISTANCE, Scattering
+from .geometry import Device
 from .mc_engine import Drop, Link
 
 
@@ -33,7 +33,7 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     zero_los = np.zeros(num_antennas, dtype=complex)
     links = []
     for j, dev in enumerate(devices):
-        d = max(float(np.linalg.norm(dev.position)), MIN_DEVICE_DISTANCE)
+        d = max(float(np.linalg.norm(dev.position)), NLOS_MIN_DISTANCE)
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, j]))
         angles = rng.uniform(-np.pi / 2, np.pi / 2, num_paths)
         paths = Scattering(

@@ -6,12 +6,12 @@ from __future__ import annotations
 import collections
 import csv
 import ctypes
-import dataclasses
 import functools
 import math
 import multiprocessing as mp
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -287,24 +287,17 @@ def _fan_out(fn, args: list[tuple], workers: int) -> list:
 #  Scenario execution
 # ---------------------------------------------------------------------------
 
-def _trapped(label: str):
-    """Decorate a task fn(config, x, drop_index) to raise at its first
-    overflow, NaN or 1/0, numpy's or Python's, an ArithmeticError of the
-    same type with `label`=x and the drop named in front of its message."""
-    def decorate(fn):
-        @functools.wraps(fn)
-        @np.errstate(over="raise", invalid="raise", divide="raise")
-        def task(config: ScenarioConfig, x, drop_index: int):
-            try:
-                return fn(config, x, drop_index)
-            except ArithmeticError as exc:
-                raise type(exc)(
-                    f"{label}={x}, drop {drop_index}: {exc}") from exc
-        return task
-    return decorate
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _run_task(fn, label: str, config: ScenarioConfig, x, drop_index: int):
+    """fn(config, x, drop_index), raising at its first overflow, NaN or
+    1/0, numpy's or Python's, an ArithmeticError of the same type with
+    `label`=x and the drop named in front of its message."""
+    try:
+        return fn(config, x, drop_index)
+    except ArithmeticError as exc:
+        raise type(exc)(f"{label}={x}, drop {drop_index}: {exc}") from exc
 
 
-@_trapped("M")
 def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
     drop = make_drop(config, drop_index, num_antennas=m)
     mc = run_monte_carlo(drop, config.realizations, config.seed,
@@ -322,11 +315,13 @@ def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
             mc.se_variance[RATE], asym_mean, asym_var, bound)
 
 
-def _per_drop(fn, config: ScenarioConfig, xs, workers: int) -> np.ndarray:
-    """fn(config, x, d) for every x in xs and drop d, fanned out, as an
-    array of shape (len(xs), drops) + the shape of one result."""
-    out = np.array(_fan_out(fn, [(config, x, d) for x in xs
-                                 for d in range(config.drops)], workers))
+def _per_drop(fn, label: str, config: ScenarioConfig, xs,
+              workers: int) -> np.ndarray:
+    """_run_task(fn, label, config, x, d) for every x in xs and drop d,
+    fanned out, as an array of shape (len(xs), drops) + one result's."""
+    tasks = [(fn, label, config, x, d)
+             for x in xs for d in range(config.drops)]
+    out = np.array(_fan_out(_run_task, tasks, workers))
     return out.reshape((len(xs), config.drops) + out.shape[1:])
 
 
@@ -345,7 +340,7 @@ def _over_drops(name: str, cells: np.ndarray) -> float:
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
     """Evaluate every M on the grid, averaging drops; deterministic for a
     fixed (config, seed) regardless of the worker count."""
-    per_m = _per_drop(_drop_task, config, config.m_grid, workers)
+    per_m = _per_drop(_drop_task, "M", config, config.m_grid, workers)
     # the linear-array baseline has no unit, so no unit size to label
     hl = math.nan if config.kind == "mimo-baseline" else config.half_length
     return [RateReport(
@@ -365,7 +360,6 @@ def write_csv(rows: list[tuple], path):
         writer.writerows(rows)
 
 
-@_trapped("L")
 def _l_task(config: ScenarioConfig, hl: float, drop_index: int) -> float:
     drop = make_drop(config, drop_index, half_length=hl)
     return asymptotics.asymptotic_rate_moments(drop).mean
@@ -383,7 +377,7 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
                                   for hl in l_grid):
         raise ConfigError("l_grid must list one or more positive, finite "
                           "half-lengths")
-    rates = _per_drop(_l_task, config, l_grid, workers)
+    rates = _per_drop(_l_task, "L", config, l_grid, workers)
     curve = [CurvePoint(float(hl), float(np.mean(r)))
              for hl, r in zip(l_grid, rates)]
     return max(curve, key=lambda point: point.asym_mean).L, curve
@@ -392,9 +386,6 @@ def optimal_l_search(config: ScenarioConfig, l_grid,
 # ---------------------------------------------------------------------------
 #  Config files
 # ---------------------------------------------------------------------------
-
-_FILE_KEYS = {f.name for f in dataclasses.fields(ScenarioConfig)}
-
 
 def parse_tuple(text: str, kind=int) -> tuple:
     """Comma-separated values of type `kind` (int or float); blank text is
@@ -408,10 +399,9 @@ def parse_tuple(text: str, kind=int) -> tuple:
                           f"values, got {text!r}") from exc
 
 
-# Config-file readers of the fields that are not floats.
-_PARSERS = {"m_grid": parse_tuple, "num_devices": int, "drops": int,
-            "realizations": int, "seed": int, "kind": str, "mode": str,
-            "log_base": str}
+# The config-file reader of each ScenarioConfig field, from its type.
+_READERS = {name: parse_tuple if typing.get_origin(kind) is tuple else kind
+            for name, kind in typing.get_type_hints(ScenarioConfig).items()}
 
 
 def parse_config_file(path) -> dict:
@@ -426,10 +416,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FILE_KEYS:
+            if key not in _READERS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                out[key] = _PARSERS.get(key, float)(value)
+                out[key] = _READERS[key](value)
             except ValueError as exc:  # ConfigError included
                 raise ConfigError(f"{path}:{lineno}: cannot read {key} "
                                   f"from {value!r}") from exc

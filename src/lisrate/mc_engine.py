@@ -167,8 +167,8 @@ def _desired_channel(drop: Drop, g_des):
 
 
 def _path_power(paths, xs, d, k) -> np.ndarray:
-    """||f^H R||^2 per row of f = k + d xs (k None for k = 0), as the power
-    of q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
+    """||f^H R||^2 per row of f = k + d xs, as the power of
+    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
     `paths.basis()` gives (U_v, U_h, conj(C)), R / loss = B C with
     B = U_v kron U_h, so q = (y conj(B)) conj(C): two small GEMMs on the
     (n_v, n_h) reshape of BASIS_ROWS rows of y at a time, then one (r, P)
@@ -179,7 +179,7 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
     basis = paths.basis()
     if basis is None:
         r = correlation_factor(paths, conjugate=True)
-        k_r = 0.0 if k is None else k @ r
+        k_r = k @ r
         r *= np.reshape(d, (-1, 1))
         q = xs @ r
         q += k_r
@@ -188,8 +188,7 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
     power = np.empty(len(xs))
     for start in range(0, len(xs), BASIS_ROWS):
         y = xs[start:start + BASIS_ROWS] * (paths.loss * d)
-        if k is not None:
-            y += paths.loss * k
+        y += paths.loss * k
         t = (y.reshape(-1, paths.n_h) @ u_h.conj()).reshape(
             len(y), paths.n_v, -1)
         v = (u_v.conj().T @ t).reshape(len(y), -1)
@@ -198,8 +197,8 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
 
 
 def _spectral_power(lags, xs, d, k) -> np.ndarray:
-    """||f^H R_j||^2 per row of f = k + d xs (k None for k = 0) and per
-    link j whose R_j R_j^H is Toeplitz, from the (J, M) lags t_j of
+    """||f^H R_j||^2 per row of f = k + d xs and per link j whose
+    R_j R_j^H is Toeplitz, from the (J, M) lags t_j of
     `Scattering.lags`.  f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over
     the length-L DFTs F of f and T_j of the lags (Gray 2006, "Toeplitz and
     circulant matrices: a review"); L, the power of two >= 2M - 1, keeps
@@ -214,8 +213,7 @@ def _spectral_power(lags, xs, d, k) -> np.ndarray:
     power = np.empty((len(xs), len(lags)))
     for start in range(0, len(xs), BASIS_ROWS):
         y = xs[start:start + BASIS_ROWS] * d
-        if k is not None:
-            y += k
+        y += k
         v = np.fft.fft(y, size).view(float)
         power[start:start + BASIS_ROWS] = np.square(v, out=v) @ weights
     return np.maximum(power, 0.0, out=power)
@@ -231,9 +229,9 @@ def compute_terms(drop: Drop, eps, g_des, w):
     with paths (0 for a pathless link; a dense link's k^H R_j comes from
     its own factor), and f^H h_j is drawn as a f^H h_los + b ||f^H R_j||
     w_j.  A deterministic desired h has k = sqrt(1-tau^2) h,
-    d = tau err_amp and X = eps, only read; a stochastic one has k = 0, so
-    no k^H V is formed, d = 1 and X = f, built in place of its rows with
-    one (n, M) temporary.
+    d = tau err_amp and X = eps, only read; a stochastic one has k = 0
+    (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
+    built in place of its rows with one (n, M) temporary.
     w must be (n, K-1).  Returns arrays s, x, y (n, K-1), z, i, gamma.
     """
     _check_links(drop, eps, w)
@@ -256,7 +254,7 @@ def compute_terms(drop: Drop, eps, g_des, w):
         h *= c
         h += np.multiply(eps, tau * drop.err_amp, out=e)
         del e
-        d, xs, k = 1.0, h, None
+        d, xs, k = 1.0, h, np.zeros(drop.num_antennas, complex)
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
     power = np.zeros((len(eps), len(drop.links)))      # ||f^H R_j||^2

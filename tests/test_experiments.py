@@ -36,6 +36,8 @@ from lisrate.mc_engine import run_monte_carlo
 FAST = dict(kind="uniform-room", num_devices=4, m_grid=(16,), drops=2,
             realizations=64, seed=1)
 
+FILE_KEYS = sorted(f.name for f in dataclasses.fields(ScenarioConfig))
+
 # What a config-file line may hold: ints, lists of antenna counts, floats
 # (nan, inf and huge ones too) or free text, under a file key or any other.
 CONFIG_VALUES = st.one_of(
@@ -47,8 +49,7 @@ CONFIG_VALUES = st.one_of(
     st.text(max_size=12))
 CONFIG_LINES = st.builds(
     lambda known, other: [*known.items(), *other],
-    st.dictionaries(st.sampled_from(sorted(experiments._FILE_KEYS)),
-                    CONFIG_VALUES, max_size=6),
+    st.dictionaries(st.sampled_from(FILE_KEYS), CONFIG_VALUES, max_size=6),
     st.lists(st.tuples(st.text(max_size=8), CONFIG_VALUES), max_size=1))
 
 # CLI argv: a valid command line for one command, then at most two flags
@@ -459,7 +460,8 @@ class TestOptimalL:
         # equal rates go to the earlier grid entry, even when it is the
         # larger L; a NaN rate wins only as the first entry
         monkeypatch.setattr(experiments, "_per_drop",
-                            lambda fn, cfg, xs, workers: np.array(rates))
+                            lambda fn, label, cfg, xs, workers:
+                            np.array(rates))
         got, curve = optimal_l_search(ScenarioConfig(**FAST), [0.5, 0.3, 0.4])
         assert got == best
         assert [hl for hl, _ in curve] == [0.5, 0.3, 0.4]
@@ -728,6 +730,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.count("dual-path SINR identity") == 1
 
+    def test_selftest_fails_on_nan_gamma(self, monkeypatch, capsys):
+        # a NaN gap is no pass: the worst gap reads nan and the exit is 3
+        kernel = mc_engine.compute_terms
+
+        def nan_gamma(drop, *fading):
+            terms = kernel(drop, *fading)
+            terms["gamma"] = np.full_like(terms["gamma"], np.nan)
+            return terms
+        monkeypatch.setattr(mc_engine, "compute_terms", nan_gamma)
+        assert cli.main(["selftest", "--seed", "0"]) == cli.EXIT_NUMERICAL
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "dual-path SINR identity: worst relative gap nan"]
+        assert err == ""
+
     def test_selftest_reaches_every_route(self, monkeypatch):
         # the identity is checked on each of the term kernel's three routes
         # for ||f^H R_j||^2: spectral, ramp basis and dense factor
@@ -745,6 +762,28 @@ class TestCli:
         monkeypatch.setattr(mc_engine, "_path_power", path_spy)
         assert cli.main(["selftest", "--seed", "0"]) == 0
         assert set(routes) == {"spectral", "basis", "dense"}
+
+    def test_scenario_flags_set_their_fields(self, tmp_path, monkeypatch):
+        # all ten scenario flags over a config file: each flag sets its
+        # field, and the file sets the fields that no flag names
+        path = tmp_path / "c.cfg"
+        path.write_text("kind = grid-plane\nseed = 3\nsnr_db = 6\n"
+                        "d_m = 2.5\nbeta_pl = 3.2\n")
+        seen = []
+        monkeypatch.setattr(experiments, "run_scenario",
+                            lambda config, workers: seen.append(config) or [])
+        rc = cli.main(["run", "--config", str(path), "--seed", "9",
+                       "--m-grid", "16,36", "--drops", "3",
+                       "--realizations", "50", "--mode", "nlos-only",
+                       "--scenario", "uniform-room", "--devices", "5",
+                       "--tau", "0.25", "--half-length", "0.4"])
+        assert rc == 0
+        (config,) = seen
+        assert dataclasses.asdict(config) == dict(
+            kind="uniform-room", num_devices=5, m_grid=(16, 36),
+            half_length=0.4, frequency=3.0e9, snr_db=6.0, tau=0.25, d_c=10.0,
+            d_m=2.5, mode="nlos-only", drops=3, realizations=50, seed=9,
+            log_base="e", beta_pl=3.2, paths_per_antenna=0.5)
 
     def test_config_file_flow(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
