@@ -3,7 +3,9 @@ of a link, kept in separable form (`Scattering`) and expanded to a dense
 correlation factor only on demand.  A link combines them as
 `mc_engine.Link`.  The closed form's ||h^H R||^2 contracts the separable
 form (`Scattering.projected_power`), which the Monte-Carlo kernel never
-calls, so a fault in that contraction cannot move both engines together."""
+calls, so a fault in that contraction cannot move both engines together.
+The kernel's basis route reads a link's real coordinates C in a cached
+ramp basis of even and odd vectors (`ramp_basis`, `Scattering.basis`)."""
 
 from __future__ import annotations
 
@@ -37,8 +39,8 @@ def _phase_ramp(n: int, steps) -> np.ndarray:
     Kronecker product of a coarse ramp exp(1j step b k1) and a fine one
     exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
     product per entry instead of n exponentials (Van Loan 2000, "The
-    ubiquitous Kronecker product").  Every correlation factor, separable
-    projection and ramp basis is built from these."""
+    ubiquitous Kronecker product").  Every correlation factor and
+    separable projection is built from these."""
     coarse, fine = _ramp_factors(n, steps)
     ramp = coarse[:, None] * fine[None, :]
     return ramp.reshape((len(coarse) * len(fine),) + ramp.shape[2:])[:n]
@@ -56,16 +58,46 @@ def _ramp_factors(n: int, steps):
 @functools.lru_cache(maxsize=64)
 def ramp_basis(n: int, band: float) -> np.ndarray:
     """Read-only orthonormal (n, r) basis of every phase ramp
-    exp(1j t k), k < n, with |t| <= band: the left singular vectors of 4n + 1
-    ramps spread evenly over the band.  Its rank r is about the Shannon
-    number n band / pi plus a few, so on a grid of fixed aperture it stops
-    growing with n (Slepian 1978, "Prolate spheroidal wave functions,
-    Fourier analysis, and uncertainty - V: the discrete case")."""
-    steps = np.linspace(-band, band, 4 * n + 1)
-    u, sv, _ = np.linalg.svd(_phase_ramp(n, steps), full_matrices=False)
-    u = u[:, sv > RAMP_BASIS_RTOL * sv[0]]
+    exp(1j t k), k < n, with |t| <= band: r_e exactly even real vectors,
+    then r_o exactly odd real vectors times 1j.  A centred ramp
+    exp(1j t (k - c)), c = (n - 1) / 2, is cos + 1j sin of an even and an
+    odd vector, so its coordinates u^H ramp = u.real^T cos + u.imag^T sin
+    are real.  Each set is the left singular vectors of the half rows
+    k < n/2 of the centred cosines or sines at 4n + 1 steps spread evenly
+    over the band, mirrored onto the other half (an odd n's middle cosine
+    row is weighted 1/sqrt(2), as it is not mirrored); both keep the
+    singular values above RAMP_BASIS_RTOL times the larger top one, so r
+    is the rank of the ramps themselves.  r is about the Shannon number
+    n band / pi plus a few, so on a grid of fixed aperture it stops growing
+    with n (Slepian 1978, "Prolate spheroidal wave functions, Fourier
+    analysis, and uncertainty - V: the discrete case")."""
+    half = n // 2
+    x = np.arange(n - half) - (n - 1) / 2.0
+    arg = np.multiply.outer(x, np.linspace(-band, band, 4 * n + 1))
+    cos, sin = np.cos(arg), np.sin(arg[:half])
+    cos[half:] *= math.sqrt(0.5)                # an odd n's middle row
+    u_e, s_e, _ = np.linalg.svd(cos, full_matrices=False)
+    u_o, s_o = (np.linalg.svd(sin, full_matrices=False)[:2] if half
+                else (sin.T[:0], s_e[:0]))      # n = 1 has no odd vector
+    floor = RAMP_BASIS_RTOL * max([*s_e[:1], *s_o[:1]])
+    u_e, u_o = u_e[:, s_e > floor], u_o[:, s_o > floor]
+    r_e = u_e.shape[1]
+    u = np.zeros((n, r_e + u_o.shape[1]), complex)
+    u.real[:half, :r_e] = u_e[:half] * math.sqrt(0.5)
+    u.real[n - half:, :r_e] = u.real[:half, :r_e][::-1]
+    u.real[half:n - half, :r_e] = u_e[half:]
+    u.imag[:half, r_e:] = u_o * math.sqrt(0.5)
+    u.imag[n - half:, r_e:] = -u.imag[:half, r_e:][::-1]
     u.flags.writeable = False
     return u
+
+
+def _centred_coordinates(u: np.ndarray, steps) -> np.ndarray:
+    """The real (r, P) coordinates u^H exp(1j step (k - c)) of the centred
+    ramps, c = (n - 1) / 2, in `ramp_basis`'s u: u.real^T cos + u.imag^T
+    sin, as its columns are even real or odd imaginary."""
+    arg = np.multiply.outer(np.arange(len(u)) - (len(u) - 1) / 2.0, steps)
+    return u.real.T @ np.cos(arg) + u.imag.T @ np.sin(arg)
 
 
 @dataclass(frozen=True)
@@ -136,19 +168,22 @@ class Scattering:
         return t * (self.loss**2 / self.n_h)
 
     def basis(self):
-        """(U_v, U_h, conj(C)) when the ramp bases of the band have
+        """(U_v, U_h, C) when the ramp bases of the band have
         r = r_v r_h < P directions, else None.  B = U_v kron U_h then spans
-        every steering vector, so R = diag(loss) B C with the (r, P)
-        C = B^H [gains_p steering_p], whose column p is
-        (U_v^H d_v,p kron U_h^H d_h,p) gains_p / sqrt(M)."""
+        every steering vector, so R = diag(loss) B C diag(phase) with the
+        real (r, P) C whose column p is (c_v,p kron c_h,p) gains_p / sqrt(M),
+        from the real coordinates c of the centred ramps
+        (`_centred_coordinates`), and phase_p = exp(1j (step_v,p (n_v - 1)
+        + step_h,p (n_h - 1)) / 2), which has modulus 1 and so leaves every
+        |(f^H R)_p| as it is."""
         if self.band is None:
             return None
         u_v, u_h = ramp_basis(self.n_v, self.band[0]), \
             ramp_basis(self.n_h, self.band[1])
         if u_v.shape[1] * u_h.shape[1] >= self.num_paths:
             return None
-        c_v = u_v.T @ _phase_ramp(self.n_v, -self.step_v)
-        c_h = u_h.T @ _phase_ramp(self.n_h, -self.step_h) \
+        c_v = _centred_coordinates(u_v, self.step_v)
+        c_h = _centred_coordinates(u_h, self.step_h) \
             * (self.gains / math.sqrt(self.num_antennas))
         return u_v, u_h, (c_v[:, None] * c_h[None, :]).reshape(
             -1, self.num_paths)

@@ -70,9 +70,9 @@ def _add_output(parser):
         "--workers", type=int, default=1,
         help="processes for the (M or L, drop) tasks, capped at the task "
              "count and the usable CPUs (in place where fork is "
-             "unavailable); BLAS threads follow the task and CPU counts and "
-             "are set before workers fork, so the output never depends on "
-             "this value, though its last digits can depend on the CPU count")
+             "unavailable); BLAS runs on one thread and a task's spare CPUs "
+             "share its row blocks, so the output depends neither on this "
+             "value nor on the CPU count")
 
 
 def _build_config(args) -> ScenarioConfig:

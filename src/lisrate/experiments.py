@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, baseline_mimo, channel, geometry
-from .mc_engine import RATE, Drop, Link, run_monte_carlo
+from .mc_engine import RATE, Drop, Link, row_threads, run_monte_carlo
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -254,27 +254,28 @@ def _usable_cpus() -> int:
 
 
 def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
-    """(processes, BLAS threads per task) for `tasks` >= 1 tasks on `cpus`
+    """(processes, row threads per task) for `tasks` >= 1 tasks on `cpus`
     CPUs with at most `workers` processes.
 
-    The thread count follows the task count and never `workers`: BLAS
-    results differ in the last bits between thread counts, so this keeps
-    the output identical for any worker count.  Threads beyond one per task
-    would only wait for cores taken by other tasks."""
+    Threads beyond one per task would only wait for cores taken by other
+    tasks.  The bytes depend on neither count: every BLAS call runs on one
+    thread, and a row block is the same call on whichever thread runs it."""
     return min(workers, tasks, cpus), max(1, cpus // min(tasks, cpus))
 
 
 def _fan_out(fn, args: list[tuple], workers: int) -> list:
     """`[fn(*a) for a in args]`, in order, on at most `workers` processes.
 
-    The BLAS thread count is set here, once, and forked workers inherit it.
-    A single process, or a platform without fork, runs the tasks in place."""
+    BLAS runs on one thread, and the planned row threads go to
+    `mc_engine.row_threads`; both are set here, once, and forked workers
+    inherit them.  A single process, or a platform without fork, runs the
+    tasks in place."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if not args:
         return []
     processes, threads = _fan_out_plan(len(args), _usable_cpus(), workers)
-    with _blas_threads(threads):
+    with _blas_threads(1), row_threads(threads):
         if processes <= 1 or "fork" not in mp.get_all_start_methods():
             return [fn(*a) for a in args]
         with ProcessPoolExecutor(max_workers=processes,

@@ -5,20 +5,25 @@ paths, the one fading draw per interferer and the chunked moments.
 compute_terms takes each interferer's ||f^H R||^2 by one of three routes,
 chosen by its paths: one shared FFT per row for every link whose R R^H is
 Toeplitz, i.e. one scalar loss on a linear array (`Scattering.lags`); the
-cached ramp basis for a link whose band it spans with fewer directions than
-it has paths (`Scattering.basis`); the dense factor for every other link
-with paths.  A pathless link takes no route: its power is 0.  sinr_direct
-always takes the dense factor, so the two paths check each other.  Every
-kernel takes a batch of draw_fading's realizations, one per row; sums of
-squares run over float views, with no complex abs; and chunks merge in index
-order with seeds from (seed, drop, chunk), whatever the worker count.  A
-chunk whose rows draw eps alone is drawn and reduced BASIS_ROWS rows at a
-time, so it never holds its (n, M) error draws.
+cached ramp basis and the link's real coordinates C in it, for a link whose
+band it spans with fewer directions than it has paths (`Scattering.basis`);
+the dense factor for every other link with paths.  A pathless link takes no
+route: its power is 0.  Each route works on fixed blocks of BASIS_ROWS
+rows, which `row_threads` threads share, each block under the caller's
+floating-point traps.  sinr_direct always takes the dense factor, so the
+two paths check each other.  Every kernel takes a batch of draw_fading's
+realizations, one per row; sums of squares run over float views, with no
+complex abs; and chunks merge in index order with seeds from (seed, drop,
+chunk), whatever the worker or CPU count.  A chunk whose rows draw eps
+alone is drawn and reduced BASIS_ROWS rows at a time, so it never holds its
+(n, M) error draws.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,9 +33,11 @@ from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
 DEFAULT_CHUNK = 2048
-# Rows per pass of the basis projection, of the spectral FFT and of a
-# streamed chunk's draws: bounds each pass's (rows, M) arrays.
+# Rows per block of the scattered routes and of a streamed chunk's draws:
+# bounds each block's (rows, M) arrays.
 BASIS_ROWS = 64
+# Threads that share a route's row blocks (`row_threads`).
+_ROW_THREADS = 1
 
 
 @dataclass(frozen=True)
@@ -166,34 +173,78 @@ def _desired_channel(drop: Drop, g_des):
     return h
 
 
+@contextmanager
+def row_threads(n: int):
+    """Run the body with the routes' row blocks on `n` threads, then
+    restore the previous count.  experiments._fan_out sets it per task, and
+    forked workers inherit it."""
+    global _ROW_THREADS
+    before, _ROW_THREADS = _ROW_THREADS, n
+    try:
+        yield
+    finally:
+        _ROW_THREADS = before
+
+
+def _row_blocks(block, out: np.ndarray) -> np.ndarray:
+    """out[rows] = block(rows) for each slice of BASIS_ROWS rows of out,
+    on up to `row_threads` threads, with no pool for a single block.  A
+    block is the same call on whichever thread runs it, so the bytes do not
+    depend on the thread count.  numpy keeps its floating-point traps per
+    thread, so each block runs under the caller's `np.geterr()`."""
+    traps = np.geterr()
+
+    def run(start):
+        rows = slice(start, start + BASIS_ROWS)
+        with np.errstate(**traps):
+            out[rows] = block(rows)
+
+    starts = range(0, len(out), BASIS_ROWS)
+    threads = min(_ROW_THREADS, len(starts))
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(run, starts))
+    else:
+        list(map(run, starts))
+    return out
+
+
 def _path_power(paths, xs, d, k) -> np.ndarray:
     """||f^H R||^2 per row of f = k + d xs, as the power of
-    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
-    `paths.basis()` gives (U_v, U_h, conj(C)), R / loss = B C with
-    B = U_v kron U_h, so q = (y conj(B)) conj(C): two small GEMMs on the
-    (n_v, n_h) reshape of BASIS_ROWS rows of y at a time, then one (r, P)
-    product.  Elsewhere one dense conj(R) serves both terms: conj(k^H R) =
-    k conj(R), taken before its rows are scaled by d in place for the one
-    (n, M) x (M, P) product.  So no route shares the closed form's
+    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k), in
+    `_row_blocks`.  Where `paths.basis()` gives (U_v, U_h, C), R / loss =
+    B C diag(phase) with B = U_v kron U_h, a real C and unit-modulus phases,
+    so |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
+    reshape of a block of y, then one real (2 rows, r) x (r, P) product on
+    v's real and imaginary planes, half the flops of a complex one.
+    Elsewhere one dense conj(R) serves both terms: conj(k^H R) = k conj(R),
+    taken before its rows are scaled by d in place for each block's
+    (rows, M) x (M, P) product.  So no route shares the closed form's
     separable contraction (`Scattering.projected_power`)."""
     basis = paths.basis()
     if basis is None:
         r = correlation_factor(paths, conjugate=True)
         k_r = k @ r
         r *= np.reshape(d, (-1, 1))
-        q = xs @ r
-        q += k_r
-        return _row_power(q)
-    u_v, u_h, c = basis
-    power = np.empty(len(xs))
-    for start in range(0, len(xs), BASIS_ROWS):
-        y = xs[start:start + BASIS_ROWS] * (paths.loss * d)
-        y += paths.loss * k
-        t = (y.reshape(-1, paths.n_h) @ u_h.conj()).reshape(
-            len(y), paths.n_v, -1)
-        v = (u_v.conj().T @ t).reshape(len(y), -1)
-        power[start:start + BASIS_ROWS] = _row_power(v @ c)
-    return power
+
+        def block(rows):
+            q = xs[rows] @ r
+            q += k_r
+            return _row_power(q)
+    else:
+        u_v, u_h, c = basis
+        conj_v, conj_h = u_v.conj().T, u_h.conj()
+        scale, shift = paths.loss * d, paths.loss * k
+
+        def block(rows):
+            y = xs[rows] * scale
+            y += shift
+            t = (y.reshape(-1, paths.n_h) @ conj_h).reshape(
+                len(y), paths.n_v, -1)
+            v = (conj_v @ t).reshape(len(y), -1)
+            power = _row_power(np.concatenate((v.real, v.imag)) @ c)
+            return power[:len(y)] + power[len(y):]
+    return _row_blocks(block, np.empty(len(xs)))
 
 
 def _spectral_power(lags, xs, d, k) -> np.ndarray:
@@ -204,18 +255,19 @@ def _spectral_power(lags, xs, d, k) -> np.ndarray:
     circulant matrices: a review"); L, the power of two >= 2M - 1, keeps
     the negative lags from wrapping onto the positive ones, and
     T_j = 2 Re DFT(t_j) - t_j(0) is real.  So one FFT per row serves every
-    link: BASIS_ROWS rows at a time, the squares of its float view times T
+    link, in `_row_blocks`: the squares of its float view times T
     repeated per (re, im) pair.  Clamped at 0, which a sum of squares
     cannot cross but this sum can round below."""
     size = 1 << (2 * lags.shape[1] - 2).bit_length()
     spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
     weights = np.repeat(spectrum.T / size, 2, axis=0)      # (2L, J)
-    power = np.empty((len(xs), len(lags)))
-    for start in range(0, len(xs), BASIS_ROWS):
-        y = xs[start:start + BASIS_ROWS] * d
+
+    def block(rows):
+        y = xs[rows] * d
         y += k
         v = np.fft.fft(y, size).view(float)
-        power[start:start + BASIS_ROWS] = np.square(v, out=v) @ weights
+        return np.square(v, out=v) @ weights
+    power = _row_blocks(block, np.empty((len(xs), len(lags))))
     return np.maximum(power, 0.0, out=power)
 
 

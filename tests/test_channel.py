@@ -6,7 +6,9 @@ import pytest
 
 from lisrate.channel import (
     NLOS_MIN_DISTANCE,
+    RAMP_BASIS_RTOL,
     Scattering,
+    _centred_coordinates,
     _phase_ramp,
     correlation_factor,
     los_channel,
@@ -181,9 +183,16 @@ class TestCorrelationFactor:
         assert rh.shape == (16, 0)
 
 
+# The rank of each (n, band): even and odd n, n = 1, 2 and 3, and a band
+# that fills [-pi, pi) (7, 4.0).  It is the count of the ramps' own
+# singular values above RAMP_BASIS_RTOL times the largest.
+RAMP_RANKS = {(20, 0.6): 18, (40, 0.9): 30, (40, 0.45): 22, (80, 0.2): 22,
+              (7, 4.0): 7, (21, 0.7): 19, (41, 1.3): 36, (1, 1.0): 1,
+              (2, 1.0): 2, (3, 1.0): 3, (2, 0.1): 2, (3, 0.1): 3}
+
+
 class TestRampBasis:
-    @pytest.mark.parametrize("n,band", [(20, 0.6), (40, 0.9), (40, 0.45),
-                                        (80, 0.2), (7, 4.0)])
+    @pytest.mark.parametrize("n,band", RAMP_RANKS)
     def test_orthonormal_and_spans_band(self, n, band):
         # fresh steps, the band's edges among them, not only the sampled ones
         u = ramp_basis(n, band)
@@ -195,6 +204,31 @@ class TestRampBasis:
         residual = d - u @ (u.conj().T @ d)
         assert np.max(np.linalg.norm(residual, axis=0)) < 1e-12 * math.sqrt(n)
         assert not u.flags.writeable and ramp_basis(n, band) is u
+
+    @pytest.mark.parametrize("n,band", RAMP_RANKS)
+    def test_even_then_odd_with_real_coordinates(self, n, band):
+        # exactly even real vectors, then exactly odd ones times 1j, as many
+        # as the ramps' own rank; so a centred ramp exp(1j t (k - c)) has
+        # real coordinates, which _centred_coordinates gives
+        u = ramp_basis(n, band)
+        steps = np.linspace(-band, band, 4 * n + 1)
+        sv = np.linalg.svd(_phase_ramp(n, steps), compute_uv=False)
+        assert u.shape[1] == RAMP_RANKS[n, band] \
+            == np.sum(sv > RAMP_BASIS_RTOL * sv[0])
+        even = (u.imag == 0).all(axis=0) & (u.real == u.real[::-1]).all(axis=0)
+        odd = (u.real == 0).all(axis=0) & (u.imag == -u.imag[::-1]).all(axis=0)
+        r_e = int(np.sum(even))
+        assert r_e >= 1 and even[:r_e].all() and odd[r_e:].all()
+        steps = np.concatenate([
+            [-band, 0.0, band],
+            np.random.default_rng(n).uniform(-band, band, 200)])
+        centred = np.exp(1j * np.multiply.outer(np.arange(n) - (n - 1) / 2,
+                                                steps))
+        coords = u.conj().T @ centred
+        top = np.max(np.abs(coords))
+        assert np.max(np.abs(coords.imag)) <= 1e-13 * top
+        np.testing.assert_allclose(_centred_coordinates(u, steps),
+                                   coords.real, rtol=0, atol=1e-13 * top)
 
     def test_rank_is_set_by_the_aperture(self):
         # a 0.5 m unit at lambda = 0.1 m: the ramps' rank r_v r_h stops
@@ -209,8 +243,9 @@ class TestRampBasis:
         assert ranks[0] < 800
 
     def test_basis_spans_the_factor(self):
-        # diag(loss) B C rebuilds R wherever basis() is taken; without a
-        # band, or with r >= P, it is not
+        # diag(loss) B C diag(phase) rebuilds R wherever basis() is taken,
+        # with a real C and each path's centring phase; without a band, or
+        # with r >= P, it is not
         grid = build_grid((0.0, 0.0), 0.25, 1600, 0.1)
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2,
@@ -218,8 +253,11 @@ class TestRampBasis:
         paths = nlos_scattering(dev, grid, angles, 3.7)
         u_v, u_h, c = paths.basis()
         assert c.shape == (u_v.shape[1] * u_h.shape[1], 800)
+        assert c.dtype == float
+        phase = np.exp(0.5j * (paths.step_v * (paths.n_v - 1)
+                               + paths.step_h * (paths.n_h - 1)))
         r = correlation_factor(paths)
-        rebuilt = paths.loss[:, None] * (np.kron(u_v, u_h) @ c.conj())
+        rebuilt = paths.loss[:, None] * (np.kron(u_v, u_h) @ c) * phase
         assert np.linalg.norm(rebuilt - r) < 1e-12 * np.linalg.norm(r)
         assert dataclasses.replace(paths, band=None).basis() is None
         few = nlos_scattering(dev, grid, angles[:, :500], 3.7)

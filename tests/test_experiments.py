@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -396,6 +397,11 @@ def _blas_threads_now() -> int:
     return experiments._blas_thread_control()[0]()
 
 
+def _threads_now() -> tuple[int, int]:
+    """(BLAS threads, the routes' row threads) where it is called."""
+    return _blas_threads_now(), mc_engine._ROW_THREADS
+
+
 needs_blas_control = pytest.mark.skipif(
     experiments._blas_thread_control() is None,
     reason="no run-time control of the BLAS thread count")
@@ -422,12 +428,16 @@ class TestFanOut:
             _fan_out(pow, [(2, 2)], workers=workers)
 
     @needs_blas_control
-    def test_tasks_run_with_planned_threads(self):
-        cpus = experiments._usable_cpus()
-        for tasks, workers in ((1, 1), (cpus, 1), (2 * cpus, 2)):
-            threads = _fan_out_plan(tasks, cpus, workers)[1]
-            seen = _fan_out(_blas_threads_now, [()] * tasks, workers)
-            assert seen == [threads] * tasks
+    def test_tasks_run_with_planned_threads(self, monkeypatch):
+        # every task, forked or in place, runs BLAS on one thread and hands
+        # the plan's thread count to the routes' row blocks; 4 CPUs give a
+        # lone task more than one row thread on any machine
+        for cpus in (experiments._usable_cpus(), 4):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+            for tasks, workers in ((1, 1), (cpus, 1), (2 * cpus, 2)):
+                threads = _fan_out_plan(tasks, cpus, workers)[1]
+                seen = _fan_out(_threads_now, [()] * tasks, workers)
+                assert seen == [(1, threads)] * tasks
 
     @needs_blas_control
     @pytest.mark.parametrize("workers", [1, 2])
@@ -435,14 +445,53 @@ class TestFanOut:
         cfg = ScenarioConfig(**FAST)
         planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(),
                                 workers)[1]
-        # Start from a count other than the planned one, so that a missed
-        # restore shows.
-        before = 2 if planned == 1 else 1
-        with experiments._blas_threads(before):
-            if _blas_threads_now() != before:
+        # Start from counts other than the run's (one BLAS thread, the
+        # planned row threads), so that a missed restore shows.
+        before = (2, planned + 1)
+        with experiments._blas_threads(before[0]), \
+                mc_engine.row_threads(before[1]):
+            if _blas_threads_now() != before[0]:
                 pytest.skip("BLAS ignores the requested thread count")
             run_scenario(cfg, workers=workers)
-            assert _blas_threads_now() == before
+            assert _threads_now() == before
+
+
+# nlos-grid's lone task, whose links take the basis route, and a
+# uniform-room one whose links take the dense route (r >= P).
+ONE_TASK_RUNS = {
+    "basis": ["--scenario", "grid-plane", "--mode", "nlos-only", "--devices",
+              "10", "--m-grid", "1600", "--drops", "1", "--realizations",
+              "1024", "--seed", "7"],
+    "dense": ["--scenario", "uniform-room", "--mode", "nlos-only",
+              "--devices", "10", "--m-grid", "900", "--half-length", "0.5",
+              "--drops", "1", "--realizations", "1024", "--seed", "7"]}
+
+# A child that keeps the first argv[1] of its usable CPUs, before numpy
+# loads, then runs the CLI on the rest of argv.
+PINNED_CLI = ("import os, sys; os.sched_setaffinity(0, sorted("
+              "os.sched_getaffinity(0))[:int(sys.argv[1])]); "
+              "from lisrate.cli import main; sys.exit(main(sys.argv[2:]))")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+@pytest.mark.parametrize("route", sorted(ONE_TASK_RUNS))
+def test_csv_bytes_follow_no_cpu_count(route, tmp_path):
+    # a lone task gives its spare CPU to row blocks, each the same
+    # one-thread call on whichever thread runs it: its CSV on one CPU and on
+    # two is the same file
+    src = str(Path(lisrate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outs = []
+    for cpus in (1, 2):
+        out = tmp_path / f"{cpus}.csv"
+        subprocess.run([sys.executable, "-c", PINNED_CLI, str(cpus), "run",
+                        *ONE_TASK_RUNS[route], "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 class TestOptimalL:
@@ -569,6 +618,28 @@ class TestCli:
         assert rc == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+    def test_overflow_in_a_row_thread_exits_3(self, monkeypatch, capsys):
+        # numpy keeps its traps per thread: an overflow in a route block
+        # that runs off the main thread still raises, and the one exit line
+        # names the task.  Two usable CPUs give the lone task two row
+        # threads, and its dense route 4 blocks.
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        row_power, threads = mc_engine._row_power, set()
+
+        def overflowing(a, weights=None):
+            if threading.current_thread() is not threading.main_thread():
+                threads.add(threading.get_ident())
+                np.multiply(np.array([1e308]), 10.0)
+            return row_power(a, weights)
+        monkeypatch.setattr(mc_engine, "_row_power", overflowing)
+        rc = cli.main(["run", "--scenario", "uniform-room", "--mode",
+                       "nlos-only", "--devices", "4", "--m-grid", "16",
+                       "--drops", "1", "--realizations", "256"])
+        assert rc == cli.EXIT_NUMERICAL and threads
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: M=16, drop 0: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ["run", "--half-length", "1e-300"],

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,7 @@ from lisrate.channel import (
     los_channel,
     nlos_scattering,
 )
-from lisrate.experiments import ScenarioConfig, make_drop
+from lisrate.experiments import ScenarioConfig, _blas_threads, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate import mc_engine
 from lisrate.mc_engine import (
@@ -579,6 +580,31 @@ class TestSpectralPath:
         assert np.all(np.isfinite(gamma))
         np.testing.assert_allclose(gamma, sinr_direct(drop, eps, g_des, w),
                                    rtol=1e-12)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("route", ["basis", "dense", "spectral"])
+    def test_threads_keep_every_bit(self, route):
+        # more row threads than cores, switching every microsecond: each
+        # block is the same one-BLAS-thread call on whichever thread runs
+        # it, so every term equals the one-thread kernel's bit for bit
+        drop = {"basis": lambda: nlos_drop("uniform-room", 400, 0.05),
+                "dense": lambda: nlos_drop("uniform-room", 100, 0.25),
+                "spectral": lambda: baseline_drop(100, 6)}[route]()
+        fading = draw_fading(drop, np.random.default_rng(6),
+                             5 * BASIS_ROWS + 9)
+        interval = sys.getswitchinterval()
+        with _blas_threads(1):
+            with mc_engine.row_threads(1):
+                serial = compute_terms(drop, *fading)
+            sys.setswitchinterval(1e-6)
+            try:
+                with mc_engine.row_threads(8):
+                    threaded = compute_terms(drop, *fading)
+            finally:
+                sys.setswitchinterval(interval)
+        for name, value in serial.items():
+            np.testing.assert_array_equal(threaded[name], value)
 
 
 def stats(m: McResult):
