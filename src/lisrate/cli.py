@@ -112,12 +112,7 @@ def _cmd_validate(args) -> int:
     """Compare MC term moments against their closed forms on one drop,
     each within max(4 SE, 1e-12 |closed|): the rounding floor holds where
     the SE is exactly 0, as for the constant Z at tau = 0."""
-    config = _build_config(args)
-    if config.kind == "mimo-baseline":
-        raise ConfigError("validate needs a deterministic LOS desired "
-                          "channel, which mimo-baseline does not have")
-    drop = experiments.make_drop(config, 0)
-    mc = mc_engine.run_monte_carlo(drop, config.realizations, config.seed)
+    drop, mc = experiments.validation_drop(_build_config(args))
     l1 = asymptotics.error_leak_moments(drop)
     l3 = asymptotics.noise_term_moments(drop)
     y_mean = asymptotics.interference_term_moments(drop).mean

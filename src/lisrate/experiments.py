@@ -5,12 +5,9 @@ from __future__ import annotations
 
 import collections
 import csv
-import ctypes
-import functools
 import math
 import multiprocessing as mp
 import os
-import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -19,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, baseline_mimo, channel, geometry
-from .mc_engine import RATE, Drop, Link, row_threads, run_monte_carlo
+from .mc_engine import (RATE, Drop, Link, McResult, row_threads,
+                        run_monte_carlo)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -198,55 +196,6 @@ def make_drop(config: ScenarioConfig, drop_index: int,
 #  Task fan-out
 # ---------------------------------------------------------------------------
 
-# OpenBLAS's thread-count entry points under the names numpy builds export:
-# scipy-openblas with 64- and 32-bit integers (numpy 2), then numpy 1.x.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_thread_control():
-    """OpenBLAS's (get, set) thread-count functions as linked into numpy's
-    compiled core module, or None when numpy uses another BLAS."""
-    for name in ("numpy._core._multiarray_umath",
-                 "numpy.core._multiarray_umath"):
-        path = getattr(sys.modules.get(name), "__file__", None)
-        if path is None:
-            continue
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            get = getattr(lib, get_name, None)
-            put = getattr(lib, set_name, None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _blas_threads(n: int):
-    """Run the body with `n` BLAS threads, then restore the previous count."""
-    control = _blas_thread_control()
-    if control is None:
-        yield
-        return
-    get, put = control
-    before = get()
-    put(n)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -258,24 +207,30 @@ def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
     CPUs with at most `workers` processes.
 
     Threads beyond one per task would only wait for cores taken by other
-    tasks.  The bytes depend on neither count: every BLAS call runs on one
-    thread, and a row block is the same call on whichever thread runs it."""
+    tasks.  The row threads follow the tasks, not the processes, so a
+    serial run of at least as many tasks as CPUs leaves the spare cores
+    idle: handing them to its row blocks sped up a serial uniform-room
+    nlos-only run at M = 400 and 900 (2.58 -> 1.73 s), but slowed serial
+    mimo-baseline, whose blocks are small (0.41 -> 0.47 s, 2 vCPUs).
+    `--workers` puts those cores to use.  The bytes depend on neither
+    count: every BLAS call runs on one thread, and a row block is the same
+    call on whichever thread runs it."""
     return min(workers, tasks, cpus), max(1, cpus // min(tasks, cpus))
 
 
 def _fan_out(fn, args: list[tuple], workers: int) -> list:
     """`[fn(*a) for a in args]`, in order, on at most `workers` processes.
 
-    BLAS runs on one thread, and the planned row threads go to
-    `mc_engine.row_threads`; both are set here, once, and forked workers
-    inherit them.  A single process, or a platform without fork, runs the
-    tasks in place."""
+    The one `mc_engine.row_threads` context, entered here once with the
+    planned row threads, also pins BLAS to one thread; forked workers
+    inherit both counts.  A single process, or a platform without fork,
+    runs the tasks in place."""
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if not args:
         return []
     processes, threads = _fan_out_plan(len(args), _usable_cpus(), workers)
-    with _blas_threads(1), row_threads(threads):
+    with row_threads(threads):
         if processes <= 1 or "fork" not in mp.get_all_start_methods():
             return [fn(*a) for a in args]
         with ProcessPoolExecutor(max_workers=processes,
@@ -299,10 +254,15 @@ def _run_task(fn, label: str, config: ScenarioConfig, x, drop_index: int):
         raise type(exc)(f"{label}={x}, drop {drop_index}: {exc}") from exc
 
 
-def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
+def _sampled_drop(config: ScenarioConfig, m: int,
+                  drop_index: int) -> tuple[Drop, McResult]:
     drop = make_drop(config, drop_index, num_antennas=m)
-    mc = run_monte_carlo(drop, config.realizations, config.seed,
-                         drop_tag=drop_index)
+    return drop, run_monte_carlo(drop, config.realizations, config.seed,
+                                 drop_tag=drop_index)
+
+
+def _drop_task(config: ScenarioConfig, m: int, drop_index: int):
+    drop, mc = _sampled_drop(config, m, drop_index)
     if config.kind == "mimo-baseline":
         # Closed-form moments require a deterministic LOS desired channel.
         asym_mean = asym_var = math.nan
@@ -350,6 +310,18 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> list[RateReport]:
         **{name: _over_drops(name, cells)
            for name, cells in zip(_DROP_CELLS, per_drop.T)})
         for m, per_drop in zip(config.m_grid, per_m)]
+
+
+def validation_drop(config: ScenarioConfig) -> tuple[Drop, McResult]:
+    """Drop 0 at the first M and its Monte-Carlo moments, sampled as a
+    `run_scenario` task is, through `_fan_out` and `_run_task`: a lone task
+    in place under the same thread rule and traps, whose faults read
+    `M=<m>, drop 0: ...`."""
+    if config.kind == "mimo-baseline":
+        raise ConfigError("validate needs a deterministic LOS desired "
+                          "channel, which mimo-baseline does not have")
+    task = (_sampled_drop, "M", config, config.m_grid[0], 0)
+    return _fan_out(_run_task, [task], workers=1)[0]
 
 
 def write_csv(rows: list[tuple], path):

@@ -1,31 +1,23 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
-The README's engine paragraph describes the two SINR paths, the separable
-paths, the one fading draw per interferer and the chunked moments.
-compute_terms takes each interferer's ||f^H R||^2 by one of three routes,
-chosen by its paths: one shared FFT per row for every link whose R R^H is
-Toeplitz, i.e. one scalar loss on a linear array (`Scattering.lags`); the
-cached ramp basis and the link's real coordinates C in it, for a link whose
-band it spans with fewer directions than it has paths (`Scattering.basis`);
-the dense factor for every other link with paths.  A pathless link takes no
-route: its power is 0.  Each route works on fixed blocks of BASIS_ROWS
-rows, which `row_threads` threads share, each block under the caller's
-floating-point traps.  sinr_direct always takes the dense factor, so the
-two paths check each other.  Every kernel takes a batch of draw_fading's
-realizations, one per row; sums of squares run over float views, with no
-complex abs; and chunks merge in index order with seeds from (seed, drop,
-chunk), whatever the worker or CPU count.  A chunk whose rows draw eps
-alone is drawn and reduced BASIS_ROWS rows at a time, so it never holds its
-(n, M) error draws.
+The README's engine paragraph describes the two SINR paths, the three
+routes of compute_terms, the one fading draw per interferer and the chunked
+moments.  The routes' fixed row blocks run on the threads that
+`row_threads` sets, each on one BLAS thread, and chunks merge in index
+order with seeds from (seed, drop, chunk), so the bytes follow no worker,
+thread or CPU count.  sinr_direct always takes the dense factor, so the two
+paths check each other.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -173,17 +165,57 @@ def _desired_channel(drop: Drop, g_des):
     return h
 
 
+# OpenBLAS's thread-count entry points under the names numpy builds export:
+# scipy-openblas with 64- and 32-bit integers (numpy 2), then numpy 1.x.
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _blas_thread_control():
+    """OpenBLAS's (get, set) thread-count functions as linked into numpy's
+    compiled core module, or None when numpy uses another BLAS."""
+    for name in ("numpy._core._multiarray_umath",
+                 "numpy.core._multiarray_umath"):
+        path = getattr(sys.modules.get(name), "__file__", None)
+        if path is None:
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
 @contextmanager
 def row_threads(n: int):
-    """Run the body with the routes' row blocks on `n` threads, then
-    restore the previous count.  experiments._fan_out sets it per task, and
-    forked workers inherit it."""
+    """Run the body with BLAS on one thread and the routes' row blocks on
+    `n` threads, then restore both counts.  The bytes of every route rest
+    on one-thread BLAS, so this is the one place that sets either count:
+    experiments._fan_out enters it around every task, and forked workers
+    inherit both.  Under a BLAS other than OpenBLAS its count is left as
+    is."""
     global _ROW_THREADS
-    before, _ROW_THREADS = _ROW_THREADS, n
+    get, put = _blas_thread_control() or (lambda: None, lambda count: None)
+    before = get(), _ROW_THREADS
+    put(1)
+    _ROW_THREADS = n
     try:
         yield
     finally:
-        _ROW_THREADS = before
+        put(before[0])
+        _ROW_THREADS = before[1]
 
 
 def _row_blocks(block, out: np.ndarray) -> np.ndarray:

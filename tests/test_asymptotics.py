@@ -247,6 +247,10 @@ class TestTaylorMoments:
         with pytest.raises(ValueError):
             asy.sinr_moments(1.0, 1.0, 0.5, asy.MomentPair(0.0, 1.0))
 
+    def test_rejects_negative_sinr_mean(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            asy.rate_moments(asy.MomentPair(-1.0, 1.0))
+
 
 class TestEndToEnd:
     def test_finite_and_asymptotic_agree_at_large_m(self):
@@ -255,6 +259,13 @@ class TestEndToEnd:
         b = asy.asymptotic_rate_moments(drop, asymptotic=False)
         assert a.mean == pytest.approx(b.mean, rel=5e-3)
         assert a.variance == pytest.approx(b.variance, rel=5e-2)
+
+    def test_baseline_drop_has_no_limits(self):
+        # the linear-array baseline has no grid, so no integral limits
+        cfg = ScenarioConfig(kind="mimo-baseline", num_devices=3,
+                             m_grid=(8,), drops=1)
+        with pytest.raises(ValueError, match="grid geometry"):
+            asy.asymptotic_rate_moments(make_drop(cfg, 0))
 
     def test_bound_unbounded_without_los_interference(self):
         drop = small_drop(n_interferers=2, seed=4, kappa=0.0)

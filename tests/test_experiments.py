@@ -144,6 +144,7 @@ class TestConfig:
         ("half_length", 0.0), ("d_m", -1.0), ("m_grid", (10,)),
         ("m_grid", ()), ("m_grid", (0,)), ("half_length", math.nan),
         ("frequency", math.nan), ("snr_db", math.inf), ("snr_db", math.nan),
+        ("snr_db", 4000.0),
         ("log_base", "2"), ("seed", -1), ("paths_per_antenna", 0.0),
         ("paths_per_antenna", -1.0), ("paths_per_antenna", math.nan),
         ("paths_per_antenna", math.inf), ("beta_pl", 0.0), ("beta_pl", -3.7),
@@ -152,6 +153,10 @@ class TestConfig:
     def test_validation(self, field, value):
         with pytest.raises(ConfigError):
             ScenarioConfig(**{**FAST, field: value})
+
+    def test_unknown_override_is_config_error(self):
+        with pytest.raises(ConfigError, match="bogus"):
+            config_from_sources(bogus=1)
 
     def test_mimo_allows_non_square_m(self):
         ScenarioConfig(**{**FAST, "kind": "mimo-baseline", "m_grid": (8,)})
@@ -394,7 +399,7 @@ class TestRunScenario:
 
 
 def _blas_threads_now() -> int:
-    return experiments._blas_thread_control()[0]()
+    return mc_engine._blas_thread_control()[0]()
 
 
 def _threads_now() -> tuple[int, int]:
@@ -403,7 +408,7 @@ def _threads_now() -> tuple[int, int]:
 
 
 needs_blas_control = pytest.mark.skipif(
-    experiments._blas_thread_control() is None,
+    mc_engine._blas_thread_control() is None,
     reason="no run-time control of the BLAS thread count")
 
 
@@ -441,19 +446,24 @@ class TestFanOut:
 
     @needs_blas_control
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_scenario_restores_thread_count(self, workers):
+    def test_run_scenario_restores_thread_count(self, workers, monkeypatch):
         cfg = ScenarioConfig(**FAST)
         planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(),
                                 workers)[1]
         # Start from counts other than the run's (one BLAS thread, the
         # planned row threads), so that a missed restore shows.
         before = (2, planned + 1)
-        with experiments._blas_threads(before[0]), \
-                mc_engine.row_threads(before[1]):
+        get, put = mc_engine._blas_thread_control()
+        outer = get()
+        put(before[0])
+        try:
             if _blas_threads_now() != before[0]:
                 pytest.skip("BLAS ignores the requested thread count")
+            monkeypatch.setattr(mc_engine, "_ROW_THREADS", before[1])
             run_scenario(cfg, workers=workers)
             assert _threads_now() == before
+        finally:
+            put(outer)
 
 
 # nlos-grid's lone task, whose links take the basis route, and a
@@ -687,8 +697,33 @@ class TestCli:
         assert proc.stderr.startswith("numerical failure: " + task)
         assert proc.stderr.count("\n") == 1
 
+    @needs_blas_control
+    def test_validate_samples_as_a_task(self, monkeypatch, capsys):
+        # validate's Monte Carlo runs as run's drop 0 does: one BLAS thread,
+        # the usable CPUs (4 here, on any machine) as row threads, and a
+        # fault named after its task
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(_threads_now())
+            mc = real(*args, **kwargs)
+            np.exp(np.float64(1e3))         # overflows under the traps
+            return mc
+
+        real = mc_engine.run_monte_carlo
+        for module in (experiments, mc_engine):
+            monkeypatch.setattr(module, "run_monte_carlo", spy)
+        rc = cli.main(["validate", "--m-grid", "16", "--realizations", "64"])
+        assert seen == [(1, 4)]
+        assert rc == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: M=16, drop 0: overflow")
+        assert err.count("\n") == 1
+
     def test_validate_huge_half_length_one_line(self, capsys):
-        # validate samples in this process, under the same traps as a task
+        # validate samples its drop as a lone task in this process, under
+        # the task's traps
         rc = cli.main(["validate", "--half-length", "1e300",
                        "--realizations", "64"])
         assert rc == cli.EXIT_NUMERICAL

@@ -14,7 +14,7 @@ from lisrate.channel import (
     los_channel,
     nlos_scattering,
 )
-from lisrate.experiments import ScenarioConfig, _blas_threads, make_drop
+from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate import mc_engine
 from lisrate.mc_engine import (
@@ -594,17 +594,24 @@ class TestRowBlocks:
         fading = draw_fading(drop, np.random.default_rng(6),
                              5 * BASIS_ROWS + 9)
         interval = sys.getswitchinterval()
-        with _blas_threads(1):
-            with mc_engine.row_threads(1):
-                serial = compute_terms(drop, *fading)
-            sys.setswitchinterval(1e-6)
-            try:
-                with mc_engine.row_threads(8):
-                    threaded = compute_terms(drop, *fading)
-            finally:
-                sys.setswitchinterval(interval)
+        with mc_engine.row_threads(1):
+            serial = compute_terms(drop, *fading)
+        sys.setswitchinterval(1e-6)
+        try:
+            with mc_engine.row_threads(8):
+                threaded = compute_terms(drop, *fading)
+        finally:
+            sys.setswitchinterval(interval)
         for name, value in serial.items():
             np.testing.assert_array_equal(threaded[name], value)
+
+    def test_row_threads_without_blas_control(self, monkeypatch):
+        # under a BLAS other than OpenBLAS only the row threads change
+        monkeypatch.setattr(mc_engine, "_blas_thread_control", lambda: None)
+        before = mc_engine._ROW_THREADS
+        with mc_engine.row_threads(before + 2):
+            assert mc_engine._ROW_THREADS == before + 2
+        assert mc_engine._ROW_THREADS == before
 
 
 def stats(m: McResult):
