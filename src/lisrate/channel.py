@@ -167,15 +167,9 @@ class Scattering:
         t = ((coarse * self.gains**2) @ fine.T).reshape(-1)[:self.n_h]
         return t * (self.loss**2 / self.n_h)
 
-    def basis(self):
-        """(U_v, U_h, C) when the ramp bases of the band have
-        r = r_v r_h < P directions, else None.  B = U_v kron U_h then spans
-        every steering vector, so R = diag(loss) B C diag(phase) with the
-        real (r, P) C whose column p is (c_v,p kron c_h,p) gains_p / sqrt(M),
-        from the real coordinates c of the centred ramps
-        (`_centred_coordinates`), and phase_p = exp(1j (step_v,p (n_v - 1)
-        + step_h,p (n_h - 1)) / 2), which has modulus 1 and so leaves every
-        |(f^H R)_p| as it is."""
+    @functools.cached_property
+    def _coordinates(self):
+        """`basis`'s (U_v, U_h, c_v, c_h), or None, built once per link."""
         if self.band is None:
             return None
         u_v, u_h = ramp_basis(self.n_v, self.band[0]), \
@@ -185,6 +179,21 @@ class Scattering:
         c_v = _centred_coordinates(u_v, self.step_v)
         c_h = _centred_coordinates(u_h, self.step_h) \
             * (self.gains / math.sqrt(self.num_antennas))
+        return u_v, u_h, c_v, c_h
+
+    def basis(self):
+        """(U_v, U_h, C) when the ramp bases of the band have
+        r = r_v r_h < P directions, else None.  B = U_v kron U_h then spans
+        every steering vector, so R = diag(loss) B C diag(phase) with the
+        real (r, P) C whose column p is c_v,p kron c_h,p, from the real
+        coordinates of the centred ramps (`_centred_coordinates`), c_h's
+        scaled by gains_p / sqrt(M), and phase_p = exp(1j (step_v,p (n_v - 1)
+        + step_h,p (n_h - 1)) / 2), which has modulus 1 and so leaves every
+        |(f^H R)_p| as it is.  The link keeps c_v and c_h (0.3 MB at
+        M = 1600) and forms C, r_v r_h / (r_v + r_h) times larger, per call."""
+        if self._coordinates is None:
+            return None
+        u_v, u_h, c_v, c_h = self._coordinates
         return u_v, u_h, (c_v[:, None] * c_h[None, :]).reshape(
             -1, self.num_paths)
 

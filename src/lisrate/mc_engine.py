@@ -1,8 +1,8 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 The README's engine paragraph describes the two SINR paths, the three
-routes of compute_terms, the one fading draw per interferer and the chunked
-moments.  The routes' fixed row blocks run on the threads that
+routes of compute_terms, the one fading draw per interferer and the chunked,
+streamed moments.  The routes' fixed row blocks run on the threads that
 `row_threads` sets, each on one BLAS thread, and chunks merge in index
 order with seeds from (seed, drop, chunk), so the bytes follow no worker,
 thread or CPU count.  sinr_direct always takes the dense factor, so the two
@@ -15,7 +15,7 @@ import ctypes
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -25,9 +25,14 @@ from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
 DEFAULT_CHUNK = 2048
-# Rows per block of the scattered routes and of a streamed chunk's draws:
-# bounds each block's (rows, M) arrays.
+# Rows per block of the scattered routes, and of a streamed chunk's draws
+# when no interferer has paths: bounds each block's (rows, M) arrays.
 BASIS_ROWS = 64
+# Rows per streamed block when interferers have paths: each block rebuilds
+# dense factors and basis coordinates C.  nlos-grid's run_monte_carlo took
+# 0.55 s at 512 rows, 0.57 s at 256, 0.68 s at 128 and 0.51 s unsplit
+# (medians of 5, 2 row threads on 2 vCPUs, OpenBLAS 0.3.31).
+STREAM_ROWS = 512
 # Threads that share a route's row blocks (`row_threads`).
 _ROW_THREADS = 1
 
@@ -138,14 +143,21 @@ def draw_fading(drop: Drop, rng, n: int):
     fading g only through f^H R g, CN(0, ||R^H f||^2) given f, which is the
     law of ||R^H f|| w_j: w_j is g's component along R^H f.  When no
     interferer has paths, w is zeros and draws nothing."""
+    return (*_draw_rows(drop, rng, n), _draw_w(drop, rng, n))
+
+
+def _draw_rows(drop: Drop, rng, n: int):
+    """draw_fading's eps and g_des."""
     eps = crandn(rng, (n, drop.num_antennas))
-    g_des = None
-    if not drop.desired.deterministic:
-        g_des = crandn(rng, (n, drop.desired.num_paths))
+    if drop.desired.deterministic:
+        return eps, None
+    return eps, crandn(rng, (n, drop.desired.num_paths))
+
+
+def _draw_w(drop: Drop, rng, n: int) -> np.ndarray:
+    """draw_fading's w."""
     shape = (n, len(drop.links))
-    if drop.pathless:
-        return eps, g_des, np.zeros(shape, complex)
-    return eps, g_des, crandn(rng, shape)
+    return np.zeros(shape, complex) if drop.pathless else crandn(rng, shape)
 
 
 def _check_links(drop: Drop, eps, w) -> None:
@@ -218,9 +230,9 @@ def row_threads(n: int):
         _ROW_THREADS = before[1]
 
 
-def _row_blocks(block, out: np.ndarray) -> np.ndarray:
-    """out[rows] = block(rows) for each slice of BASIS_ROWS rows of out,
-    on up to `row_threads` threads, with no pool for a single block.  A
+def _row_blocks(block, out: np.ndarray, pool=None) -> np.ndarray:
+    """out[rows] = block(rows) for each slice of BASIS_ROWS rows of out, on
+    `pool`, which all routes of a `row_terms` call share, or in turn.  A
     block is the same call on whichever thread runs it, so the bytes do not
     depend on the thread count.  numpy keeps its floating-point traps per
     thread, so each block runs under the caller's `np.geterr()`."""
@@ -231,24 +243,19 @@ def _row_blocks(block, out: np.ndarray) -> np.ndarray:
         with np.errstate(**traps):
             out[rows] = block(rows)
 
-    starts = range(0, len(out), BASIS_ROWS)
-    threads = min(_ROW_THREADS, len(starts))
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        list(map(run, starts))
+    list((pool.map if pool else map)(run, range(0, len(out), BASIS_ROWS)))
     return out
 
 
-def _path_power(paths, xs, d, k) -> np.ndarray:
+def _path_power(paths, xs, d, k, pool=None) -> np.ndarray:
     """||f^H R||^2 per row of f = k + d xs, as the power of
     q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k), in
     `_row_blocks`.  Where `paths.basis()` gives (U_v, U_h, C), R / loss =
     B C diag(phase) with B = U_v kron U_h, a real C and unit-modulus phases,
     so |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
     reshape of a block of y, then one real (2 rows, r) x (r, P) product on
-    v's real and imaginary planes, half the flops of a complex one.
+    v's real and imaginary planes, half the flops of a complex one; each
+    block drops y and the first projection once it has used them.
     Elsewhere one dense conj(R) serves both terms: conj(k^H R) = k conj(R),
     taken before its rows are scaled by d in place for each block's
     (rows, M) x (M, P) product.  So no route shares the closed form's
@@ -273,13 +280,15 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
             y += shift
             t = (y.reshape(-1, paths.n_h) @ conj_h).reshape(
                 len(y), paths.n_v, -1)
-            v = (conj_v @ t).reshape(len(y), -1)
+            del y
+            v = (conj_v @ t).reshape(len(t), -1)
+            del t
             power = _row_power(np.concatenate((v.real, v.imag)) @ c)
-            return power[:len(y)] + power[len(y):]
-    return _row_blocks(block, np.empty(len(xs)))
+            return power[:len(v)] + power[len(v):]
+    return _row_blocks(block, np.empty(len(xs)), pool)
 
 
-def _spectral_power(lags, xs, d, k) -> np.ndarray:
+def _spectral_power(lags, xs, d, k, pool=None) -> np.ndarray:
     """||f^H R_j||^2 per row of f = k + d xs and per link j whose
     R_j R_j^H is Toeplitz, from the (J, M) lags t_j of
     `Scattering.lags`.  f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over
@@ -299,29 +308,30 @@ def _spectral_power(lags, xs, d, k) -> np.ndarray:
         y += k
         v = np.fft.fft(y, size).view(float)
         return np.square(v, out=v) @ weights
-    power = _row_blocks(block, np.empty((len(xs), len(lags))))
+    power = _row_blocks(block, np.empty((len(xs), len(lags))), pool)
     return np.maximum(power, 0.0, out=power)
 
 
-def compute_terms(drop: Drop, eps, g_des, w):
-    """Decomposed SINR terms for a batch of realizations from draw_fading.
+def row_terms(drop: Drop, eps, g_des=None) -> dict:
+    """The SINR terms of rows of draw_fading's eps and g_des that come
+    before the interferers' fading w, each row's from that row alone:
+    arrays s, x, z (n,), f_los = f^H h_los,j and power = ||f^H R_j||^2
+    (n, K-1).
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
     the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for all the links
     with lags at once and from `_path_power` per link for the other links
     with paths (0 for a pathless link; a dense link's k^H R_j comes from
-    its own factor), and f^H h_j is drawn as a f^H h_los + b ||f^H R_j||
-    w_j.  A deterministic desired h has k = sqrt(1-tau^2) h,
+    its own factor).  A deterministic desired h has k = sqrt(1-tau^2) h,
     d = tau err_amp and X = eps, only read; a stochastic one has k = 0
     (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
-    built in place of its rows with one (n, M) temporary.
-    w must be (n, K-1).  Returns arrays s, x, y (n, K-1), z, i, gamma.
-    """
-    _check_links(drop, eps, w)
+    built in place of its rows with one (n, M) temporary.  The routes share
+    one executor of up to `row_threads` threads, shut down before the call
+    returns, as a fork pool must not fork while a thread pool lives."""
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
-    los, a, b, rhos = drop.stacked
+    los = drop.stacked[0]
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
     s = np.broadcast_to(_row_power(h) ** 2, len(eps))
     if drop.desired.deterministic:
@@ -345,17 +355,38 @@ def compute_terms(drop: Drop, eps, g_des, w):
     lags = {j: link.paths.lags() for j, link in enumerate(drop.links)
             if link.num_paths}
     toeplitz = [j for j, t in lags.items() if t is not None]
-    if toeplitz:
-        power[:, toeplitz] = _spectral_power(
-            np.array([lags[j] for j in toeplitz]), xs, d, k)
-    for j, t in lags.items():
-        if t is None:
-            power[:, j] = _path_power(drop.links[j].paths, xs, d, k)
-    y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
+    threads = min(_ROW_THREADS, -(-len(eps) // BASIS_ROWS)) if lags else 1
+    with (ThreadPoolExecutor(threads) if threads > 1
+          else nullcontext()) as pool:
+        if toeplitz:
+            power[:, toeplitz] = _spectral_power(
+                np.array([lags[j] for j in toeplitz]), xs, d, k, pool=pool)
+        for j, t in lags.items():
+            if t is None:
+                power[:, j] = _path_power(drop.links[j].paths, xs, d, k,
+                                          pool=pool)
+    return {"s": s, "x": x, "z": z, "f_los": f_los, "power": power}
 
-    i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
-    gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
-    return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma}
+
+def fading_terms(drop: Drop, rows: dict, w) -> dict:
+    """row_terms' arrays with y_j = |a f_los + b sqrt(power) w_j|^2, i and
+    gamma for the (n, K-1) interferer draws w: f^H h_j is drawn as
+    a f^H h_los + b ||f^H R_j|| w_j.  The roundoff of y @ rho follows
+    n mod 4, so a streamed chunk takes this once over all its rows."""
+    _, a, b, rhos = drop.stacked
+    tau = drop.tau
+    y = np.abs(a * rows["f_los"] + b * np.sqrt(rows["power"]) * w) ** 2
+    i_total = drop.desired.rho * tau**2 * rows["x"] + y @ rhos + rows["z"]
+    gamma = drop.desired.rho * rows["s"] * (1.0 - tau**2) / i_total
+    return {**rows, "y": y, "i": i_total, "gamma": gamma}
+
+
+def compute_terms(drop: Drop, eps, g_des, w) -> dict:
+    """Decomposed SINR terms for a batch of realizations from draw_fading:
+    `fading_terms` of `row_terms`.  w must be (n, K-1).  Returns arrays s,
+    x, y (n, K-1), z, i, gamma and row_terms' f_los and power."""
+    _check_links(drop, eps, w)
+    return fading_terms(drop, row_terms(drop, eps, g_des), w)
 
 
 def sinr_direct(drop: Drop, eps, g_des, w) -> np.ndarray:
@@ -474,27 +505,28 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *,
     """Estimate the MC moments of the rate and of every decomposition term
     over chunks of DEFAULT_CHUNK draws seeded from (seed, drop_tag, chunk
     index) and merged in index order, so the result is independent of
-    scheduling.  The per-draw terms are compute_terms over the same
-    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag).  With a deterministic
-    desired channel and pathless interferers a row draws its eps row alone,
-    so a chunk is drawn and reduced in blocks of BASIS_ROWS rows, the last
-    taking the remainder: a short block would go to BLAS's vector or
-    one-thread kernels, whose roundoff differs.  Other chunks are one
-    block, as their rows draw g or w too and a scattered link would rebuild
-    its route constants."""
+    scheduling.  The per-draw terms equal compute_terms over the same
+    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag) bit for bit.  With a
+    deterministic desired channel a chunk draws eps and takes `row_terms`
+    in blocks, then draws w and takes `fading_terms` once, so it never
+    holds its (n, M) error draws.  Blocks have BASIS_ROWS rows when no
+    interferer has paths, else STREAM_ROWS, the last taking the remainder:
+    a short block would go to BLAS's vector kernels, whose roundoff
+    differs.  A stochastic desired channel draws g between eps and w and
+    keeps its chunk whole."""
     if n_real < 2:
         raise ValueError("need at least two realizations")
-    rows = BASIS_ROWS if drop.pathless and drop.desired.deterministic \
-        else DEFAULT_CHUNK
+    rows = DEFAULT_CHUNK if not drop.desired.deterministic \
+        else BASIS_ROWS if drop.pathless else STREAM_ROWS
     acc = None
     for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag):
-        blocks = []
         edges = [*range(0, max(n - rows, 0) + 1, rows), n]
-        for start, stop in zip(edges, edges[1:]):
-            t = compute_terms(drop, *draw_fading(drop, rng, stop - start))
-            blocks.append(np.vstack([rate_sample(t["gamma"]), t["x"],
-                                     t["z"], t["i"], t["y"].T]))
-        part = McResult.of(np.hstack(blocks))
+        parts = [row_terms(drop, *_draw_rows(drop, rng, stop - start))
+                 for start, stop in zip(edges, edges[1:])]
+        t = fading_terms(drop, {key: np.concatenate([p[key] for p in parts])
+                                for key in parts[0]}, _draw_w(drop, rng, n))
+        part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
+                                      t["z"], t["i"], t["y"].T]))
         acc = part if acc is None else acc.merge(part)
     return acc
 

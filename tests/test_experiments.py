@@ -857,13 +857,13 @@ class TestCli:
         routes = []
         spectral, path_power = mc_engine._spectral_power, mc_engine._path_power
 
-        def spectral_spy(*args):
+        def spectral_spy(*args, **kwargs):
             routes.append("spectral")
-            return spectral(*args)
+            return spectral(*args, **kwargs)
 
-        def path_spy(paths, *args):
+        def path_spy(paths, *args, **kwargs):
             routes.append("dense" if paths.basis() is None else "basis")
-            return path_power(paths, *args)
+            return path_power(paths, *args, **kwargs)
         monkeypatch.setattr(mc_engine, "_spectral_power", spectral_spy)
         monkeypatch.setattr(mc_engine, "_path_power", path_spy)
         assert cli.main(["selftest", "--seed", "0"]) == 0

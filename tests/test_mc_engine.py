@@ -1,7 +1,9 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from lisrate.mc_engine import (
     BASIS_ROWS,
     DEFAULT_CHUNK,
     RATE,
+    STREAM_ROWS,
     Y,
     Z,
     Drop,
@@ -33,6 +36,7 @@ from lisrate.mc_engine import (
     crandn,
     draw_fading,
     rate_sample,
+    row_terms,
     run_monte_carlo,
     sample_yn2_normalized,
     sinr_direct,
@@ -226,9 +230,9 @@ class TestSinrPaths:
         seen = []
 
         def spy(route):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
                 seen.append((route.__name__, args[-1]))
-                return route(*args)
+                return route(*args, **kwargs)
             return wrapped
         monkeypatch.setattr(mc_engine, "_path_power", spy(_path_power))
         monkeypatch.setattr(mc_engine, "_spectral_power",
@@ -583,27 +587,65 @@ class TestSpectralPath:
 
 
 class TestRowBlocks:
-    @pytest.mark.parametrize("route", ["basis", "dense", "spectral"])
+    @pytest.mark.parametrize("route", ["basis", "dense", "spectral",
+                                       "streamed"])
     def test_threads_keep_every_bit(self, route):
-        # more row threads than cores, switching every microsecond: each
-        # block is the same one-BLAS-thread call on whichever thread runs
-        # it, so every term equals the one-thread kernel's bit for bit
+        # two row threads, and more than cores, switching every
+        # microsecond: each block is the same one-BLAS-thread call on
+        # whichever thread runs it, so every term, and every moment of a
+        # scattered drop streamed in STREAM_ROWS-row blocks, equals the
+        # one-thread result bit for bit
         drop = {"basis": lambda: nlos_drop("uniform-room", 400, 0.05),
                 "dense": lambda: nlos_drop("uniform-room", 100, 0.25),
-                "spectral": lambda: baseline_drop(100, 6)}[route]()
-        fading = draw_fading(drop, np.random.default_rng(6),
-                             5 * BASIS_ROWS + 9)
+                "spectral": lambda: baseline_drop(100, 6),
+                "streamed": lambda: nlos_drop(
+                    "uniform-room", 400, 0.05, mode="probabilistic")}[route]()
+        if route == "streamed":
+            def kernel():
+                return vars(run_monte_carlo(drop, 2 * STREAM_ROWS + 9, 4))
+        else:
+            fading = draw_fading(drop, np.random.default_rng(6),
+                                 5 * BASIS_ROWS + 9)
+
+            def kernel():
+                return compute_terms(drop, *fading)
         interval = sys.getswitchinterval()
         with mc_engine.row_threads(1):
-            serial = compute_terms(drop, *fading)
+            serial = kernel()
         sys.setswitchinterval(1e-6)
         try:
-            with mc_engine.row_threads(8):
-                threaded = compute_terms(drop, *fading)
+            for threads in (2, 8):
+                with mc_engine.row_threads(threads):
+                    threaded = kernel()
+                for name, value in serial.items():
+                    np.testing.assert_array_equal(threaded[name], value)
         finally:
             sys.setswitchinterval(interval)
-        for name, value in serial.items():
-            np.testing.assert_array_equal(threaded[name], value)
+
+    def test_streamed_block_opens_one_executor(self, monkeypatch):
+        # at 2 row threads the nine basis links of a streamed block share
+        # one executor, shut down before the next block: a 512-row block
+        # and a 521-row last block open two pools, and none outlives its run
+        drop = nlos_drop("uniform-room", 400, 0.05)
+        assert len(drop.links) == 9
+        pools, rows = [], []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        def spied(drop, eps, g_des):
+            rows.append(len(eps))
+            return row_terms(drop, eps, g_des)
+        monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", Counted)
+        monkeypatch.setattr(mc_engine, "row_terms", spied)
+        alive = threading.active_count()
+        with mc_engine.row_threads(2):
+            run_monte_carlo(drop, 2 * STREAM_ROWS + 9, 0)
+        assert rows == [STREAM_ROWS, STREAM_ROWS + 9]
+        assert len(pools) == 2
+        assert threading.active_count() == alive
 
     def test_row_threads_without_blas_control(self, monkeypatch):
         # under a BLAS other than OpenBLAS only the row threads change
@@ -772,14 +814,29 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("stochastic", [False, True])
     def test_streamed_draws_equal_listed_draws(self, stochastic):
         # every statistic of run_monte_carlo must equal, bit for bit, the
-        # kernel fed draw_fading's (eps, g_des, w) chunk by chunk
+        # kernel fed draw_fading's (eps, g_des, w) chunk by chunk.  A
+        # stochastic desired channel keeps its chunks whole; a
+        # deterministic one streams its eps in STREAM_ROWS-row blocks, here
+        # over three chunks, and over one 512-row block and a 521-row last
+        # block, on hand-built mixed links and on basis-route, dense-route
+        # and mixed probabilistic drops
         if stochastic:
             devices = [Device(position=np.array([r, 0.0, 1.0]), index=i)
                        for i, r in enumerate((1.0, 3.0, 7.0))]
-            drop = build_mimo_drop(devices, 16, 0.1, seed=8)
+            drops = [build_mimo_drop(devices, 16, 0.1, seed=8)]
+            sizes = [2 * DEFAULT_CHUNK + 500]
         else:
-            drop = small_drop(seed=4)
-        assert_streamed_equals_listed(drop, 2 * DEFAULT_CHUNK + 500)
+            basis, dense = (nlos_drop("uniform-room", 400, 0.05),
+                            nlos_drop("uniform-room", 100, 0.25))
+            assert all(link.paths.basis() is not None for link in basis.links)
+            assert all(link.paths.basis() is None for link in dense.links)
+            drops = [small_drop(seed=4), basis, dense,
+                     nlos_drop("uniform-room", 400, 0.25,
+                               mode="probabilistic", num_devices=6)]
+            sizes = [2 * DEFAULT_CHUNK + 500, 2 * STREAM_ROWS + 9]
+        for drop in drops:
+            for n in sizes:
+                assert_streamed_equals_listed(drop, n)
 
     @pytest.mark.parametrize("n", [2 * DEFAULT_CHUNK + 500,
                                    2 * BASIS_ROWS + 1])
@@ -838,6 +895,25 @@ class TestRunMonteCarlo:
             tracemalloc.stop()
         assert peak < all_fading
         assert peak < 16 * n * drop.num_antennas + 2 * 16 * n * p
+
+    @pytest.mark.parametrize("kind,m,mode", [
+        ("grid-plane", 1600, "nlos-only"), ("uniform-room", 400, "nlos-only"),
+        ("uniform-room", 400, "probabilistic")])
+    def test_scattered_chunk_streams_its_draws(self, kind, m, mode):
+        # with a deterministic desired channel run_monte_carlo draws a
+        # scattered chunk's eps in STREAM_ROWS-row blocks and its w after
+        # them (basis links at M = 1600, dense ones at M = 400): the traced
+        # peak must stay below half the chunk's (n, M) error draws
+        drop = nlos_drop(kind, m, 0.25, mode=mode)
+        assert not drop.pathless
+        n = DEFAULT_CHUNK
+        tracemalloc.start()
+        try:
+            run_monte_carlo(drop, n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * m / 2
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
