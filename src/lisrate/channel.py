@@ -154,6 +154,7 @@ class Scattering:
         return float(np.sum(self.gains**2 * np.abs(u) ** 2)
                      / self.num_antennas)
 
+    @functools.cached_property
     def lags(self):
         """The (M,) lags t(delta) = loss^2 sum_p gains_p^2
         exp(1j step_h,p delta) / M, delta < M, when one scalar loss on a

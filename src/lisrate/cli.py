@@ -71,7 +71,7 @@ def _add_output(parser):
         help="processes for the (M or L, drop) tasks, capped at the task "
              "count and the usable CPUs (in place where fork is "
              "unavailable); BLAS runs on one thread and a task's spare CPUs "
-             "share its row blocks, so the output depends neither on this "
+             "share its draws' chunks, so the output depends neither on this "
              "value nor on the CPU count")
 
 

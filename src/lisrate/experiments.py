@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import asymptotics, baseline_mimo, channel, geometry
-from .mc_engine import (RATE, Drop, Link, McResult, row_threads,
+from .mc_engine import (RATE, Drop, Link, McResult, chunk_threads,
                         run_monte_carlo)
 
 SPEED_OF_LIGHT = 299792458.0
@@ -203,26 +203,26 @@ def _usable_cpus() -> int:
 
 
 def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
-    """(processes, row threads per task) for `tasks` >= 1 tasks on `cpus`
-    CPUs with at most `workers` processes.
+    """(processes, chunk threads per task) for `tasks` >= 1 tasks on
+    `cpus` CPUs with at most `workers` processes.
 
     Threads beyond one per task would only wait for cores taken by other
-    tasks.  The row threads follow the tasks, not the processes, so a
+    tasks.  The chunk threads follow the tasks, not the processes, so a
     serial run of at least as many tasks as CPUs leaves the spare cores
-    idle: handing them to its row blocks sped up a serial uniform-room
-    nlos-only run at M = 400 and 900 (2.58 -> 1.73 s), but slowed serial
-    mimo-baseline, whose blocks are small (0.41 -> 0.47 s, 2 vCPUs).
-    `--workers` puts those cores to use.  The bytes depend on neither
-    count: every BLAS call runs on one thread, and a row block is the same
-    call on whichever thread runs it."""
+    idle: handing them to a task's threads, when those shared its row
+    blocks, sped up a serial uniform-room nlos-only run at M = 400 and 900
+    (2.58 -> 1.73 s), but slowed serial mimo-baseline, whose blocks are
+    small (0.41 -> 0.47 s, 2 vCPUs).  `--workers` puts those cores to use.
+    The bytes depend on neither count: every BLAS call runs on one thread,
+    and a chunk is the same call on whichever thread runs it."""
     return min(workers, tasks, cpus), max(1, cpus // min(tasks, cpus))
 
 
 def _fan_out(fn, args: list[tuple], workers: int) -> list:
     """`[fn(*a) for a in args]`, in order, on at most `workers` processes.
 
-    The one `mc_engine.row_threads` context, entered here once with the
-    planned row threads, also pins BLAS to one thread; forked workers
+    The one `mc_engine.chunk_threads` context, entered here once with the
+    planned chunk threads, also pins BLAS to one thread; forked workers
     inherit both counts.  A single process, or a platform without fork,
     runs the tasks in place."""
     if workers < 1:
@@ -230,7 +230,7 @@ def _fan_out(fn, args: list[tuple], workers: int) -> list:
     if not args:
         return []
     processes, threads = _fan_out_plan(len(args), _usable_cpus(), workers)
-    with row_threads(threads):
+    with chunk_threads(threads):
         if processes <= 1 or "fork" not in mp.get_all_start_methods():
             return [fn(*a) for a in args]
         with ProcessPoolExecutor(max_workers=processes,

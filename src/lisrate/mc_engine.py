@@ -2,11 +2,11 @@
 
 The README's engine paragraph describes the two SINR paths, the three
 routes of compute_terms, the one fading draw per interferer and the chunked,
-streamed moments.  The routes' fixed row blocks run on the threads that
-`row_threads` sets, each on one BLAS thread, and chunks merge in index
-order with seeds from (seed, drop, chunk), so the bytes follow no worker,
-thread or CPU count.  sinr_direct always takes the dense factor, so the two
-paths check each other.
+streamed moments.  Chunks run on the threads that `chunk_threads` sets,
+each on one BLAS thread, and merge in index order with seeds from (seed,
+drop, chunk), so the bytes follow no worker, thread or CPU count.
+sinr_direct always takes the dense factor, so the two paths check each
+other.
 """
 
 from __future__ import annotations
@@ -15,26 +15,26 @@ import ctypes
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
-DEFAULT_CHUNK = 2048
-# Rows per block of the scattered routes, and of a streamed chunk's draws
+# Draws per chunk, the unit of a task's threads: a scattered chunk is one
+# block of row_terms, whose dense factors and basis C it builds once.
+DEFAULT_CHUNK = 256
+# Rows per block of the basis and spectral routes, and of a chunk's draws
 # when no interferer has paths: bounds each block's (rows, M) arrays.
 BASIS_ROWS = 64
-# Rows per streamed block when interferers have paths: each block rebuilds
-# dense factors and basis coordinates C.  nlos-grid's run_monte_carlo took
-# 0.55 s at 512 rows, 0.57 s at 256, 0.68 s at 128 and 0.51 s unsplit
-# (medians of 5, 2 row threads on 2 vCPUs, OpenBLAS 0.3.31).
-STREAM_ROWS = 512
-# Threads that share a route's row blocks (`row_threads`).
-_ROW_THREADS = 1
+# Threads that share a run_monte_carlo call's chunks (`chunk_threads`).
+_CHUNK_THREADS = 1
+# Beyond two chunks at once, a task's chunks in flight hold at most this
+# many bytes of error draws, so its peak memory stops growing with threads.
+STREAM_BYTES = 48 << 20
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,19 @@ class Drop:
     def pathless(self) -> bool:
         """No interferer has scattered paths, so w draws nothing."""
         return not any(link.num_paths for link in self.links)
+
+    @cached_property
+    def toeplitz(self):
+        """The interferers j whose R_j R_j^H is Toeplitz, and the (2L, J)
+        weights T_j = (2 Re DFT(t_j) - t_j(0)) / L of their lags
+        (`Scattering.lags`), L = 2^k >= 2M - 1, repeated per (re, im)."""
+        js = [j for j, l in enumerate(self.links) if l.paths.lags is not None]
+        if not js:
+            return js, None
+        lags = np.array([self.links[j].paths.lags for j in js])
+        size = 1 << (2 * lags.shape[1] - 2).bit_length()
+        spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
+        return js, np.repeat(spectrum.T / size, 2, axis=0)
 
     @cached_property
     def stacked(self):
@@ -211,104 +224,88 @@ def _blas_thread_control():
 
 
 @contextmanager
-def row_threads(n: int):
-    """Run the body with BLAS on one thread and the routes' row blocks on
-    `n` threads, then restore both counts.  The bytes of every route rest
-    on one-thread BLAS, so this is the one place that sets either count:
-    experiments._fan_out enters it around every task, and forked workers
-    inherit both.  Under a BLAS other than OpenBLAS its count is left as
-    is."""
-    global _ROW_THREADS
+def chunk_threads(n: int):
+    """Run the body with BLAS on one thread and each `run_monte_carlo`
+    call's chunks on `n` threads, then restore both counts.  The bytes of
+    every route rest on one-thread BLAS, so this is the one place that sets
+    either count: experiments._fan_out enters it around every task, and
+    forked workers inherit both.  Under a BLAS other than OpenBLAS its
+    count is left as is."""
+    global _CHUNK_THREADS
     get, put = _blas_thread_control() or (lambda: None, lambda count: None)
-    before = get(), _ROW_THREADS
+    before = get(), _CHUNK_THREADS
     put(1)
-    _ROW_THREADS = n
+    _CHUNK_THREADS = n
     try:
         yield
     finally:
         put(before[0])
-        _ROW_THREADS = before[1]
+        _CHUNK_THREADS = before[1]
 
 
-def _row_blocks(block, out: np.ndarray, pool=None) -> np.ndarray:
-    """out[rows] = block(rows) for each slice of BASIS_ROWS rows of out, on
-    `pool`, which all routes of a `row_terms` call share, or in turn.  A
-    block is the same call on whichever thread runs it, so the bytes do not
-    depend on the thread count.  numpy keeps its floating-point traps per
-    thread, so each block runs under the caller's `np.geterr()`."""
-    traps = np.geterr()
-
-    def run(start):
+def _row_blocks(block, out: np.ndarray) -> np.ndarray:
+    """out[rows] = block(rows) for each slice of BASIS_ROWS rows of out in
+    turn: fixed edges, so a row's bits follow its position in the call."""
+    for start in range(0, len(out), BASIS_ROWS):
         rows = slice(start, start + BASIS_ROWS)
-        with np.errstate(**traps):
-            out[rows] = block(rows)
-
-    list((pool.map if pool else map)(run, range(0, len(out), BASIS_ROWS)))
+        out[rows] = block(rows)
     return out
 
 
-def _path_power(paths, xs, d, k, pool=None) -> np.ndarray:
+def _path_power(paths, xs, d, k) -> np.ndarray:
     """||f^H R||^2 per row of f = k + d xs, as the power of
-    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k), in
-    `_row_blocks`.  Where `paths.basis()` gives (U_v, U_h, C), R / loss =
-    B C diag(phase) with B = U_v kron U_h, a real C and unit-modulus phases,
-    so |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
-    reshape of a block of y, then one real (2 rows, r) x (r, P) product on
-    v's real and imaginary planes, half the flops of a complex one; each
-    block drops y and the first projection once it has used them.
-    Elsewhere one dense conj(R) serves both terms: conj(k^H R) = k conj(R),
-    taken before its rows are scaled by d in place for each block's
-    (rows, M) x (M, P) product.  So no route shares the closed form's
-    separable contraction (`Scattering.projected_power`)."""
+    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
+    `paths.basis()` gives (U_v, U_h, C), R / loss = B C diag(phase) with
+    B = U_v kron U_h, a real C and unit-modulus phases, so |q| = |v C| with
+    v = y conj(B): two small GEMMs on the (n_v, n_h) reshape of y, its
+    k-part projected once per call and added per `_row_blocks` block, then
+    one real (2 rows, r) x (r, P) product on v's real and imaginary planes,
+    half the flops of a complex one.  Elsewhere one dense conj(R) serves
+    both terms: conj(k^H R) = k conj(R), taken before its rows are scaled
+    by d in place for one (n, M) x (M, P) product over all rows, which
+    packs the factor once.  So no route shares the closed form's separable
+    contraction (`Scattering.projected_power`)."""
     basis = paths.basis()
     if basis is None:
         r = correlation_factor(paths, conjugate=True)
         k_r = k @ r
         r *= np.reshape(d, (-1, 1))
+        q = xs @ r
+        return _row_power(np.add(q, k_r, out=q))
+    u_v, u_h, c = basis
+    conj_v, conj_h = u_v.conj().T, u_h.conj()
 
-        def block(rows):
-            q = xs[rows] @ r
-            q += k_r
-            return _row_power(q)
-    else:
-        u_v, u_h, c = basis
-        conj_v, conj_h = u_v.conj().T, u_h.conj()
-        scale, shift = paths.loss * d, paths.loss * k
-
-        def block(rows):
-            y = xs[rows] * scale
-            y += shift
-            t = (y.reshape(-1, paths.n_h) @ conj_h).reshape(
-                len(y), paths.n_v, -1)
-            del y
-            v = (conj_v @ t).reshape(len(t), -1)
-            del t
-            power = _row_power(np.concatenate((v.real, v.imag)) @ c)
-            return power[:len(v)] + power[len(v):]
-    return _row_blocks(block, np.empty(len(xs)), pool)
-
-
-def _spectral_power(lags, xs, d, k, pool=None) -> np.ndarray:
-    """||f^H R_j||^2 per row of f = k + d xs and per link j whose
-    R_j R_j^H is Toeplitz, from the (J, M) lags t_j of
-    `Scattering.lags`.  f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over
-    the length-L DFTs F of f and T_j of the lags (Gray 2006, "Toeplitz and
-    circulant matrices: a review"); L, the power of two >= 2M - 1, keeps
-    the negative lags from wrapping onto the positive ones, and
-    T_j = 2 Re DFT(t_j) - t_j(0) is real.  So one FFT per row serves every
-    link, in `_row_blocks`: the squares of its float view times T
-    repeated per (re, im) pair.  Clamped at 0, which a sum of squares
-    cannot cross but this sum can round below."""
-    size = 1 << (2 * lags.shape[1] - 2).bit_length()
-    spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
-    weights = np.repeat(spectrum.T / size, 2, axis=0)      # (2L, J)
+    def project(y):
+        t = (y.reshape(-1, paths.n_h) @ conj_h).reshape(len(y), paths.n_v, -1)
+        return (conj_v @ t).reshape(len(y), -1)
+    v_k, scale = project(paths.loss * k[None]), paths.loss * d
 
     def block(rows):
-        y = xs[rows] * d
-        y += k
-        v = np.fft.fft(y, size).view(float)
+        v = project(xs[rows] * scale)
+        v += v_k
+        power = _row_power(np.concatenate((v.real, v.imag)) @ c)
+        return power[:len(v)] + power[len(v):]
+    return _row_blocks(block, np.empty(len(xs)))
+
+
+def _spectral_power(weights, xs, d, k) -> np.ndarray:
+    """||f^H R_j||^2 per row of f = k + d xs and per link j whose
+    R_j R_j^H is Toeplitz, from the weights of their lags (`Drop.toeplitz`).
+    f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over the length-L DFTs F
+    of f and T_j of the lags (Gray 2006, "Toeplitz and circulant matrices:
+    a review"); L >= 2M - 1 keeps the negative lags from wrapping onto the
+    positive ones, and T_j is real.  So one FFT per row serves every link,
+    in `_row_blocks`, with the DFT of k taken once per call: the squares
+    of its float view times the weights.  Clamped at 0, which a sum of
+    squares cannot cross but this sum can round below."""
+    size = len(weights) // 2
+    f_k = np.fft.fft(k, size)
+
+    def block(rows):
+        v = np.fft.fft(xs[rows] * d, size)
+        v = np.add(v, f_k, out=v).view(float)
         return np.square(v, out=v) @ weights
-    power = _row_blocks(block, np.empty((len(xs), len(lags))), pool)
+    power = _row_blocks(block, np.empty((len(xs), weights.shape[1])))
     return np.maximum(power, 0.0, out=power)
 
 
@@ -320,15 +317,14 @@ def row_terms(drop: Drop, eps, g_des=None) -> dict:
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
-    the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for all the links
-    with lags at once and from `_path_power` per link for the other links
-    with paths (0 for a pathless link; a dense link's k^H R_j comes from
-    its own factor).  A deterministic desired h has k = sqrt(1-tau^2) h,
+    the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for the links of
+    `Drop.toeplitz` at once and from `_path_power` per link for the other
+    links with paths (0 for a pathless link; a dense link's k^H R_j comes
+    from its own factor).  A deterministic desired h has k = sqrt(1-tau^2) h,
     d = tau err_amp and X = eps, only read; a stochastic one has k = 0
     (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
-    built in place of its rows with one (n, M) temporary.  The routes share
-    one executor of up to `row_threads` threads, shut down before the call
-    returns, as a fork pool must not fork while a thread pool lives."""
+    built in place of its rows with one (n, M) temporary.  Every route runs
+    in the calling thread."""
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
     los = drop.stacked[0]
@@ -352,19 +348,12 @@ def row_terms(drop: Drop, eps, g_des=None) -> dict:
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
     power = np.zeros((len(eps), len(drop.links)))      # ||f^H R_j||^2
-    lags = {j: link.paths.lags() for j, link in enumerate(drop.links)
-            if link.num_paths}
-    toeplitz = [j for j, t in lags.items() if t is not None]
-    threads = min(_ROW_THREADS, -(-len(eps) // BASIS_ROWS)) if lags else 1
-    with (ThreadPoolExecutor(threads) if threads > 1
-          else nullcontext()) as pool:
-        if toeplitz:
-            power[:, toeplitz] = _spectral_power(
-                np.array([lags[j] for j in toeplitz]), xs, d, k, pool=pool)
-        for j, t in lags.items():
-            if t is None:
-                power[:, j] = _path_power(drop.links[j].paths, xs, d, k,
-                                          pool=pool)
+    toeplitz, weights = drop.toeplitz
+    if toeplitz:
+        power[:, toeplitz] = _spectral_power(weights, xs, d, k)
+    for j, link in enumerate(drop.links):
+        if link.num_paths and link.paths.lags is None:
+            power[:, j] = _path_power(link.paths, xs, d, k)
     return {"s": s, "x": x, "z": z, "f_los": f_los, "power": power}
 
 
@@ -504,31 +493,41 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *,
                     drop_tag: int = 0) -> McResult:
     """Estimate the MC moments of the rate and of every decomposition term
     over chunks of DEFAULT_CHUNK draws seeded from (seed, drop_tag, chunk
-    index) and merged in index order, so the result is independent of
-    scheduling.  The per-draw terms equal compute_terms over the same
-    _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag) bit for bit.  With a
-    deterministic desired channel a chunk draws eps and takes `row_terms`
-    in blocks, then draws w and takes `fading_terms` once, so it never
-    holds its (n, M) error draws.  Blocks have BASIS_ROWS rows when no
-    interferer has paths, else STREAM_ROWS, the last taking the remainder:
-    a short block would go to BLAS's vector kernels, whose roundoff
-    differs.  A stochastic desired channel draws g between eps and w and
-    keeps its chunk whole."""
+    index) and merged in index order; the per-draw terms equal compute_terms
+    over the same _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag) bit for
+    bit.  A chunk takes `row_terms` of its eps (and g_des), then
+    `fading_terms` of its w.  A deterministic desired channel with no paths
+    draws eps in BASIS_ROWS-row blocks, the last taking the remainder (a
+    short block would go to BLAS's vector kernels, whose roundoff differs).
+    The chunks run on one executor of up to `chunk_threads` threads, or
+    STREAM_BYTES' cap, shut down before the call returns (a fork pool must
+    not fork while a thread pool lives), each under the caller's
+    `np.geterr()`, as numpy keeps its traps per thread; a failed chunk
+    cancels those not yet started."""
     if n_real < 2:
         raise ValueError("need at least two realizations")
-    rows = DEFAULT_CHUNK if not drop.desired.deterministic \
-        else BASIS_ROWS if drop.pathless else STREAM_ROWS
-    acc = None
-    for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag):
+    traps = np.geterr()
+    rows = BASIS_ROWS if drop.pathless and drop.desired.deterministic \
+        else DEFAULT_CHUNK
+
+    def moments(chunk):
+        rng, n = chunk
         edges = [*range(0, max(n - rows, 0) + 1, rows), n]
-        parts = [row_terms(drop, *_draw_rows(drop, rng, stop - start))
-                 for start, stop in zip(edges, edges[1:])]
-        t = fading_terms(drop, {key: np.concatenate([p[key] for p in parts])
-                                for key in parts[0]}, _draw_w(drop, rng, n))
-        part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
-                                      t["z"], t["i"], t["y"].T]))
-        acc = part if acc is None else acc.merge(part)
-    return acc
+        with np.errstate(**traps):
+            parts = [row_terms(drop, *_draw_rows(drop, rng, stop - start))
+                     for start, stop in zip(edges, edges[1:])]
+            t = fading_terms(drop, {k: np.concatenate([p[k] for p in parts])
+                                    for k in parts[0]}, _draw_w(drop, rng, n))
+            return McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
+                                          t["z"], t["i"], t["y"].T]))
+
+    chunks = _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag)
+    threads = min(_CHUNK_THREADS, -(-n_real // DEFAULT_CHUNK), max(
+        2, STREAM_BYTES // (16 * rows * drop.num_antennas)))
+    if threads < 2:
+        return reduce(McResult.merge, map(moments, chunks))
+    with ThreadPoolExecutor(threads) as pool:
+        return reduce(McResult.merge, pool.map(moments, chunks))
 
 
 def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int,

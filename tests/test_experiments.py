@@ -403,8 +403,9 @@ def _blas_threads_now() -> int:
 
 
 def _threads_now() -> tuple[int, int]:
-    """(BLAS threads, the routes' row threads) where it is called."""
-    return _blas_threads_now(), mc_engine._ROW_THREADS
+    """(BLAS threads, run_monte_carlo's chunk threads) where it is
+    called."""
+    return _blas_threads_now(), mc_engine._CHUNK_THREADS
 
 
 needs_blas_control = pytest.mark.skipif(
@@ -435,8 +436,8 @@ class TestFanOut:
     @needs_blas_control
     def test_tasks_run_with_planned_threads(self, monkeypatch):
         # every task, forked or in place, runs BLAS on one thread and hands
-        # the plan's thread count to the routes' row blocks; 4 CPUs give a
-        # lone task more than one row thread on any machine
+        # the plan's thread count to its chunks; 4 CPUs give a lone task
+        # more than one chunk thread on any machine
         for cpus in (experiments._usable_cpus(), 4):
             monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
             for tasks, workers in ((1, 1), (cpus, 1), (2 * cpus, 2)):
@@ -451,7 +452,7 @@ class TestFanOut:
         planned = _fan_out_plan(cfg.drops, experiments._usable_cpus(),
                                 workers)[1]
         # Start from counts other than the run's (one BLAS thread, the
-        # planned row threads), so that a missed restore shows.
+        # planned chunk threads), so that a missed restore shows.
         before = (2, planned + 1)
         get, put = mc_engine._blas_thread_control()
         outer = get()
@@ -459,7 +460,7 @@ class TestFanOut:
         try:
             if _blas_threads_now() != before[0]:
                 pytest.skip("BLAS ignores the requested thread count")
-            monkeypatch.setattr(mc_engine, "_ROW_THREADS", before[1])
+            monkeypatch.setattr(mc_engine, "_CHUNK_THREADS", before[1])
             run_scenario(cfg, workers=workers)
             assert _threads_now() == before
         finally:
@@ -488,7 +489,7 @@ PINNED_CLI = ("import os, sys; os.sched_setaffinity(0, sorted("
     or len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
 @pytest.mark.parametrize("route", sorted(ONE_TASK_RUNS))
 def test_csv_bytes_follow_no_cpu_count(route, tmp_path):
-    # a lone task gives its spare CPU to row blocks, each the same
+    # a lone task gives its spare CPU to its chunks, each the same
     # one-thread call on whichever thread runs it: its CSV on one CPU and on
     # two is the same file
     src = str(Path(lisrate.__file__).resolve().parents[1])
@@ -630,10 +631,10 @@ class TestCli:
         assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_overflow_in_a_row_thread_exits_3(self, monkeypatch, capsys):
-        # numpy keeps its traps per thread: an overflow in a route block
-        # that runs off the main thread still raises, and the one exit line
-        # names the task.  Two usable CPUs give the lone task two row
-        # threads, and its dense route 4 blocks.
+        # numpy keeps its traps per thread: an overflow in a chunk that
+        # runs off the main thread still raises, and the one exit line
+        # names the task.  Two usable CPUs give the lone task two chunk
+        # threads, and its 1,024 draws 4 chunks.
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         row_power, threads = mc_engine._row_power, set()
 
@@ -645,7 +646,7 @@ class TestCli:
         monkeypatch.setattr(mc_engine, "_row_power", overflowing)
         rc = cli.main(["run", "--scenario", "uniform-room", "--mode",
                        "nlos-only", "--devices", "4", "--m-grid", "16",
-                       "--drops", "1", "--realizations", "256"])
+                       "--drops", "1", "--realizations", "1024"])
         assert rc == cli.EXIT_NUMERICAL and threads
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: M=16, drop 0: ")
@@ -700,7 +701,7 @@ class TestCli:
     @needs_blas_control
     def test_validate_samples_as_a_task(self, monkeypatch, capsys):
         # validate's Monte Carlo runs as run's drop 0 does: one BLAS thread,
-        # the usable CPUs (4 here, on any machine) as row threads, and a
+        # the usable CPUs (4 here, on any machine) as chunk threads, and a
         # fault named after its task
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
         seen = []

@@ -23,7 +23,6 @@ from lisrate.mc_engine import (
     BASIS_ROWS,
     DEFAULT_CHUNK,
     RATE,
-    STREAM_ROWS,
     Y,
     Z,
     Drop,
@@ -329,12 +328,12 @@ class TestSinrPaths:
 
     def test_los_chunk_streams_its_draws(self):
         # a los-only row draws its eps row alone, so run_monte_carlo draws
-        # and reduces a chunk in BASIS_ROWS-row blocks: its traced peak
-        # must stay far below the chunk's (n, M) error draws
+        # and reduces each chunk in BASIS_ROWS-row blocks: over eight chunks
+        # its traced peak must stay far below the run's (n, M) error draws
         drop = make_drop(ScenarioConfig(
             kind="grid-plane", mode="los-only", num_devices=10,
             m_grid=(1600,), drops=1, realizations=2, seed=7), 0)
-        n = DEFAULT_CHUNK
+        n = 8 * DEFAULT_CHUNK
         tracemalloc.start()
         try:
             run_monte_carlo(drop, n, 0)
@@ -518,9 +517,10 @@ class TestSpectralPath:
         xs = crandn(rng, (BASIS_ROWS + 9, 100))
         d = rng.uniform(0.5, 1.5, 100)
         k = crandn(rng, 100)
-        lags = np.array([link.paths.lags() for link in drop.links])
+        js, weights = drop.toeplitz
+        assert js == list(range(len(drop.links)))
         for kk in (np.zeros_like(k), k):
-            power = _spectral_power(lags, xs, d, kk)
+            power = _spectral_power(weights, xs, d, kk)
             for link, col in zip(drop.links, power.T, strict=True):
                 q = xs @ correlation_factor(link.paths, d, conjugate=True)
                 q += np.conj(kk.conj() @ correlation_factor(link.paths))
@@ -545,7 +545,7 @@ class TestSpectralPath:
             raise AssertionError("took a route")
         monkeypatch.setattr(mc_engine, "_spectral_power", forbidden)
         for drop in drops:
-            assert all(link.paths.lags() is None for link in drop.links)
+            assert all(link.paths.lags is None for link in drop.links)
             compute_terms(drop, *draw_fading(drop, np.random.default_rng(0),
                                              4))
         monkeypatch.setattr(mc_engine, "_path_power", forbidden)
@@ -577,7 +577,7 @@ class TestSpectralPath:
             / (drop.tau * drop.err_amp)
         w = crandn(rng, (n, 1))
         with np.errstate(invalid="raise"):
-            power = _spectral_power(link.paths.lags()[None], f, 1.0,
+            power = _spectral_power(drop.toeplitz[1], f, 1.0,
                                     np.zeros(2, complex))
             gamma = compute_terms(drop, eps, g_des, w)["gamma"]
         assert np.all(power >= 0.0)
@@ -588,34 +588,33 @@ class TestSpectralPath:
 
 class TestRowBlocks:
     @pytest.mark.parametrize("route", ["basis", "dense", "spectral",
-                                       "streamed"])
+                                       "streamed", "pathless"])
     def test_threads_keep_every_bit(self, route):
-        # two row threads, and more than cores, switching every
-        # microsecond: each block is the same one-BLAS-thread call on
-        # whichever thread runs it, so every term, and every moment of a
-        # scattered drop streamed in STREAM_ROWS-row blocks, equals the
-        # one-thread result bit for bit
+        # two chunk threads, and more than cores, switching every
+        # microsecond: each chunk is the same one-BLAS-thread call on
+        # whichever thread runs it, and the chunks merge in index order, so
+        # every moment equals the one-thread result bit for bit.  Three
+        # whole chunks and a partial last one, on each route, on a
+        # probabilistic drop that streams mixed links, and on a los-only
+        # drop that streams its chunks in BASIS_ROWS-row blocks
         drop = {"basis": lambda: nlos_drop("uniform-room", 400, 0.05),
                 "dense": lambda: nlos_drop("uniform-room", 100, 0.25),
                 "spectral": lambda: baseline_drop(100, 6),
                 "streamed": lambda: nlos_drop(
-                    "uniform-room", 400, 0.05, mode="probabilistic")}[route]()
-        if route == "streamed":
-            def kernel():
-                return vars(run_monte_carlo(drop, 2 * STREAM_ROWS + 9, 4))
-        else:
-            fading = draw_fading(drop, np.random.default_rng(6),
-                                 5 * BASIS_ROWS + 9)
+                    "uniform-room", 400, 0.05, mode="probabilistic"),
+                "pathless": lambda: nlos_drop(
+                    "grid-plane", 400, 0.25, mode="los-only")}[route]()
+        assert drop.pathless == (route == "pathless")
 
-            def kernel():
-                return compute_terms(drop, *fading)
+        def kernel():
+            return vars(run_monte_carlo(drop, 3 * DEFAULT_CHUNK + 9, 4))
         interval = sys.getswitchinterval()
-        with mc_engine.row_threads(1):
+        with mc_engine.chunk_threads(1):
             serial = kernel()
         sys.setswitchinterval(1e-6)
         try:
             for threads in (2, 8):
-                with mc_engine.row_threads(threads):
+                with mc_engine.chunk_threads(threads):
                     threaded = kernel()
                 for name, value in serial.items():
                     np.testing.assert_array_equal(threaded[name], value)
@@ -623,9 +622,9 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
 
     def test_streamed_block_opens_one_executor(self, monkeypatch):
-        # at 2 row threads the nine basis links of a streamed block share
-        # one executor, shut down before the next block: a 512-row block
-        # and a 521-row last block open two pools, and none outlives its run
+        # at 2 chunk threads a lone task's run_monte_carlo maps its chunks
+        # through one executor, shut down before it returns, and each
+        # chunk's row_terms, one block of the nine basis links, builds none
         drop = nlos_drop("uniform-room", 400, 0.05)
         assert len(drop.links) == 9
         pools, rows = [], []
@@ -641,19 +640,49 @@ class TestRowBlocks:
         monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(mc_engine, "row_terms", spied)
         alive = threading.active_count()
-        with mc_engine.row_threads(2):
-            run_monte_carlo(drop, 2 * STREAM_ROWS + 9, 0)
-        assert rows == [STREAM_ROWS, STREAM_ROWS + 9]
-        assert len(pools) == 2
+        with mc_engine.chunk_threads(2):
+            run_monte_carlo(drop, 2 * DEFAULT_CHUNK + 9, 0)
+            assert len(pools) == 1
+            assert threading.active_count() == alive
+            row_terms(drop, crandn(np.random.default_rng(0),
+                                   (DEFAULT_CHUNK, 400)))
+        assert sorted(rows) == [9, DEFAULT_CHUNK, DEFAULT_CHUNK]
+        assert len(pools) == 1
         assert threading.active_count() == alive
 
-    def test_row_threads_without_blas_control(self, monkeypatch):
-        # under a BLAS other than OpenBLAS only the row threads change
+    def test_threads_hold_bounded_draws(self, monkeypatch):
+        # beyond two chunks at once a task's chunks in flight hold at most
+        # STREAM_BYTES of error draws: at 8 chunk threads a los-only drop at
+        # M = 10^4 (64-row blocks of 10 MB) runs 4 chunks at once, and a
+        # scattered one at M = 6400 (256-row chunks of 26 MB) still runs 2
+        workers = []
+
+        class Counted(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                raise RuntimeError("counted before any chunk ran")
+        monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", Counted)
+        for side, paths in ((100, 0), (80, 1)):
+            m = side * side
+            scattered = Scattering(1.0, np.ones(paths), np.zeros(paths),
+                                   np.zeros(paths), side, side)
+            h = np.ones(m, complex)
+            drop = Drop(desired=los_link(h, 1.0),
+                        links=(Link(kappa=1.0, h_los=h, paths=scattered,
+                                    rho=1.0),),
+                        err_amp=np.ones(m), tau=0.5)
+            assert drop.pathless == (paths == 0)
+            with mc_engine.chunk_threads(8), pytest.raises(RuntimeError):
+                run_monte_carlo(drop, 8 * DEFAULT_CHUNK, 0)
+        assert workers == [4, 2]
+
+    def test_chunk_threads_without_blas_control(self, monkeypatch):
+        # under a BLAS other than OpenBLAS only the chunk threads change
         monkeypatch.setattr(mc_engine, "_blas_thread_control", lambda: None)
-        before = mc_engine._ROW_THREADS
-        with mc_engine.row_threads(before + 2):
-            assert mc_engine._ROW_THREADS == before + 2
-        assert mc_engine._ROW_THREADS == before
+        before = mc_engine._CHUNK_THREADS
+        with mc_engine.chunk_threads(before + 2):
+            assert mc_engine._CHUNK_THREADS == before + 2
+        assert mc_engine._CHUNK_THREADS == before
 
 
 def stats(m: McResult):
@@ -815,11 +844,11 @@ class TestRunMonteCarlo:
     def test_streamed_draws_equal_listed_draws(self, stochastic):
         # every statistic of run_monte_carlo must equal, bit for bit, the
         # kernel fed draw_fading's (eps, g_des, w) chunk by chunk.  A
-        # stochastic desired channel keeps its chunks whole; a
-        # deterministic one streams its eps in STREAM_ROWS-row blocks, here
-        # over three chunks, and over one 512-row block and a 521-row last
-        # block, on hand-built mixed links and on basis-route, dense-route
-        # and mixed probabilistic drops
+        # stochastic desired channel, or one with scattered interferers,
+        # takes each chunk whole, here over four chunks, the last partial,
+        # and over one whole chunk and a lone-row last chunk, on hand-built
+        # mixed links and on basis-route, dense-route and mixed
+        # probabilistic drops
         if stochastic:
             devices = [Device(position=np.array([r, 0.0, 1.0]), index=i)
                        for i, r in enumerate((1.0, 3.0, 7.0))]
@@ -833,7 +862,7 @@ class TestRunMonteCarlo:
             drops = [small_drop(seed=4), basis, dense,
                      nlos_drop("uniform-room", 400, 0.25,
                                mode="probabilistic", num_devices=6)]
-            sizes = [2 * DEFAULT_CHUNK + 500, 2 * STREAM_ROWS + 9]
+            sizes = [2 * DEFAULT_CHUNK + 500, DEFAULT_CHUNK + 1]
         for drop in drops:
             for n in sizes:
                 assert_streamed_equals_listed(drop, n)
@@ -900,13 +929,13 @@ class TestRunMonteCarlo:
         ("grid-plane", 1600, "nlos-only"), ("uniform-room", 400, "nlos-only"),
         ("uniform-room", 400, "probabilistic")])
     def test_scattered_chunk_streams_its_draws(self, kind, m, mode):
-        # with a deterministic desired channel run_monte_carlo draws a
-        # scattered chunk's eps in STREAM_ROWS-row blocks and its w after
-        # them (basis links at M = 1600, dense ones at M = 400): the traced
-        # peak must stay below half the chunk's (n, M) error draws
+        # run_monte_carlo draws a scattered chunk's eps and its w after it,
+        # one chunk of DEFAULT_CHUNK rows at a time (basis links at
+        # M = 1600, dense ones at M = 400): over eight chunks the traced
+        # peak must stay below half the run's (n, M) error draws
         drop = nlos_drop(kind, m, 0.25, mode=mode)
         assert not drop.pathless
-        n = DEFAULT_CHUNK
+        n = 8 * DEFAULT_CHUNK
         tracemalloc.start()
         try:
             run_monte_carlo(drop, n, 0)
