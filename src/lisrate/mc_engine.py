@@ -1,12 +1,12 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 The README's engine paragraph describes the two SINR paths, the three
-routes of compute_terms, the one fading draw per interferer and the chunked,
-streamed moments.  Chunks run on the threads that `chunk_threads` sets,
-each on one BLAS thread, and merge in index order with seeds from (seed,
-drop, chunk), so the bytes follow no worker, thread or CPU count.
-sinr_direct always takes the dense factor, so the two paths check each
-other.
+routes of compute_terms, the one fading draw per interferer and the chunked
+moments: a chunk of `Drop.chunk_size` draws is one compute_terms call.
+Chunks run on the threads that `chunk_threads` sets, each on one BLAS
+thread, and merge in index order with seeds from (seed, drop, chunk), so
+the bytes follow no worker, thread or CPU count.  sinr_direct always takes
+the dense factor, so the two paths check each other.
 """
 
 from __future__ import annotations
@@ -24,16 +24,17 @@ import numpy as np
 from .channel import Scattering, correlation_factor
 from .geometry import AntennaGrid
 
-# Draws per chunk, the unit of a task's threads: a scattered chunk is one
-# block of row_terms, whose dense factors and basis C it builds once.
+# Draws per chunk, the unit of a task's threads and of one compute_terms
+# call, whose dense factors and basis C it builds once (`Drop.chunk_size`).
 DEFAULT_CHUNK = 256
-# Rows per block of the basis and spectral routes, and of a chunk's draws
-# when no interferer has paths: bounds each block's (rows, M) arrays.
+# Rows per block of the basis and spectral routes, and draws per chunk when
+# no draw reaches past eps (`Drop.chunk_size`): bounds each (rows, M) array.
 BASIS_ROWS = 64
 # Threads that share a run_monte_carlo call's chunks (`chunk_threads`).
 _CHUNK_THREADS = 1
 # Beyond two chunks at once, a task's chunks in flight hold at most this
-# many bytes of error draws, so its peak memory stops growing with threads.
+# many bytes of error draws, (chunk_size, M) each, so its peak memory stops
+# growing with threads.
 STREAM_BYTES = 48 << 20
 
 
@@ -98,6 +99,14 @@ class Drop:
         """No interferer has scattered paths, so w draws nothing."""
         return not any(link.num_paths for link in self.links)
 
+    @property
+    def chunk_size(self) -> int:
+        """Draws per Monte-Carlo chunk: BASIS_ROWS when nothing is drawn
+        past eps (a deterministic desired channel, no interferer with
+        paths), else DEFAULT_CHUNK."""
+        los_only = self.pathless and self.desired.deterministic
+        return BASIS_ROWS if los_only else DEFAULT_CHUNK
+
     @cached_property
     def toeplitz(self):
         """The interferers j whose R_j R_j^H is Toeplitz, and the (2L, J)
@@ -156,21 +165,12 @@ def draw_fading(drop: Drop, rng, n: int):
     fading g only through f^H R g, CN(0, ||R^H f||^2) given f, which is the
     law of ||R^H f|| w_j: w_j is g's component along R^H f.  When no
     interferer has paths, w is zeros and draws nothing."""
-    return (*_draw_rows(drop, rng, n), _draw_w(drop, rng, n))
-
-
-def _draw_rows(drop: Drop, rng, n: int):
-    """draw_fading's eps and g_des."""
     eps = crandn(rng, (n, drop.num_antennas))
-    if drop.desired.deterministic:
-        return eps, None
-    return eps, crandn(rng, (n, drop.desired.num_paths))
-
-
-def _draw_w(drop: Drop, rng, n: int) -> np.ndarray:
-    """draw_fading's w."""
+    g_des = None if drop.desired.deterministic \
+        else crandn(rng, (n, drop.desired.num_paths))
     shape = (n, len(drop.links))
-    return np.zeros(shape, complex) if drop.pathless else crandn(rng, shape)
+    w = np.zeros(shape, complex) if drop.pathless else crandn(rng, shape)
+    return eps, g_des, w
 
 
 def _check_links(drop: Drop, eps, w) -> None:
@@ -309,10 +309,10 @@ def _spectral_power(weights, xs, d, k) -> np.ndarray:
     return np.maximum(power, 0.0, out=power)
 
 
-def row_terms(drop: Drop, eps, g_des=None) -> dict:
-    """The SINR terms of rows of draw_fading's eps and g_des that come
-    before the interferers' fading w, each row's from that row alone:
-    arrays s, x, z (n,), f_los = f^H h_los,j and power = ||f^H R_j||^2
+def compute_terms(drop: Drop, eps, g_des, w) -> dict:
+    """Decomposed SINR terms for a batch of realizations from draw_fading,
+    each row's from that row alone: arrays s, x, y (n, K-1), z, i, gamma,
+    f_los = f^H h_los,j and power = ||f^H R_j||^2 (n, K-1).  w must be
     (n, K-1).
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
@@ -323,11 +323,13 @@ def row_terms(drop: Drop, eps, g_des=None) -> dict:
     from its own factor).  A deterministic desired h has k = sqrt(1-tau^2) h,
     d = tau err_amp and X = eps, only read; a stochastic one has k = 0
     (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
-    built in place of its rows with one (n, M) temporary.  Every route runs
-    in the calling thread."""
+    built in place of its rows with one (n, M) temporary.  f^H h_j is drawn
+    as a f^H h_los + b ||f^H R_j|| w_j, so y_j = |a f_los + b sqrt(power)
+    w_j|^2.  Every route runs in the calling thread."""
+    _check_links(drop, eps, w)
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
-    los = drop.stacked[0]
+    los, a, b, rhos = drop.stacked
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
     s = np.broadcast_to(_row_power(h) ** 2, len(eps))
     if drop.desired.deterministic:
@@ -354,28 +356,11 @@ def row_terms(drop: Drop, eps, g_des=None) -> dict:
     for j, link in enumerate(drop.links):
         if link.num_paths and link.paths.lags is None:
             power[:, j] = _path_power(link.paths, xs, d, k)
-    return {"s": s, "x": x, "z": z, "f_los": f_los, "power": power}
-
-
-def fading_terms(drop: Drop, rows: dict, w) -> dict:
-    """row_terms' arrays with y_j = |a f_los + b sqrt(power) w_j|^2, i and
-    gamma for the (n, K-1) interferer draws w: f^H h_j is drawn as
-    a f^H h_los + b ||f^H R_j|| w_j.  The roundoff of y @ rho follows
-    n mod 4, so a streamed chunk takes this once over all its rows."""
-    _, a, b, rhos = drop.stacked
-    tau = drop.tau
-    y = np.abs(a * rows["f_los"] + b * np.sqrt(rows["power"]) * w) ** 2
-    i_total = drop.desired.rho * tau**2 * rows["x"] + y @ rhos + rows["z"]
-    gamma = drop.desired.rho * rows["s"] * (1.0 - tau**2) / i_total
-    return {**rows, "y": y, "i": i_total, "gamma": gamma}
-
-
-def compute_terms(drop: Drop, eps, g_des, w) -> dict:
-    """Decomposed SINR terms for a batch of realizations from draw_fading:
-    `fading_terms` of `row_terms`.  w must be (n, K-1).  Returns arrays s,
-    x, y (n, K-1), z, i, gamma and row_terms' f_los and power."""
-    _check_links(drop, eps, w)
-    return fading_terms(drop, row_terms(drop, eps, g_des), w)
+    y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
+    i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
+    gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
+    return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma,
+            "f_los": f_los, "power": power}
 
 
 def sinr_direct(drop: Drop, eps, g_des, w) -> np.ndarray:
@@ -492,37 +477,29 @@ def _chunks(n_real: int, chunk_size: int, *words):
 def run_monte_carlo(drop: Drop, n_real: int, seed, *,
                     drop_tag: int = 0) -> McResult:
     """Estimate the MC moments of the rate and of every decomposition term
-    over chunks of DEFAULT_CHUNK draws seeded from (seed, drop_tag, chunk
-    index) and merged in index order; the per-draw terms equal compute_terms
-    over the same _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag) bit for
-    bit.  A chunk takes `row_terms` of its eps (and g_des), then
-    `fading_terms` of its w.  A deterministic desired channel with no paths
-    draws eps in BASIS_ROWS-row blocks, the last taking the remainder (a
-    short block would go to BLAS's vector kernels, whose roundoff differs).
-    The chunks run on one executor of up to `chunk_threads` threads, or
-    STREAM_BYTES' cap, shut down before the call returns (a fork pool must
-    not fork while a thread pool lives), each under the caller's
-    `np.geterr()`, as numpy keeps its traps per thread; a failed chunk
-    cancels those not yet started."""
+    over chunks of `drop.chunk_size` draws seeded from (seed, drop_tag,
+    chunk index) and merged in index order: each chunk is one
+    compute_terms call on draw_fading's draws from
+    _chunks(n_real, drop.chunk_size, seed, drop_tag).  The chunks run on
+    one executor of up to `chunk_threads` threads, or STREAM_BYTES' cap,
+    shut down before the call returns (a fork pool must not fork while a
+    thread pool lives), each under the caller's `np.geterr()`, as numpy
+    keeps its traps per thread; a failed chunk cancels those not yet
+    started."""
     if n_real < 2:
         raise ValueError("need at least two realizations")
     traps = np.geterr()
-    rows = BASIS_ROWS if drop.pathless and drop.desired.deterministic \
-        else DEFAULT_CHUNK
+    rows = drop.chunk_size
 
     def moments(chunk):
         rng, n = chunk
-        edges = [*range(0, max(n - rows, 0) + 1, rows), n]
         with np.errstate(**traps):
-            parts = [row_terms(drop, *_draw_rows(drop, rng, stop - start))
-                     for start, stop in zip(edges, edges[1:])]
-            t = fading_terms(drop, {k: np.concatenate([p[k] for p in parts])
-                                    for k in parts[0]}, _draw_w(drop, rng, n))
+            t = compute_terms(drop, *draw_fading(drop, rng, n))
             return McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
                                           t["z"], t["i"], t["y"].T]))
 
-    chunks = _chunks(n_real, DEFAULT_CHUNK, seed, drop_tag)
-    threads = min(_CHUNK_THREADS, -(-n_real // DEFAULT_CHUNK), max(
+    chunks = _chunks(n_real, rows, seed, drop_tag)
+    threads = min(_CHUNK_THREADS, -(-n_real // rows), max(
         2, STREAM_BYTES // (16 * rows * drop.num_antennas)))
     if threads < 2:
         return reduce(McResult.merge, map(moments, chunks))

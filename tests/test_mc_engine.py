@@ -35,7 +35,6 @@ from lisrate.mc_engine import (
     crandn,
     draw_fading,
     rate_sample,
-    row_terms,
     run_monte_carlo,
     sample_yn2_normalized,
     sinr_direct,
@@ -327,9 +326,9 @@ class TestSinrPaths:
         assert peak < fading[0].nbytes / 4
 
     def test_los_chunk_streams_its_draws(self):
-        # a los-only row draws its eps row alone, so run_monte_carlo draws
-        # and reduces each chunk in BASIS_ROWS-row blocks: over eight chunks
-        # its traced peak must stay far below the run's (n, M) error draws
+        # a los-only drop draws nothing past eps, so run_monte_carlo takes
+        # it in BASIS_ROWS-draw chunks: over 32 chunks its traced peak must
+        # stay far below the run's (n, M) error draws
         drop = make_drop(ScenarioConfig(
             kind="grid-plane", mode="los-only", num_devices=10,
             m_grid=(1600,), drops=1, realizations=2, seed=7), 0)
@@ -596,7 +595,7 @@ class TestRowBlocks:
         # every moment equals the one-thread result bit for bit.  Three
         # whole chunks and a partial last one, on each route, on a
         # probabilistic drop that streams mixed links, and on a los-only
-        # drop that streams its chunks in BASIS_ROWS-row blocks
+        # drop, whose chunks have BASIS_ROWS draws
         drop = {"basis": lambda: nlos_drop("uniform-room", 400, 0.05),
                 "dense": lambda: nlos_drop("uniform-room", 100, 0.25),
                 "spectral": lambda: baseline_drop(100, 6),
@@ -623,10 +622,13 @@ class TestRowBlocks:
 
     def test_streamed_block_opens_one_executor(self, monkeypatch):
         # at 2 chunk threads a lone task's run_monte_carlo maps its chunks
-        # through one executor, shut down before it returns, and each
-        # chunk's row_terms, one block of the nine basis links, builds none
-        drop = nlos_drop("uniform-room", 400, 0.05)
-        assert len(drop.links) == 9
+        # through one executor, shut down before it returns, and each chunk
+        # is one compute_terms call, which opens none: 256, 256 and 9 rows
+        # on the nine basis links, and BASIS_ROWS-row calls with a partial
+        # last one on a pathless drop
+        scattered = nlos_drop("uniform-room", 400, 0.05)
+        pathless = nlos_drop("grid-plane", 400, 0.25, mode="los-only")
+        assert len(scattered.links) == 9 and pathless.pathless
         pools, rows = [], []
 
         class Counted(ThreadPoolExecutor):
@@ -634,26 +636,30 @@ class TestRowBlocks:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        def spied(drop, eps, g_des):
+        def spied(drop, eps, g_des, w):
             rows.append(len(eps))
-            return row_terms(drop, eps, g_des)
+            return compute_terms(drop, eps, g_des, w)
         monkeypatch.setattr(mc_engine, "ThreadPoolExecutor", Counted)
-        monkeypatch.setattr(mc_engine, "row_terms", spied)
+        monkeypatch.setattr(mc_engine, "compute_terms", spied)
         alive = threading.active_count()
         with mc_engine.chunk_threads(2):
-            run_monte_carlo(drop, 2 * DEFAULT_CHUNK + 9, 0)
+            run_monte_carlo(scattered, 2 * DEFAULT_CHUNK + 9, 0)
             assert len(pools) == 1
             assert threading.active_count() == alive
-            row_terms(drop, crandn(np.random.default_rng(0),
-                                   (DEFAULT_CHUNK, 400)))
-        assert sorted(rows) == [9, DEFAULT_CHUNK, DEFAULT_CHUNK]
-        assert len(pools) == 1
+            assert sorted(rows) == [9, DEFAULT_CHUNK, DEFAULT_CHUNK]
+            compute_terms(scattered, *draw_fading(
+                scattered, np.random.default_rng(0), DEFAULT_CHUNK))
+            assert len(pools) == 1
+            rows.clear()
+            run_monte_carlo(pathless, 3 * BASIS_ROWS + 5, 0)
+        assert sorted(rows) == [5, BASIS_ROWS, BASIS_ROWS, BASIS_ROWS]
+        assert len(pools) == 2
         assert threading.active_count() == alive
 
     def test_threads_hold_bounded_draws(self, monkeypatch):
         # beyond two chunks at once a task's chunks in flight hold at most
         # STREAM_BYTES of error draws: at 8 chunk threads a los-only drop at
-        # M = 10^4 (64-row blocks of 10 MB) runs 4 chunks at once, and a
+        # M = 10^4 (64-draw chunks of 10 MB) runs 4 chunks at once, and a
         # scattered one at M = 6400 (256-row chunks of 26 MB) still runs 2
         workers = []
 
@@ -696,7 +702,7 @@ def assert_streamed_equals_listed(drop: Drop, n: int):
     seed, tag = 9, 2
     mc = run_monte_carlo(drop, n, seed, drop_tag=tag)
     acc = None
-    for rng, k in _chunks(n, DEFAULT_CHUNK, seed, tag):
+    for rng, k in _chunks(n, drop.chunk_size, seed, tag):
         t = compute_terms(drop, *draw_fading(drop, rng, k))
         part = McResult.of(np.vstack([rate_sample(t["gamma"]), t["x"],
                                       t["z"], t["i"], t["y"].T]))
@@ -833,7 +839,7 @@ class TestRunMonteCarlo:
         mc = run_monte_carlo(drop, n, 1)
         z = np.concatenate([
             compute_terms(drop, *draw_fading(drop, rng, k))["z"]
-            for rng, k in _chunks(n, DEFAULT_CHUNK, 1, 0)])
+            for rng, k in _chunks(n, drop.chunk_size, 1, 0)])
         d = z - z.mean()
         m2, m4 = np.mean(d**2), np.mean(d**4)
         two_pass = math.sqrt((m4 - (n - 3) / (n - 1) * m2**2) / n)
@@ -870,10 +876,9 @@ class TestRunMonteCarlo:
     @pytest.mark.parametrize("n", [2 * DEFAULT_CHUNK + 500,
                                    2 * BASIS_ROWS + 1])
     def test_streamed_los_blocks_equal_listed_draws(self, n):
-        # a los-only chunk is drawn and reduced in BASIS_ROWS-row blocks,
-        # here over three chunks and a partial last block, or over one
-        # chunk that leaves a lone row past its last whole block: the
-        # statistics must still equal the whole-chunk kernel's bit for bit
+        # a los-only drop runs in chunks of BASIS_ROWS draws, here fifteen
+        # and a partial last chunk, or two and a lone-row last chunk: the
+        # statistics must equal the kernel's, chunk by chunk, bit for bit
         drop = make_drop(ScenarioConfig(
             kind="grid-plane", mode="los-only", num_devices=10,
             m_grid=(100,), drops=1, realizations=2, seed=7), 0)
@@ -947,6 +952,16 @@ class TestRunMonteCarlo:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             run_monte_carlo(small_drop(), 1, 0)
+
+    def test_chunk_size_rule(self):
+        # BASIS_ROWS draws only when nothing is drawn past eps: a
+        # deterministic desired channel and no interferer with paths
+        los = nlos_drop("grid-plane", 100, 0.25, mode="los-only")
+        stochastic = dataclasses.replace(baseline_drop(16, 2), links=())
+        assert los.pathless and stochastic.pathless
+        assert los.chunk_size == BASIS_ROWS
+        assert stochastic.chunk_size == DEFAULT_CHUNK
+        assert small_drop().chunk_size == DEFAULT_CHUNK
 
 
 class TestYn2Sampler:
