@@ -4,8 +4,9 @@ correlation factor only on demand.  A link combines them as
 `mc_engine.Link`.  The closed form's ||h^H R||^2 contracts the separable
 form (`Scattering.projected_power`), which the Monte-Carlo kernel never
 calls, so a fault in that contraction cannot move both engines together.
-The kernel's basis route reads a link's real coordinates C in a cached
-ramp basis of even and odd vectors (`ramp_basis`, `Scattering.basis`)."""
+The kernel picks its own routes (`mc_engine.Drop.routes`); its basis route
+reads the real coordinates of a link's ramps (`_centred_coordinates`) in a
+cached ramp basis of even and odd vectors (`ramp_basis`)."""
 
 from __future__ import annotations
 
@@ -110,8 +111,8 @@ class Scattering:
     `correlation_factor` builds the dense (M, P) R.  It and
     `projected_power`, the closed form's ||h^H R||^2, build each ramp as
     `_phase_ramp` does, from ~2 sqrt(n) exponentials per path instead of
-    n.  `band`, when known, bounds (|step_v|, |step_h|) and lets `basis`
-    span the paths with fewer than P directions."""
+    n.  `band`, when known, bounds (|step_v|, |step_h|), so that a ramp
+    basis of the band may span the paths with fewer than P directions."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains
@@ -153,50 +154,6 @@ class Scattering:
                       c @ _phase_ramp(self.n_h, self.step_h))
         return float(np.sum(self.gains**2 * np.abs(u) ** 2)
                      / self.num_antennas)
-
-    @functools.cached_property
-    def lags(self):
-        """The (M,) lags t(delta) = loss^2 sum_p gains_p^2
-        exp(1j step_h,p delta) / M, delta < M, when one scalar loss on a
-        linear array (n_v = 1) makes R R^H the Hermitian Toeplitz matrix
-        [t(m - m')], with t(-delta) = conj(t(delta)); else None.  The sum
-        over paths is one (ceil(M/b), P) x (P, b) product of `_ramp_factors`'
-        coarse and fine ramps, so no (M, P) array is formed."""
-        if self.n_v != 1 or np.ndim(self.loss) or not self.num_paths:
-            return None
-        coarse, fine = _ramp_factors(self.n_h, self.step_h)
-        t = ((coarse * self.gains**2) @ fine.T).reshape(-1)[:self.n_h]
-        return t * (self.loss**2 / self.n_h)
-
-    @functools.cached_property
-    def _coordinates(self):
-        """`basis`'s (U_v, U_h, c_v, c_h), or None, built once per link."""
-        if self.band is None:
-            return None
-        u_v, u_h = ramp_basis(self.n_v, self.band[0]), \
-            ramp_basis(self.n_h, self.band[1])
-        if u_v.shape[1] * u_h.shape[1] >= self.num_paths:
-            return None
-        c_v = _centred_coordinates(u_v, self.step_v)
-        c_h = _centred_coordinates(u_h, self.step_h) \
-            * (self.gains / math.sqrt(self.num_antennas))
-        return u_v, u_h, c_v, c_h
-
-    def basis(self):
-        """(U_v, U_h, C) when the ramp bases of the band have
-        r = r_v r_h < P directions, else None.  B = U_v kron U_h then spans
-        every steering vector, so R = diag(loss) B C diag(phase) with the
-        real (r, P) C whose column p is c_v,p kron c_h,p, from the real
-        coordinates of the centred ramps (`_centred_coordinates`), c_h's
-        scaled by gains_p / sqrt(M), and phase_p = exp(1j (step_v,p (n_v - 1)
-        + step_h,p (n_h - 1)) / 2), which has modulus 1 and so leaves every
-        |(f^H R)_p| as it is.  The link keeps c_v and c_h (0.3 MB at
-        M = 1600) and forms C, r_v r_h / (r_v + r_h) times larger, per call."""
-        if self._coordinates is None:
-            return None
-        u_v, u_h, c_v, c_h = self._coordinates
-        return u_v, u_h, (c_v[:, None] * c_h[None, :]).reshape(
-            -1, self.num_paths)
 
 
 def nlos_scattering(device: Device, grid: AntennaGrid, angles,

@@ -210,13 +210,9 @@ def _fan_out_plan(tasks: int, cpus: int, workers: int) -> tuple[int, int]:
     tasks.  The chunk threads follow the tasks, not the processes, so a
     task gets spare cores only when there are fewer tasks than CPUs, and a
     serial run of at least as many tasks as CPUs keeps to one core, as
-    `--workers 1` asks; `--workers` puts the others to use.  (Row-thread
-    figures, from when a task's threads shared its row blocks: spare cores
-    sped up a serial uniform-room nlos-only run at M = 400 and 900
-    (2.58 -> 1.73 s) but slowed serial mimo-baseline, whose blocks were
-    small (0.41 -> 0.47 s, 2 vCPUs).)  The bytes depend on neither count:
-    every BLAS call runs on one thread, and a chunk is the same call on
-    whichever thread runs it."""
+    `--workers 1` asks; `--workers` puts the others to use.  The bytes
+    depend on neither count: every BLAS call runs on one thread, and a
+    chunk is the same call on whichever thread runs it."""
     return min(workers, tasks, cpus), max(1, cpus // min(tasks, cpus))
 
 

@@ -1,7 +1,7 @@
 """Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
 
 The README's engine paragraph describes the two SINR paths, the three
-routes of compute_terms, the one fading draw per interferer and the chunked
+routes of `Drop.routes`, the one fading draw per interferer and the chunked
 moments: a chunk of `Drop.chunk_size` draws is one compute_terms call.
 Chunks run on the threads that `chunk_threads` sets, each on one BLAS
 thread, and merge in index order with seeds from (seed, drop, chunk), so
@@ -21,14 +21,17 @@ from functools import cache, cached_property, reduce
 
 import numpy as np
 
-from .channel import Scattering, correlation_factor
+from .channel import (Scattering, _centred_coordinates, _ramp_factors,
+                      correlation_factor, ramp_basis)
 from .geometry import AntennaGrid
 
 # Draws per chunk, the unit of a task's threads and of one compute_terms
 # call, whose dense factors and basis C it builds once (`Drop.chunk_size`).
 DEFAULT_CHUNK = 256
 # Rows per block of the basis and spectral routes, and draws per chunk when
-# no draw reaches past eps (`Drop.chunk_size`): bounds each (rows, M) array.
+# no draw reaches past eps (`Drop.chunk_size`): bounds each (rows, M) array,
+# and is faster than whole-chunk routes, which took nlos-grid from 0.39-0.41
+# to 0.48-0.53 s and from 72 to 91 MB peak RSS (2 vCPUs, numpy 2.4.6).
 BASIS_ROWS = 64
 # Threads that share a run_monte_carlo call's chunks (`chunk_threads`).
 _CHUNK_THREADS = 1
@@ -108,17 +111,37 @@ class Drop:
         return BASIS_ROWS if los_only else DEFAULT_CHUNK
 
     @cached_property
-    def toeplitz(self):
-        """The interferers j whose R_j R_j^H is Toeplitz, and the (2L, J)
-        weights T_j = (2 Re DFT(t_j) - t_j(0)) / L of their lags
-        (`Scattering.lags`), L = 2^k >= 2M - 1, repeated per (re, im)."""
-        js = [j for j, l in enumerate(self.links) if l.paths.lags is not None]
-        if not js:
-            return js, None
-        lags = np.array([self.links[j].paths.lags for j in js])
-        size = 1 << (2 * lags.shape[1] - 2).bit_length()
-        spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
-        return js, np.repeat(spectrum.T / size, 2, axis=0)
+    def routes(self):
+        """The one home of the route rule for ||f^H R_j||^2: (columns,
+        route) pairs, built once per drop, where route(xs, d, k), which
+        looks its kernel up when called, gives those columns of
+        `compute_terms`' power.  The links with one scalar loss on a linear
+        array (n_v = 1), whose R_j R_j^H is Toeplitz, share one spectral
+        pair and its weights (`_spectral_weights`).  A link whose band's
+        ramp bases have r_v r_h < P directions takes the basis, with its
+        coordinates (`_basis_power`).  Each other link with paths takes its
+        dense factor, and keeps nothing; a pathless link keeps power 0."""
+        spectral, plan = [], []
+        for j, p in enumerate(link.paths for link in self.links):
+            if p.num_paths and p.n_v == 1 and not np.ndim(p.loss):
+                spectral.append(j)
+            elif p.num_paths:
+                u = p.band and (ramp_basis(p.n_v, p.band[0]),
+                                ramp_basis(p.n_h, p.band[1]))
+                if u and u[0].shape[1] * u[1].shape[1] < p.num_paths:
+                    c = (p, *u, _centred_coordinates(u[0], p.step_v),
+                         _centred_coordinates(u[1], p.step_h)
+                         * (p.gains / math.sqrt(p.num_antennas)))
+                    plan.append((j, lambda xs, d, k, c=c:
+                                 _basis_power(*c, xs, d, k)))
+                else:
+                    plan.append((j, lambda xs, d, k, p=p:
+                                 _dense_power(p, xs, d, k)))
+        if spectral:
+            t = _spectral_weights([self.links[j].paths for j in spectral])
+            plan.insert(0, (spectral, lambda xs, d, k:
+                            _spectral_power(t, xs, d, k)))
+        return plan
 
     @cached_property
     def stacked(self):
@@ -252,27 +275,32 @@ def _row_blocks(block, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _path_power(paths, xs, d, k) -> np.ndarray:
+def _dense_power(paths, xs, d, k) -> np.ndarray:
+    """||f^H R||^2 per row of f = k + d xs from one dense conj(R), which
+    serves both terms: conj(k^H R) = k conj(R), taken before its rows are
+    scaled by d in place for one (n, M) x (M, P) product over all rows,
+    which packs the factor once.  So it shares no contraction with the
+    closed form (`Scattering.projected_power`)."""
+    r = correlation_factor(paths, conjugate=True)
+    k_r = k @ r
+    r *= np.reshape(d, (-1, 1))
+    q = xs @ r
+    return _row_power(np.add(q, k_r, out=q))
+
+
+def _basis_power(paths, u_v, u_h, c_v, c_h, xs, d, k) -> np.ndarray:
     """||f^H R||^2 per row of f = k + d xs, as the power of
-    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  Where
-    `paths.basis()` gives (U_v, U_h, C), R / loss = B C diag(phase) with
-    B = U_v kron U_h, a real C and unit-modulus phases, so |q| = |v C| with
-    v = y conj(B): two small GEMMs on the (n_v, n_h) reshape of y, its
-    k-part projected once per call and added per `_row_blocks` block, then
-    one real (2 rows, r) x (r, P) product on v's real and imaginary planes,
-    half the flops of a complex one.  Elsewhere one dense conj(R) serves
-    both terms: conj(k^H R) = k conj(R), taken before its rows are scaled
-    by d in place for one (n, M) x (M, P) product over all rows, which
-    packs the factor once.  So no route shares the closed form's separable
-    contraction (`Scattering.projected_power`)."""
-    basis = paths.basis()
-    if basis is None:
-        r = correlation_factor(paths, conjugate=True)
-        k_r = k @ r
-        r *= np.reshape(d, (-1, 1))
-        q = xs @ r
-        return _row_power(np.add(q, k_r, out=q))
-    u_v, u_h, c = basis
+    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  The ramp
+    bases U_v, U_h of the link's band span every steering vector, so
+    R / loss = B C diag(phase) with B = U_v kron U_h, unit-modulus phases
+    exp(1j (step_v (n_v - 1) + step_h (n_h - 1)) / 2) and the real (r, P) C,
+    formed per call, whose column p is c_v,p kron c_h,p: the coordinates of
+    the centred ramps, c_h's times gains_p / sqrt(M) (`Drop.routes`).  So
+    |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
+    reshape of y, its k-part projected once per call and added per
+    `_row_blocks` block, then one real (2 rows, r) x (r, P) product on v's
+    real and imaginary planes, half the flops of a complex one."""
+    c = (c_v[:, None] * c_h[None, :]).reshape(-1, paths.num_paths)
     conj_v, conj_h = u_v.conj().T, u_h.conj()
 
     def project(y):
@@ -288,12 +316,31 @@ def _path_power(paths, xs, d, k) -> np.ndarray:
     return _row_blocks(block, np.empty(len(xs)))
 
 
+def _spectral_weights(paths) -> np.ndarray:
+    """The (2L, J) weights T_j = (2 Re DFT(t_j) - t_j(0)) / L,
+    L = 2^k >= 2M - 1, repeated per (re, im), of J linear-array links with
+    one scalar loss, whose R_j R_j^H is the Hermitian Toeplitz
+    [t_j(m - m')] of the lags t_j(delta) = loss^2 sum_p gains_p^2
+    exp(1j step_h,p delta) / M, delta < M.  Each lag sum is one
+    (ceil(M/b), P) x (P, b) product of `_ramp_factors`' coarse and fine
+    ramps, so no (M, P) array is formed."""
+    lags = []
+    for s in paths:
+        coarse, fine = _ramp_factors(s.n_h, s.step_h)
+        lags.append(((coarse * s.gains**2) @ fine.T).reshape(-1)[:s.n_h]
+                    * (s.loss**2 / s.n_h))
+    lags = np.array(lags)
+    size = 1 << (2 * lags.shape[1] - 2).bit_length()
+    spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
+    return np.repeat(spectrum.T / size, 2, axis=0)
+
+
 def _spectral_power(weights, xs, d, k) -> np.ndarray:
     """||f^H R_j||^2 per row of f = k + d xs and per link j whose
-    R_j R_j^H is Toeplitz, from the weights of their lags (`Drop.toeplitz`).
-    f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L over the length-L DFTs F
-    of f and T_j of the lags (Gray 2006, "Toeplitz and circulant matrices:
-    a review"); L >= 2M - 1 keeps the negative lags from wrapping onto the
+    R_j R_j^H is Toeplitz, from the weights of their lags
+    (`_spectral_weights`).  f^H R_j R_j^H f = sum_w |F(w)|^2 T_j(w) / L
+    over the length-L DFTs F of f and T_j of the lags (Gray 2006,
+    "Toeplitz and circulant matrices: a review"); L >= 2M - 1 keeps the negative lags from wrapping onto the
     positive ones, and T_j is real.  So one FFT per row serves every link,
     in `_row_blocks`, with the DFT of k taken once per call: the squares
     of its float view times the weights.  Clamped at 0, which a sum of
@@ -317,10 +364,10 @@ def compute_terms(drop: Drop, eps, g_des, w) -> dict:
 
     f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
     f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
-    the LOS vectors, ||f^H R_j||^2 from `_spectral_power` for the links of
-    `Drop.toeplitz` at once and from `_path_power` per link for the other
-    links with paths (0 for a pathless link; a dense link's k^H R_j comes
-    from its own factor).  A deterministic desired h has k = sqrt(1-tau^2) h,
+    the LOS vectors, and ||f^H R_j||^2 from the routes of `Drop.routes`:
+    the spectral links' at once, each other link with paths by its basis
+    or its dense factor, which also gives its k^H R_j, and 0 for a
+    pathless link.  A deterministic desired h has k = sqrt(1-tau^2) h,
     d = tau err_amp and X = eps, only read; a stochastic one has k = 0
     (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
     built in place of its rows with one (n, M) temporary.  f^H h_j is drawn
@@ -350,12 +397,8 @@ def compute_terms(drop: Drop, eps, g_des, w) -> dict:
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
     power = np.zeros((len(eps), len(drop.links)))      # ||f^H R_j||^2
-    toeplitz, weights = drop.toeplitz
-    if toeplitz:
-        power[:, toeplitz] = _spectral_power(weights, xs, d, k)
-    for j, link in enumerate(drop.links):
-        if link.num_paths and link.paths.lags is None:
-            power[:, j] = _path_power(link.paths, xs, d, k)
+    for js, route in drop.routes:
+        power[:, js] = route(xs, d, k)
     y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
     i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
     gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total

@@ -16,6 +16,9 @@ from lisrate.channel import (
     ramp_basis,
 )
 from lisrate.geometry import Device, build_grid, distance, los_gain
+from lisrate.mc_engine import Drop, Link
+
+from test_mc_engine import planned_routes, route_names
 
 
 @pytest.fixture
@@ -243,22 +246,29 @@ class TestRampBasis:
         assert ranks[0] < 800
 
     def test_basis_spans_the_factor(self):
-        # diag(loss) B C diag(phase) rebuilds R wherever basis() is taken,
-        # with a real C and each path's centring phase; without a band, or
-        # with r >= P, it is not
+        # diag(loss) B C diag(phase) rebuilds R from the constants of a
+        # drop's planned basis route, with a real C whose column p is
+        # c_v,p kron c_h,p and each path's centring phase; without a band,
+        # or with r >= P, the plan takes the dense route
         grid = build_grid((0.0, 0.0), 0.25, 1600, 0.1)
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2,
                                                   (2, 800))
         paths = nlos_scattering(dev, grid, angles, 3.7)
-        u_v, u_h, c = paths.basis()
+        links = tuple(
+            Link(kappa=0.0, h_los=np.zeros(1600, complex), paths=s, rho=1.0)
+            for s in (paths, dataclasses.replace(paths, band=None),
+                      nlos_scattering(dev, grid, angles[:, :500], 3.7)))
+        drop = Drop(desired=links[0], links=links, err_amp=np.ones(1600),
+                    tau=0.5)
+        assert route_names(drop) == {0: "_basis_power", 1: "_dense_power",
+                                     2: "_dense_power"}
+        kept, u_v, u_h, c_v, c_h = planned_routes(drop)[0][1]
+        assert kept is paths and c_v.dtype == c_h.dtype == float
+        c = (c_v[:, None] * c_h[None, :]).reshape(-1, 800)
         assert c.shape == (u_v.shape[1] * u_h.shape[1], 800)
-        assert c.dtype == float
         phase = np.exp(0.5j * (paths.step_v * (paths.n_v - 1)
                                + paths.step_h * (paths.n_h - 1)))
         r = correlation_factor(paths)
         rebuilt = paths.loss[:, None] * (np.kron(u_v, u_h) @ c) * phase
         assert np.linalg.norm(rebuilt - r) < 1e-12 * np.linalg.norm(r)
-        assert dataclasses.replace(paths, band=None).basis() is None
-        few = nlos_scattering(dev, grid, angles[:, :500], 3.7)
-        assert few.basis() is None

@@ -467,15 +467,23 @@ class TestFanOut:
             put(outer)
 
 
-# nlos-grid's lone task, whose links take the basis route, and a
-# uniform-room one whose links take the dense route (r >= P).
+# nlos-grid's lone task, whose links take the basis route, a uniform-room
+# one whose links take the dense route (r >= P), a lone mimo-baseline task,
+# whose links take the spectral route, and a lone los-only one, whose links
+# take none.
 ONE_TASK_RUNS = {
     "basis": ["--scenario", "grid-plane", "--mode", "nlos-only", "--devices",
               "10", "--m-grid", "1600", "--drops", "1", "--realizations",
               "1024", "--seed", "7"],
     "dense": ["--scenario", "uniform-room", "--mode", "nlos-only",
               "--devices", "10", "--m-grid", "900", "--half-length", "0.5",
-              "--drops", "1", "--realizations", "1024", "--seed", "7"]}
+              "--drops", "1", "--realizations", "1024", "--seed", "7"],
+    "spectral": ["--scenario", "mimo-baseline", "--mode", "nlos-only",
+                 "--devices", "30", "--m-grid", "100", "--drops", "1",
+                 "--realizations", "1024", "--seed", "7"],
+    "pathless": ["--scenario", "grid-plane", "--mode", "los-only",
+                 "--devices", "10", "--m-grid", "1600", "--drops", "1",
+                 "--realizations", "1024", "--seed", "7"]}
 
 # A child that keeps the first argv[1] of its usable CPUs, before numpy
 # loads, then runs the CLI on the rest of argv.
@@ -856,17 +864,16 @@ class TestCli:
         # the identity is checked on each of the term kernel's three routes
         # for ||f^H R_j||^2: spectral, ramp basis and dense factor
         routes = []
-        spectral, path_power = mc_engine._spectral_power, mc_engine._path_power
 
-        def spectral_spy(*args, **kwargs):
-            routes.append("spectral")
-            return spectral(*args, **kwargs)
-
-        def path_spy(paths, *args, **kwargs):
-            routes.append("dense" if paths.basis() is None else "basis")
-            return path_power(paths, *args, **kwargs)
-        monkeypatch.setattr(mc_engine, "_spectral_power", spectral_spy)
-        monkeypatch.setattr(mc_engine, "_path_power", path_spy)
+        def spy(route, kernel):
+            def wrapped(*args, **kwargs):
+                routes.append(route)
+                return kernel(*args, **kwargs)
+            return wrapped
+        for route in ("spectral", "basis", "dense"):
+            name = f"_{route}_power"
+            monkeypatch.setattr(mc_engine, name,
+                                spy(route, getattr(mc_engine, name)))
         assert cli.main(["selftest", "--seed", "0"]) == 0
         assert set(routes) == {"spectral", "basis", "dense"}
 

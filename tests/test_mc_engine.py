@@ -29,7 +29,7 @@ from lisrate.mc_engine import (
     Link,
     McResult,
     _chunks,
-    _path_power,
+    _dense_power,
     _spectral_power,
     compute_terms,
     crandn,
@@ -75,6 +75,33 @@ def random_paths(rng, n_v, n_h, num_paths):
                       step_v=rng.uniform(-np.pi, np.pi, num_paths),
                       step_h=rng.uniform(-np.pi, np.pi, num_paths),
                       n_v=n_v, n_h=n_h)
+
+
+ROUTE_KERNELS = ("_spectral_power", "_basis_power", "_dense_power")
+
+
+def planned_routes(drop):
+    """{j: (kernel name, the kernel's arguments before xs, d, k)} for each
+    interferer j with paths, read by calling each route of drop.routes with
+    the three route kernels stubbed.  Checks that the plan covers each link
+    with paths exactly once and no pathless link."""
+    taken = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ROUTE_KERNELS:
+            mp.setattr(mc_engine, name,
+                       lambda *args, name=name: (name, args[:-3]))
+        for js, route in drop.routes:
+            for j in np.atleast_1d(js).tolist():
+                assert j not in taken
+                taken[j] = route(None, None, None)
+    assert sorted(taken) == [j for j, link in enumerate(drop.links)
+                             if link.num_paths]
+    return taken
+
+
+def route_names(drop):
+    """{j: the name of the kernel that link j's planned route calls}."""
+    return {j: name for j, (name, _) in planned_routes(drop).items()}
 
 
 class TestPrimitives:
@@ -232,7 +259,7 @@ class TestSinrPaths:
                 seen.append((route.__name__, args[-1]))
                 return route(*args, **kwargs)
             return wrapped
-        monkeypatch.setattr(mc_engine, "_path_power", spy(_path_power))
+        monkeypatch.setattr(mc_engine, "_dense_power", spy(_dense_power))
         monkeypatch.setattr(mc_engine, "_spectral_power",
                             spy(_spectral_power))
         for drop in drops:
@@ -241,7 +268,7 @@ class TestSinrPaths:
                 compute_terms(drop, *fading)["gamma"],
                 sinr_direct(drop, *fading), rtol=1e-12)
         assert [name for name, _ in seen] == ["_spectral_power",
-                                              "_path_power"]
+                                              "_dense_power"]
         assert [k.shape for _, k in seen] == [(64,), (8,)]
         assert not any(np.any(k) for _, k in seen)
 
@@ -386,29 +413,32 @@ def nlos_drop(kind, m, half_length, mode="nlos-only", num_devices=10):
 class TestBasisPath:
     @pytest.mark.parametrize("kind", ["grid-plane", "uniform-room"])
     def test_power_matches_dense_factor(self, kind):
-        # at M = 1600 on a 0.5 m unit the ramps have r = 588 < P = 800: the
-        # basis power against the dense (M, P) product, with k and with
-        # k = 0, over rows that end in a partial block; one extra link has
-        # fresh angles with both steps at the edges of their band
+        # at M = 1600 on a 0.5 m unit the ramps have r = 588 < P = 800: each
+        # planned basis route's power against the dense (M, P) product, with
+        # k and with k = 0, over rows that end in a partial block; one extra
+        # link has fresh angles with both steps at the edges of their band
         drop = nlos_drop(kind, 1600, 0.25)
         dev = Device(position=np.array([2.0, -1.0, 1.5]), index=99)
         theta = np.random.default_rng(5).uniform(-np.pi / 2, np.pi / 2,
                                                  (2, 800))
         theta[:, :4] = [[np.pi / 2, -np.pi / 2, 0.0, 0.0],
                         [0.0, 0.0, np.pi / 4, -np.pi / 4]]
-        extra = nlos_scattering(dev, drop.grid, theta, 3.7)
+        extra = Link(kappa=0.0, h_los=np.zeros(1600, complex), rho=1.0,
+                     paths=nlos_scattering(dev, drop.grid, theta, 3.7))
+        drop = dataclasses.replace(drop, links=(*drop.links, extra))
+        assert set(route_names(drop).values()) == {"_basis_power"}
         rng = np.random.default_rng(1)
         xs = crandn(rng, (BASIS_ROWS + 9, 1600))
         d = drop.tau * drop.err_amp
         k = math.sqrt(1 - drop.tau**2) * drop.desired.h_los
-        for paths in [link.paths for link in drop.links] + [extra]:
-            assert paths.basis() is not None
+        for j, route in drop.routes:
+            paths = drop.links[j].paths
             q = xs @ correlation_factor(paths, d, conjugate=True)
-            np.testing.assert_allclose(
-                _path_power(paths, xs, d, np.zeros_like(k)),
-                np.sum(np.abs(q) ** 2, axis=1), rtol=1e-12)
+            np.testing.assert_allclose(route(xs, d, np.zeros_like(k)),
+                                       np.sum(np.abs(q) ** 2, axis=1),
+                                       rtol=1e-12)
             q += np.conj(k.conj() @ correlation_factor(paths))
-            np.testing.assert_allclose(_path_power(paths, xs, d, k),
+            np.testing.assert_allclose(route(xs, d, k),
                                        np.sum(np.abs(q) ** 2, axis=1),
                                        rtol=1e-12)
 
@@ -417,7 +447,7 @@ class TestBasisPath:
         # L = 0.05 at M = 400 has r = 180 < P = 200: the kernel takes the
         # basis, builds no dense factor, and matches the receiver path
         drop = nlos_drop("uniform-room", 400, 0.05, mode=mode, num_devices=6)
-        assert all(link.paths.basis() is not None for link in drop.links)
+        assert route_names(drop) == dict.fromkeys(range(5), "_basis_power")
         fading = draw_fading(drop, np.random.default_rng(3), 100)
         direct = sinr_direct(drop, *fading)
 
@@ -431,11 +461,12 @@ class TestBasisPath:
         ("grid-plane", 1600, 0.5), ("uniform-room", 1600, 0.5),
         ("grid-plane", 900, 0.25), ("mimo-baseline", 100, 0.25)])
     def test_dense_where_rank_reaches_paths(self, kind, m, half_length):
-        # r >= P (1064 >= 800, 567 >= 450), or a linear array whose
-        # half-wavelength ramps fill their band: no basis (the linear
-        # array takes the spectral route instead)
+        # r >= P (1064 >= 800, 567 >= 450): the dense route; a linear
+        # array's links, which have no band, take the spectral route
         drop = nlos_drop(kind, m, half_length)
-        assert all(link.paths.basis() is None for link in drop.links)
+        route = "_spectral_power" if kind == "mimo-baseline" \
+            else "_dense_power"
+        assert route_names(drop) == dict.fromkeys(range(9), route)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_dense_route_shares_no_contraction(self, tau, monkeypatch):
@@ -447,7 +478,7 @@ class TestBasisPath:
         drop = make_drop(ScenarioConfig(
             kind="uniform-room", mode="nlos-only", num_devices=6,
             m_grid=(100,), drops=1, realizations=2, seed=7, tau=tau), 0)
-        assert all(link.paths.basis() is None for link in drop.links)
+        assert route_names(drop) == dict.fromkeys(range(5), "_dense_power")
         fading = draw_fading(drop, np.random.default_rng(2), 16)
         direct = sinr_direct(drop, *fading)
 
@@ -475,6 +506,33 @@ class TestBasisPath:
         np.testing.assert_array_equal(eps, crandn(ref, (8, 16)))
         assert g_des is None and w.shape == (8, 4) and not w.any()
         assert rng.standard_normal() == ref.standard_normal()
+
+
+class TestRoutePlan:
+    def test_plan_covers_each_link_once(self):
+        # a hand-built M = 400 drop: a pathless link, a basis link, a linear
+        # scalar-loss link and the basis link without its band each take
+        # their own route once, pathless none, and the kernel matches the
+        # receiver path
+        base = nlos_drop("uniform-room", 400, 0.05, num_devices=2)
+        (planar,) = base.links
+        rng = np.random.default_rng(8)
+        linear = Scattering(loss=0.3, gains=rng.uniform(0.5, 1.0, 50),
+                            step_v=np.zeros(50),
+                            step_h=rng.uniform(-np.pi, np.pi, 50),
+                            n_v=1, n_h=400)
+        links = (los_link(los_channel(Device(np.array([1.0, 1.0, 1.0])),
+                                      base.grid), 3.0),
+                 planar, dataclasses.replace(planar, paths=linear),
+                 dataclasses.replace(planar, paths=dataclasses.replace(
+                     planar.paths, band=None)))
+        drop = dataclasses.replace(base, links=links)
+        assert route_names(drop) == {1: "_basis_power",
+                                     2: "_spectral_power",
+                                     3: "_dense_power"}
+        fading = draw_fading(drop, np.random.default_rng(4), BASIS_ROWS + 9)
+        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                   sinr_direct(drop, *fading), rtol=1e-10)
 
 
 def baseline_drop(m, num_devices, seed=2):
@@ -516,10 +574,10 @@ class TestSpectralPath:
         xs = crandn(rng, (BASIS_ROWS + 9, 100))
         d = rng.uniform(0.5, 1.5, 100)
         k = crandn(rng, 100)
-        js, weights = drop.toeplitz
+        (js, route), = drop.routes
         assert js == list(range(len(drop.links)))
         for kk in (np.zeros_like(k), k):
-            power = _spectral_power(weights, xs, d, kk)
+            power = route(xs, d, kk)
             for link, col in zip(drop.links, power.T, strict=True):
                 q = xs @ correlation_factor(link.paths, d, conjugate=True)
                 q += np.conj(kk.conj() @ correlation_factor(link.paths))
@@ -528,9 +586,9 @@ class TestSpectralPath:
 
     def test_planar_and_pathless_links_take_no_route(self, monkeypatch):
         # per-antenna loss (grid-plane, uniform-room), no paths (los-only)
-        # and the planar scalar-loss link of the blind-link test have no
-        # lags, and the kernel never takes the spectral route for them; a
-        # los-only drop's pathless links take no route at all and keep
+        # and the planar scalar-loss link of the blind-link test are not
+        # Toeplitz, and the kernel never takes the spectral route for them;
+        # a los-only drop's pathless links take no route at all and keep
         # power 0, so its kernel builds no factor
         link = small_drop().links[0]
         blind = dataclasses.replace(
@@ -544,13 +602,15 @@ class TestSpectralPath:
             raise AssertionError("took a route")
         monkeypatch.setattr(mc_engine, "_spectral_power", forbidden)
         for drop in drops:
-            assert all(link.paths.lags is None for link in drop.links)
+            assert "_spectral_power" not in route_names(drop).values()
             compute_terms(drop, *draw_fading(drop, np.random.default_rng(0),
                                              4))
-        monkeypatch.setattr(mc_engine, "_path_power", forbidden)
+        monkeypatch.setattr(mc_engine, "_basis_power", forbidden)
+        monkeypatch.setattr(mc_engine, "_dense_power", forbidden)
         monkeypatch.setattr(mc_engine, "correlation_factor", forbidden)
         for drop in drops[:6:3]:              # the two los-only drops
             assert not any(link.num_paths for link in drop.links)
+            assert not drop.routes
             fading = draw_fading(drop, np.random.default_rng(0), 4)
             terms = compute_terms(drop, *fading)
             los, a = drop.stacked[:2]
@@ -576,8 +636,8 @@ class TestSpectralPath:
             / (drop.tau * drop.err_amp)
         w = crandn(rng, (n, 1))
         with np.errstate(invalid="raise"):
-            power = _spectral_power(drop.toeplitz[1], f, 1.0,
-                                    np.zeros(2, complex))
+            (_, route), = drop.routes
+            power = route(f, 1.0, np.zeros(2, complex))
             gamma = compute_terms(drop, eps, g_des, w)["gamma"]
         assert np.all(power >= 0.0)
         assert np.all(np.isfinite(gamma))
@@ -863,8 +923,8 @@ class TestRunMonteCarlo:
         else:
             basis, dense = (nlos_drop("uniform-room", 400, 0.05),
                             nlos_drop("uniform-room", 100, 0.25))
-            assert all(link.paths.basis() is not None for link in basis.links)
-            assert all(link.paths.basis() is None for link in dense.links)
+            assert set(route_names(basis).values()) == {"_basis_power"}
+            assert set(route_names(dense).values()) == {"_dense_power"}
             drops = [small_drop(seed=4), basis, dense,
                      nlos_drop("uniform-room", 400, 0.25,
                                mode="probabilistic", num_devices=6)]
