@@ -15,9 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import Scattering
 from .mc_engine import Drop
 
 UNBOUNDED = math.inf
+# Phase-ramp bytes per stacked contraction (29 links at M = 100: 0.6 MB).
+RAMP_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -98,17 +101,27 @@ def interference_term_moments(drop: Drop) -> MomentPair:
     """Moments of every interference term as (J,) arrays: mean s + |mu|^2
     and variance s^2 + 2 |mu|^2 s, with mu the coherent LOS mean and s the
     variance of the LOS, channel-side scattered and error-times-scattering
-    parts, taken from the separable paths without building R."""
+    parts, from stacks of the separable paths of one (n_v, n_h, P), loss
+    shape and at most RAMP_BYTES of ramps, without building R; each link's
+    row powers take one dot, rounded as the link's own dot."""
+    return _term_moments(drop, _los_coupling(drop)[0])
+
+
+def _term_moments(drop: Drop, mu_c: np.ndarray) -> MomentPair:
     h = _require_los_desired(drop)
-    tau = drop.tau
     los, a, b, _ = drop.stacked
-    beta_k2 = np.abs(h) ** 2
-    mu2 = np.abs(_los_coupling(drop)[0]) ** 2
-    s = (a**2 * tau**2 * (beta_k2 @ np.abs(los) ** 2)
-         + b**2 * (1 - tau**2) * np.array(
-             [link.paths.projected_power(h) for link in drop.links])
-         + b**2 * tau**2 * np.array(
-             [link.paths.row_power() @ beta_k2 for link in drop.links]))
+    beta_k2, mu2, tau2 = np.abs(h) ** 2, np.abs(mu_c) ** 2, drop.tau**2
+    groups, (projected, rows) = {}, np.zeros((2, len(drop.links)))
+    for j, p in enumerate(link.paths for link in drop.links):
+        per = RAMP_BYTES // (32 * max(p.n_v, p.n_h) * max(p.num_paths, 1)) + 1
+        groups.setdefault((p.n_v, p.n_h, p.num_paths, np.ndim(p.loss),
+                           j // per), []).append(j)
+    for js in groups.values():
+        paths = Scattering.stack([drop.links[j].paths for j in js])
+        projected[js] = paths.projected_power(h)
+        rows[js] = (paths.row_power()[:, None] @ beta_k2)[:, 0]
+    s = (a**2 * tau2 * (beta_k2 @ np.abs(los) ** 2)
+         + b**2 * (1 - tau2) * projected + b**2 * tau2 * rows)
     return MomentPair(mean=s + mu2, variance=s**2 + 2 * mu2 * s)
 
 
@@ -144,19 +157,17 @@ def interference_pair_covariance(drop: Drop, i: int, j: int) -> float:
 def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
     """Deterministic mean and variance of the total interference-plus-noise
     I = rho_k tau^2 X + Z + sum_j rho_j Y_j, from the moments of its terms."""
+    mu_c, mu_a = _los_coupling(drop)
     x = error_leak_moments(drop, asymptotic)
     z = noise_term_moments(drop, asymptotic)
-    y = interference_term_moments(drop)
-    tau = drop.tau
-    rho_k = drop.desired.rho
-    rho = drop.stacked[3]
+    y = _term_moments(drop, mu_c)
+    tau, rho_k, rho = drop.tau, drop.desired.rho, drop.stacked[3]
 
     mean = rho_k * tau**2 * x.mean + z.mean + float(rho @ y.mean)
     var = rho_k**2 * tau**4 * x.variance + z.variance \
         + float(rho**2 @ y.variance)
     # Sum over pairs i < j of 2 rho_i rho_j cov(i, j), in O(KM): with
     # w_i = rho_i conj(mu_c,i) mu_a,i it is 2 (|sum_i w_i|^2 - sum_i |w_i|^2).
-    mu_c, mu_a = _los_coupling(drop)
     w = mu_a * (rho * np.conj(mu_c))
     var += 2 * float(np.sum(np.abs(w.sum(axis=1)) ** 2)
                      - np.sum(np.abs(w) ** 2))

@@ -1,12 +1,12 @@
-"""Deterministic channel construction: LOS vectors and the scattered paths
-of a link, kept in separable form (`Scattering`) and expanded to a dense
-correlation factor only on demand.  A link combines them as
-`mc_engine.Link`.  The closed form's ||h^H R||^2 contracts the separable
-form (`Scattering.projected_power`), which the Monte-Carlo kernel never
-calls, so a fault in that contraction cannot move both engines together.
-The kernel picks its own routes (`mc_engine.Drop.routes`); its basis route
-reads the real coordinates of a link's ramps (`_centred_coordinates`) in a
-cached ramp basis of even and odd vectors (`ramp_basis`)."""
+"""Deterministic channel construction for all links of a drop at once,
+from their distances: LOS vectors and scattered paths in separable form
+(`Scattering`, one link or a stack of links), expanded to a link's dense
+correlation factor only on demand.  The closed form's ||h^H R||^2
+contracts a stack (`Scattering.projected_power`), which the Monte-Carlo
+kernel never calls, so a fault there cannot move both engines together.
+The kernel's basis route (`mc_engine.Drop.routes`) reads the real
+coordinates of a link's ramps (`_centred_coordinates`) in a cached ramp
+basis of even and odd vectors (`ramp_basis`)."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AntennaGrid, Device, distance, los_gain
+from .geometry import AntennaGrid, los_gain
 
 # NLOS distances below 1 m would amplify under d**(-beta_pl/2); clamp there.
 NLOS_MIN_DISTANCE = 1.0
@@ -26,22 +26,20 @@ NLOS_MIN_DISTANCE = 1.0
 RAMP_BASIS_RTOL = 1e-13
 
 
-def los_channel(device: Device, grid: AntennaGrid) -> np.ndarray:
-    """Deterministic LOS channel: amplitude los_gain, phase exp(-2j pi d/lambda)."""
-    d = distance(device.position, grid.positions)
-    amp = los_gain(device, grid.positions)
-    return amp * np.exp(-2j * np.pi * d / grid.wavelength)
+def los_channel(d, z, grid: AntennaGrid) -> np.ndarray:
+    """LOS channels at distances d from devices at heights z, broadcast:
+    amplitude los_gain, phase exp(-2j pi d/lambda)."""
+    return los_gain(z, d) * np.exp(-2j * np.pi * d / grid.wavelength)
 
 
 def _phase_ramp(n: int, steps) -> np.ndarray:
-    """exp(1j * step * k) for k < n, shape (n,) + steps.shape.
-
-    k = b k1 + k2 with b = ceil(sqrt(n)) splits each ramp into the
-    Kronecker product of a coarse ramp exp(1j step b k1) and a fine one
-    exp(1j step k2): ceil(n/b) + b exponentials per step and one complex
-    product per entry instead of n exponentials (Van Loan 2000, "The
-    ubiquitous Kronecker product").  Every correlation factor and
-    separable projection is built from these."""
+    """exp(1j * step * k) for k < n, shape (n,) + steps.shape.  k = b k1
+    + k2 with b = ceil(sqrt(n)) splits each ramp into the Kronecker product
+    of a coarse ramp exp(1j step b k1) and a fine one exp(1j step k2):
+    ceil(n/b) + b exponentials per step and one complex product per entry
+    instead of n exponentials (Van Loan 2000, "The ubiquitous Kronecker
+    product").  Every correlation factor and separable projection is built
+    from these."""
     coarse, fine = _ramp_factors(n, steps)
     ramp = coarse[:, None] * fine[None, :]
     return ramp.reshape((len(coarse) * len(fine),) + ramp.shape[2:])[:n]
@@ -103,16 +101,15 @@ def _centred_coordinates(u: np.ndarray, steps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scattering:
-    """The P scattered paths of one link in separable form.  Their
-    correlation factor is R[m, p] = loss_m gains_p (d_v,p kron d_h,p)_m
-    / sqrt(M), with phase ramps d_v,p = exp(1j step_v,p k), k < n_v, and
-    d_h,p likewise over n_h; M = n_v n_h.  A planar array has
-    n_v = n_h = sqrt(M); a linear array is n_v = 1.  Storage is O(M + P);
-    `correlation_factor` builds the dense (M, P) R.  It and
-    `projected_power`, the closed form's ||h^H R||^2, build each ramp as
-    `_phase_ramp` does, from ~2 sqrt(n) exponentials per path instead of
-    n.  `band`, when known, bounds (|step_v|, |step_h|), so that a ramp
-    basis of the band may span the paths with fewer than P directions."""
+    """The P scattered paths of one link in separable form, or of J links
+    of one n_v, n_h and P as a stack: a leading axis J on every array.
+    Their correlation factor is R[m, p] = loss_m gains_p
+    (d_v,p kron d_h,p)_m / sqrt(M), with phase ramps
+    d_v,p = exp(1j step_v,p k), k < n_v, and d_h,p likewise over n_h;
+    M = n_v n_h (n_v = n_h = sqrt(M) on a planar array, n_v = 1 on a linear
+    one).  `correlation_factor` builds a link's dense (M, P) R.  `band`,
+    when known, bounds (|step_v|, |step_h|), so that a ramp basis of the
+    band may span the paths with fewer than P directions."""
 
     loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
     gains: np.ndarray         # (P,) per-path antenna gains
@@ -128,50 +125,66 @@ class Scattering:
         empty = np.empty(0)
         return cls(0.0, empty, empty, empty, 1, num_antennas)
 
+    @classmethod
+    def stack(cls, paths) -> "Scattering":
+        """The links `paths`, of one n_v, n_h, P and loss shape, stacked."""
+        return cls(*(np.array([getattr(q, name) for q in paths]).reshape(
+            len(paths), -1) for name in ("loss", "gains", "step_v", "step_h")),
+            paths[0].n_v, paths[0].n_h)
+
+    def rows(self) -> list["Scattering"]:
+        """Each link of a stack, its arrays views of the stack's rows."""
+        return [Scattering(*row, self.n_v, self.n_h, self.band) for row in
+                zip(self.loss, self.gains, self.step_v, self.step_h)]
+
     @property
     def num_antennas(self) -> int:
         return self.n_v * self.n_h
 
     @property
     def num_paths(self) -> int:
-        return len(self.gains)
+        return self.gains.shape[-1]
 
     def row_power(self) -> np.ndarray:
-        """(M,) squared row norms of R: loss_m^2 sum_p gains_p^2 / M, since
-        every steering entry has modulus 1/sqrt(M)."""
+        """(..., M) squared row norms of R: loss_m^2 sum_p gains_p^2 / M,
+        since every steering entry has modulus 1/sqrt(M)."""
         m = self.num_antennas
-        return np.broadcast_to(np.square(self.loss), m) \
-            * (np.sum(self.gains**2) / m)
+        power = np.square(self.loss) \
+            * (np.sum(self.gains**2, axis=-1, keepdims=True) / m)
+        return np.broadcast_to(power, self.gains.shape[:-1] + (m,))
 
-    def projected_power(self, h: np.ndarray) -> float:
-        """||h^H R||^2 in O(MP) time and O(M + n_v P) memory without
-        forming R, from u = h^H R sqrt(M) / gains: conj(h) loss as
-        (n_v, n_h) times the horizontal ramps, then column dot products
-        with the vertical ramps (Van Loan 2000, "The ubiquitous Kronecker
-        product")."""
-        c = (h.conj() * self.loss).reshape(self.n_v, self.n_h)
-        u = np.einsum("ip,ip->p", _phase_ramp(self.n_v, self.step_v),
-                      c @ _phase_ramp(self.n_h, self.step_h))
-        return float(np.sum(self.gains**2 * np.abs(u) ** 2)
-                     / self.num_antennas)
+    def projected_power(self, h: np.ndarray):
+        """||h^H R||^2 of each link without forming R, from
+        u = h^H R sqrt(M) / gains: conj(h) loss as (n_v, n_h) times the
+        horizontal ramps, one GEMM per link on C-contiguous ramps, then
+        column dot products with the vertical ramps, all ramps from one
+        `_phase_ramp` (Van Loan 2000, "The ubiquitous Kronecker product")."""
+        ramps = np.moveaxis(_phase_ramp(max(self.n_v, self.n_h), np.stack(
+            (self.step_v, self.step_h), -2)), 0, -2).copy()
+        c = (h.conj() * self.loss).reshape(ramps.shape[:-3]
+                                            + (self.n_v, self.n_h))
+        u = np.einsum("...ip,...ip->...p", ramps[..., 0, :self.n_v, :],
+                      c @ ramps[..., 1, :self.n_h, :])
+        return np.sum(self.gains**2 * np.abs(u) ** 2, axis=-1) \
+            / self.num_antennas
 
 
-def nlos_scattering(device: Device, grid: AntennaGrid, angles,
+def nlos_scattering(d, grid: AntennaGrid, angles,
                     beta_pl: float) -> Scattering:
-    """A planar-array link's paths at the (2, P) elevation and azimuth
-    angles, radians in (-pi/2, pi/2): per-antenna NLOS loss
-    d_m**(-beta_pl/2), with the device-to-antenna distance clamped at
-    NLOS_MIN_DISTANCE, per-path gains sqrt(cos(theta_v) cos(theta_h)), and
-    the planar phase steps s sin(theta_v) and s sin(theta_h) cos(theta_h)
-    with s = 2 pi spacing / wavelength, which lie in the band
-    |step_v| <= s and |step_h| <= s/2."""
-    theta_v, theta_h = angles
+    """The planar-array paths of the links at the (J, M) or (M,) distances
+    d with the (J, 2, P) or (2, P) elevation and azimuth angles, radians in
+    (-pi/2, pi/2), as one stack or link: per-antenna NLOS loss
+    d_m**(-beta_pl/2), d clamped at NLOS_MIN_DISTANCE, per-path gains
+    sqrt(cos(theta_v) cos(theta_h)), and the phase steps s sin(theta_v)
+    and s sin(theta_h) cos(theta_h), s = 2 pi spacing / wavelength, which
+    lie in the band |step_v| <= s and |step_h| <= s/2."""
+    theta_v, theta_h = np.moveaxis(angles, -2, 0)
     band = 2.0 * math.pi * grid.spacing / grid.wavelength
-    d = np.maximum(distance(device.position, grid.positions), NLOS_MIN_DISTANCE)
-    return Scattering(loss=d ** (-beta_pl / 2.0),
-                      gains=np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
+    loss = np.maximum(d, NLOS_MIN_DISTANCE) ** (-beta_pl / 2.0)
+    cos_h = np.cos(theta_h)
+    return Scattering(loss=loss, gains=np.sqrt(np.cos(theta_v) * cos_h),
                       step_v=band * np.sin(theta_v),
-                      step_h=band * (np.sin(theta_h) * np.cos(theta_h)),
+                      step_h=band * (np.sin(theta_h) * cos_h),
                       n_v=grid.side, n_h=grid.side, band=(band, band / 2.0))
 
 

@@ -135,12 +135,12 @@ def _place_devices(config: ScenarioConfig, drop_index: int) -> list[geometry.Dev
 def make_drop(config: ScenarioConfig, drop_index: int,
               num_antennas: int | None = None,
               half_length: float | None = None) -> Drop:
-    """Build the frozen drop `drop_index`.
-
-    The frozen randomness (device positions, LOS flags, path angles) depends
-    only on (seed, drop_index), so sweeping M or the unit size re-materializes
-    the same geometric realization.
-    """
+    """Build the frozen drop `drop_index` from one (K, M) distance array,
+    with one array pass each for the LOS vectors, NLOS losses, gains and
+    phase steps of all links; each `Link` holds row views of them.  The
+    frozen randomness (device positions, LOS flags, one angle stream per
+    device) depends only on (seed, drop_index), so sweeping M or the unit
+    size re-materializes the same geometric realization."""
     m = num_antennas if num_antennas is not None else config.m_grid[0]
     hl = half_length if half_length is not None else config.half_length
     devices = _place_devices(config, drop_index)
@@ -151,45 +151,41 @@ def make_drop(config: ScenarioConfig, drop_index: int,
             target_snr_db=config.snr_db, tau=config.tau,
             beta_pl=config.beta_pl)
 
-    target = devices[0]
+    target, others = devices[0], devices[1:]
     grid = geometry.build_grid(target.position[:2], hl, m, config.wavelength)
-    h_kk = channel.los_channel(target, grid)
+    pos = np.array([dev.position for dev in devices])
+    d = geometry.distance(pos[:, None], grid.positions)          # (K, M)
+    h_los = channel.los_channel(d, pos[:, 2:], grid)
     snr_lin = 10.0 ** (config.snr_db / 10.0)
-
-    def power_control(dev):
-        # invert the LOS power gain at the unit center (distance = z)
-        return snr_lin * 4.0 * math.pi * dev.z**2
-
-    flag_rng = np.random.default_rng(
-        np.random.SeedSequence([config.seed, drop_index, 1]))
-    num_paths = int(round(m * config.paths_per_antenna))
+    # invert each LOS power gain at the unit center (distance = z)
+    rho = [snr_lin * 4.0 * math.pi * dev.z**2 for dev in devices]
+    flags = np.random.default_rng(np.random.SeedSequence(
+        [config.seed, drop_index, 1])).uniform(size=len(others))
+    paths = [channel.Scattering.none(m)] * len(others)
+    if config.mode != "los-only":
+        shape = (len(others), 2, int(round(m * config.paths_per_antenna)))
+        angles = np.reshape([np.random.default_rng(np.random.SeedSequence(
+            [config.seed, drop_index, 2, dev.index])).uniform(
+                -np.pi / 2, np.pi / 2, shape[1:]) for dev in others], shape)
+        paths = channel.nlos_scattering(d[1:], grid, angles,
+                                        config.beta_pl).rows()
 
     links = []
-    for dev in devices[1:]:
-        d_center = float(np.linalg.norm(dev.position - grid.center))
-        u = flag_rng.uniform()  # drawn for every link to keep streams aligned
-        if config.mode == "los-only":
-            is_los = True
-        elif config.mode == "nlos-only":
-            is_los = False
-        else:
-            is_los = u < los_probability(d_center, config.d_c)
-        kappa = rician_factor(d_center) if is_los else 0.0
+    for off, u, h, p, r in zip(pos[1:] - grid.center, flags, h_los[1:],
+                               paths, rho[1:]):
+        # scalar d_center and kappa: norm(axis=1) and array 10**x round apart
+        d_center = math.sqrt(off @ off)
+        is_los = config.mode == "los-only" or (
+            config.mode == "probabilistic"
+            and u < los_probability(d_center, config.d_c))
+        links.append(Link(kappa=rician_factor(d_center) if is_los else 0.0,
+                          h_los=h, paths=p, rho=r))
 
-        if config.mode == "los-only":
-            paths = channel.Scattering.none(m)
-        else:
-            angle_rng = np.random.default_rng(
-                np.random.SeedSequence([config.seed, drop_index, 2, dev.index]))
-            angles = angle_rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths))
-            paths = channel.nlos_scattering(dev, grid, angles, config.beta_pl)
-        links.append(Link(kappa=kappa, h_los=channel.los_channel(dev, grid),
-                          paths=paths, rho=power_control(dev)))
-
-    desired = Link(kappa=math.inf, h_los=h_kk,
-                   paths=channel.Scattering.none(m), rho=power_control(target))
-    return Drop(desired=desired, links=tuple(links), err_amp=np.abs(h_kk),
-                tau=config.tau, grid=grid, target_z=target.z)
+    desired = Link(kappa=math.inf, h_los=h_los[0],
+                   paths=channel.Scattering.none(m), rho=rho[0])
+    return Drop(desired=desired, links=tuple(links),
+                err_amp=np.abs(h_los[0]), tau=config.tau, grid=grid,
+                target_z=target.z)
 
 
 # ---------------------------------------------------------------------------

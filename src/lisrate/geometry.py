@@ -78,20 +78,19 @@ def build_grid(center_xy, half_length: float, num_antennas: int,
 
 
 def distance(device_pos, antenna_pos) -> np.ndarray:
-    """Euclidean distance(s) between a device and one or many antennas."""
+    """Euclidean distances between devices and antennas, broadcast."""
     diff = np.asarray(antenna_pos, dtype=float) - np.asarray(device_pos, dtype=float)
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    diff *= diff
+    return np.sqrt(diff[..., 0] + diff[..., 1] + diff[..., 2])
 
 
-def los_gain(device: Device, antenna_pos) -> np.ndarray:
-    """LOS amplitude gain sqrt(cos(theta)) / sqrt(4 pi d^2).
-
-    cos(theta) = z/d, so the squared gain is z / (4 pi d^3).
-    """
-    if device.z <= 0:
+def los_gain(z, d) -> np.ndarray:
+    """LOS amplitude gain sqrt(cos(theta)) / sqrt(4 pi d^2) at distances d
+    from devices at heights z, broadcast: cos(theta) = z/d, so the squared
+    gain is z / (4 pi d^3)."""
+    if np.any(np.asarray(z) <= 0):
         raise ValueError("device must be strictly above the surface (z > 0)")
-    d = distance(device.position, antenna_pos)
-    return np.sqrt(device.z / (4.0 * np.pi * d**3))
+    return np.sqrt(z / (4.0 * np.pi * d**3))
 
 
 def place_devices_grid(d_m: float, x_range, y_range, z: float,
@@ -121,23 +120,21 @@ def place_devices_grid(d_m: float, x_range, y_range, z: float,
 
 
 def place_devices_uniform(num_devices: int, box, seed) -> list[Device]:
-    """Uniform i.i.d. deployment of `num_devices` devices inside `box`.
-
-    `box` is ((xmin, xmax), (ymin, ymax), (zmin, zmax)).  Positions closer
-    than MIN_DEVICE_DISTANCE to the center of the serving unit (which sits
-    directly below the device, so the distance is z) are redrawn.
-    """
+    """Uniform i.i.d. deployment of `num_devices` devices inside `box`,
+    ((xmin, xmax), (ymin, ymax), (zmin, zmax)).  Positions closer than
+    MIN_DEVICE_DISTANCE to the center of the serving unit (directly below
+    the device, so the distance is z) are redrawn, in blocks of the missing
+    count: the same doubles in the same order as one draw per attempt."""
     if num_devices < 1:
         raise ValueError("need at least one device")
     (x0, x1), (y0, y1), (z0, z1) = box
     if z1 <= 0 or z1 < MIN_DEVICE_DISTANCE:
         raise ValueError("box cannot satisfy the minimum-distance constraint")
     rng = np.random.default_rng(seed)
-    devices = []
-    for i in range(num_devices):
-        while True:
-            pos = rng.uniform([x0, y0, z0], [x1, y1, z1])
-            if pos[2] >= MIN_DEVICE_DISTANCE:
-                break
-        devices.append(Device(position=pos, index=i))
-    return devices
+    rows = np.empty((0, 3))
+    while len(rows) < num_devices:
+        block = rng.uniform((x0, y0, z0), (x1, y1, z1),
+                            (num_devices - len(rows), 3))
+        rows = np.concatenate(
+            (rows, block[block[:, 2] >= MIN_DEVICE_DISTANCE]))
+    return [Device(position=pos, index=i) for i, pos in enumerate(rows)]

@@ -548,20 +548,3 @@ def run_monte_carlo(drop: Drop, n_real: int, seed, *,
         return reduce(McResult.merge, map(moments, chunks))
     with ThreadPoolExecutor(threads) as pool:
         return reduce(McResult.merge, pool.map(moments, chunks))
-
-
-def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int,
-                          seed) -> np.ndarray:
-    """Draws of the error-times-scattering interference term, normalized to
-    unit variance; asymptotically standard complex Gaussian."""
-    link = drop.links[link_idx]
-    if link.num_paths == 0:
-        raise ValueError("link has no scattered paths")
-    w = correlation_factor(link.paths, drop.err_amp, conjugate=True)
-    scale = math.sqrt(float(drop.err_amp**2 @ link.paths.row_power()))
-    out = []
-    for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, link_idx):
-        eps = crandn(rng, (n, drop.num_antennas))
-        g = crandn(rng, (n, link.num_paths))
-        out.append(np.einsum("ij,ij->i", (eps @ w).conj(), g) / scale)
-    return np.concatenate(out)

@@ -26,9 +26,10 @@ from lisrate.mc_engine import (
     crandn,
     draw_fading,
     run_monte_carlo,
-    sample_yn2_normalized,
     sinr_direct,
 )
+
+from test_mc_engine import sample_yn2_normalized
 
 M_GRID = (100, 400, 900, 1600)
 

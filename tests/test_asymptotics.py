@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,12 +6,12 @@ import pytest
 from scipy import integrate, stats
 
 from lisrate import asymptotics as asy
-from lisrate.channel import Scattering, correlation_factor, los_channel
+from lisrate.channel import Scattering, correlation_factor
 from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import Y, crandn, compute_terms, run_monte_carlo
 
-from test_mc_engine import random_paths, small_drop
+from test_mc_engine import device_los, random_paths, small_drop
 
 
 def beta_density(z):
@@ -53,7 +54,7 @@ class TestSurfaceIntegrals:
         m = 256 ** 2
         grid = build_grid((0, 0), hl, m, 0.1)
         dev = Device(position=np.array([0.0, 0.0, z]))
-        b2 = np.abs(los_channel(dev, grid)) ** 2
+        b2 = np.abs(device_los(dev, grid)) ** 2
         s2, s4 = float(b2.sum()), float((b2 ** 2).sum())
         assert s2 ** 2 == pytest.approx(asy.p_bar(z, hl, grid.spacing),
                                         rel=2e-3)
@@ -169,6 +170,49 @@ class TestSeparableForms:
                         + a**2 * (1 - tau**2)
                         * abs(h.conj() @ link.h_los) ** 2)
                 assert lm.mean[j] == pytest.approx(mean, rel=1e-12)
+
+
+    def test_grouped_stacks_match_per_link_terms(self):
+        # a hand-built drop whose links fall in several stacks: pathless,
+        # planar with two path counts, and linear (n_v = 1) with a scalar
+        # and an array loss; each term against its per-link dense form
+        rng = np.random.default_rng(5)
+        base = small_drop(m=16, n_interferers=3, num_paths=4, seed=3)
+        nine = small_drop(m=16, n_interferers=1, num_paths=9, seed=4)
+        linear = random_paths(rng, 1, 16, 5)
+        links = (*base.links, *nine.links,
+                 dataclasses.replace(base.links[0], paths=linear),
+                 dataclasses.replace(base.links[1], paths=dataclasses.replace(
+                     linear, loss=0.7)),
+                 dataclasses.replace(base.links[2],
+                                     paths=Scattering.none(16)))
+        drop = dataclasses.replace(base, links=links)
+        h, tau = drop.desired.h_los, drop.tau
+        beta2 = np.abs(h) ** 2
+        lm = asy.interference_term_moments(drop)
+        for j, link in enumerate(drop.links):
+            r = correlation_factor(link.paths)
+            a, b = link.weights
+            mu2 = a**2 * (1 - tau**2) * abs(h.conj() @ link.h_los) ** 2
+            s = (a**2 * tau**2 * beta2 @ np.abs(link.h_los) ** 2
+                 + b**2 * (1 - tau**2) * np.sum(np.abs(h.conj() @ r) ** 2)
+                 + b**2 * tau**2 * beta2 @ np.sum(np.abs(r) ** 2, 1))
+            assert lm.mean[j] == pytest.approx(s + mu2, rel=1e-12, abs=0)
+            assert lm.variance[j] == pytest.approx(s**2 + 2 * mu2 * s,
+                                                   rel=1e-12, abs=0)
+
+    def test_one_contraction_per_stack(self, monkeypatch):
+        # the 29 links of a make_drop drop form one stack: one contraction
+        calls = []
+        projected_power = Scattering.projected_power
+
+        def counted(paths, h):
+            calls.append(paths.gains.shape)
+            return projected_power(paths, h)
+        monkeypatch.setattr(Scattering, "projected_power", counted)
+        asy.asymptotic_rate_moments(make_drop(ScenarioConfig(
+            num_devices=30, m_grid=(100,), seed=7), 0))
+        assert calls == [(29, 50)]
 
 
 class TestCovariance:

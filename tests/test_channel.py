@@ -12,13 +12,13 @@ from lisrate.channel import (
     _phase_ramp,
     correlation_factor,
     los_channel,
-    nlos_scattering,
     ramp_basis,
 )
 from lisrate.geometry import Device, build_grid, distance, los_gain
 from lisrate.mc_engine import Drop, Link
 
-from test_mc_engine import planned_routes, route_names
+from test_mc_engine import (device_los, device_paths, planned_routes,
+                             route_names)
 
 
 @pytest.fixture
@@ -29,16 +29,16 @@ def grid():
 class TestLosChannel:
     def test_amplitude_and_phase(self, grid):
         dev = Device(position=np.array([0.2, -0.4, 1.3]))
-        h = los_channel(dev, grid)
         d = distance(dev.position, grid.positions)
-        np.testing.assert_allclose(np.abs(h), los_gain(dev, grid.positions))
+        h = los_channel(d, dev.z, grid)
+        np.testing.assert_allclose(np.abs(h), los_gain(dev.z, d))
         np.testing.assert_allclose(np.angle(h),
                                    np.angle(np.exp(-2j * np.pi * d / 0.1)))
 
     def test_overhead_symmetry(self, grid):
         # device on the unit axis: the channel has the lattice's 4-fold symmetry
         dev = Device(position=np.array([0.0, 0.0, 1.0]))
-        h = los_channel(dev, grid).reshape(4, 4)
+        h = device_los(dev, grid).reshape(4, 4)
         np.testing.assert_allclose(h, h[::-1, :])
         np.testing.assert_allclose(h, h[:, ::-1])
         np.testing.assert_allclose(h, h.T)
@@ -133,7 +133,7 @@ class TestNlosScattering:
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         angles = np.array([[0.0, 0.5], [0.3, 0.0]])
         np.testing.assert_allclose(
-            nlos_scattering(dev, grid, angles, 3.7).gains,
+            device_paths(dev, grid, angles, 3.7).gains,
             np.sqrt(np.cos(angles[0]) * np.cos(angles[1])))
 
 
@@ -143,7 +143,7 @@ class TestCorrelationFactor:
         theta_v, theta_h = np.random.default_rng(1).uniform(
             -np.pi / 2, np.pi / 2, (2, 3))
         rh = correlation_factor(
-            nlos_scattering(dev, grid, (theta_v, theta_h), 3.7))
+            device_paths(dev, grid, (theta_v, theta_h), 3.7))
         assert rh.shape == (16, 3) and rh.flags.c_contiguous
         d = np.maximum(distance(dev.position, grid.positions), NLOS_MIN_DISTANCE)
         loss = d ** (-3.7 / 2)
@@ -157,7 +157,7 @@ class TestCorrelationFactor:
     def test_distance_clamp(self, grid):
         # device nearly touching the surface: distances < 1 m must clamp
         dev = Device(position=np.array([0.0, 0.0, 0.01]))
-        rh = correlation_factor(nlos_scattering(dev, grid, np.zeros((2, 1)),
+        rh = correlation_factor(device_paths(dev, grid, np.zeros((2, 1)),
                                                 3.7))
         # unit path gain at normal incidence
         np.testing.assert_allclose(np.abs(rh[:, 0]), 1.0 / 4.0)
@@ -167,7 +167,7 @@ class TestCorrelationFactor:
         # ||h^H R||^2 comes from the separable form without R
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         rng = np.random.default_rng(4)
-        paths = nlos_scattering(dev, grid,
+        paths = device_paths(dev, grid,
                                 rng.uniform(-np.pi / 2, np.pi / 2, (2, 5)),
                                 3.7)
         scale = rng.uniform(0.1, 2.0, 16)
@@ -181,7 +181,7 @@ class TestCorrelationFactor:
 
     def test_empty_factor(self, grid):
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
-        rh = correlation_factor(nlos_scattering(dev, grid, np.empty((2, 0)),
+        rh = correlation_factor(device_paths(dev, grid, np.empty((2, 0)),
                                                 3.7))
         assert rh.shape == (16, 0)
 
@@ -254,11 +254,11 @@ class TestRampBasis:
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2,
                                                   (2, 800))
-        paths = nlos_scattering(dev, grid, angles, 3.7)
+        paths = device_paths(dev, grid, angles, 3.7)
         links = tuple(
             Link(kappa=0.0, h_los=np.zeros(1600, complex), paths=s, rho=1.0)
             for s in (paths, dataclasses.replace(paths, band=None),
-                      nlos_scattering(dev, grid, angles[:, :500], 3.7)))
+                      device_paths(dev, grid, angles[:, :500], 3.7)))
         drop = Drop(desired=links[0], links=links, err_amp=np.ones(1600),
                     tau=0.5)
         assert route_names(drop) == {0: "_basis_power", 1: "_dense_power",

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import lisrate
 from lisrate import cli, experiments, mc_engine
 from lisrate.asymptotics import asymptotic_rate_moments
-from lisrate.channel import los_channel
 from lisrate.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -33,6 +32,8 @@ from lisrate.experiments import (
 )
 from lisrate.geometry import place_devices_grid
 from lisrate.mc_engine import run_monte_carlo
+
+from test_mc_engine import device_los
 
 FAST = dict(kind="uniform-room", num_devices=4, m_grid=(16,), drops=2,
             realizations=64, seed=1)
@@ -287,7 +288,7 @@ class TestMakeDrop:
         (x0, x1), (y0, y1), z = experiments.PLANE
         lattice = place_devices_grid(cfg.d_m, (x0, x1), (y0, y1), z,
                                      25)[1:]  # the whole 5 x 5 lattice
-        by_channel = {los_channel(d, drop.grid).tobytes(): d.index
+        by_channel = {device_los(d, drop.grid).tobytes(): d.index
                       for d in lattice}
         chosen = [by_channel[l.h_los.tobytes()] for l in drop.links]
         nearest = [d.index for d in lattice
@@ -322,6 +323,59 @@ class TestMakeDrop:
             np.testing.assert_allclose(
                 link.paths.gains, np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
                 rtol=1e-14)
+
+    @pytest.mark.parametrize("m", [100, 1600])
+    @pytest.mark.parametrize("mode", experiments.INTERFERENCE_MODES)
+    @pytest.mark.parametrize("kind", ["grid-plane", "uniform-room"])
+    def test_links_equal_a_per_link_build(self, kind, mode, m):
+        # every link built on its own, one device at a time, from its own
+        # distances and its own flag draw, has the array build's bits
+        cfg = ScenarioConfig(kind=kind, mode=mode, num_devices=25,
+                             m_grid=(m,), seed=7)
+        for index in range(4):
+            self.check_per_link_build(cfg, index, mode, m)
+
+    @staticmethod
+    def check_per_link_build(cfg, index, mode, m):
+        drop = make_drop(cfg, index)
+        devices = experiments._place_devices(cfg, index)
+        grid = drop.grid
+        flag_rng = np.random.default_rng(
+            np.random.SeedSequence([7, index, 1]))
+        band = 2.0 * math.pi * grid.spacing / grid.wavelength
+        want = []
+        for dev in devices:
+            diff = grid.positions - dev.position
+            d = np.sqrt(np.sum(diff * diff, axis=-1))
+            h = np.sqrt(dev.z / (4.0 * np.pi * d**3)) \
+                * np.exp(-2j * np.pi * d / grid.wavelength)
+            d_center = float(np.linalg.norm(dev.position - grid.center))
+            u = flag_rng.uniform() if dev is not devices[0] else 0.0
+            is_los = mode == "los-only" or (
+                mode == "probabilistic" and u < los_probability(d_center,
+                                                                cfg.d_c))
+            paths = (0.0, np.empty(0), np.empty(0), np.empty(0))
+            if mode != "los-only":
+                theta_v, theta_h = np.random.default_rng(
+                    np.random.SeedSequence([7, index, 2, dev.index])).uniform(
+                        -np.pi / 2, np.pi / 2, (2, m // 2))
+                paths = (np.maximum(d, 1.0) ** (-cfg.beta_pl / 2.0),
+                         np.sqrt(np.cos(theta_v) * np.cos(theta_h)),
+                         band * np.sin(theta_v),
+                         band * (np.sin(theta_h) * np.cos(theta_h)))
+            want.append((h, rician_factor(d_center) if is_los else 0.0,
+                         10 ** 0.3 * 4.0 * math.pi * dev.z**2, paths))
+        np.testing.assert_array_equal(drop.desired.h_los, want[0][0])
+        np.testing.assert_array_equal(drop.err_amp, np.abs(want[0][0]))
+        assert drop.desired.rho == want[0][2]
+        for link, (h, kappa, rho, paths) in zip(drop.links, want[1:],
+                                                strict=True):
+            np.testing.assert_array_equal(link.h_los, h)
+            assert (link.kappa, link.rho) == (kappa, rho)
+            for got, ref in zip((link.paths.loss, link.paths.gains,
+                                 link.paths.step_v, link.paths.step_h),
+                                paths, strict=True):
+                np.testing.assert_array_equal(got, ref)
 
     def test_grid_plane_too_sparse(self):
         cfg = ScenarioConfig(**{**FAST, "kind": "grid-plane",

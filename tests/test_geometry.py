@@ -69,23 +69,23 @@ class TestLosGain:
         dev = Device(position=np.array([0.3, -0.2, 1.7]))
         pos = np.array([[0.1, 0.0, 0.0], [-0.2, 0.4, 0.0]])
         d = distance(dev.position, pos)
-        g = los_gain(dev, pos)
+        g = los_gain(dev.z, d)
         np.testing.assert_allclose(g**2, (dev.z / d) / (4 * np.pi * d**2))
 
     def test_directly_overhead(self):
         dev = Device(position=np.array([0.0, 0.0, 2.0]))
-        g = los_gain(dev, np.array([0.0, 0.0, 0.0]))
+        g = los_gain(dev.z, distance(dev.position, np.zeros(3)))
         assert g**2 == pytest.approx(1.0 / (4 * math.pi * 4.0))
 
     def test_rejects_device_on_surface(self):
         dev = Device(position=np.array([0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
-            los_gain(dev, np.zeros(3))
+            los_gain(dev.z, distance(dev.position, np.zeros(3)))
 
     def test_gain_decreases_with_offset(self):
         dev = Device(position=np.array([0.0, 0.0, 1.0]))
         offsets = np.array([[r, 0.0, 0.0] for r in (0.0, 0.5, 1.0, 2.0)])
-        g = los_gain(dev, offsets)
+        g = los_gain(dev.z, distance(dev.position, offsets))
         assert np.all(np.diff(g) < 0)
 
 
@@ -156,6 +156,27 @@ class TestPlacement:
         b = place_devices_uniform(10, box, np.random.SeedSequence(7))
         for da, db in zip(a, b):
             np.testing.assert_array_equal(da.position, db.position)
+
+    @pytest.mark.parametrize("num_devices", [1, 6, 30])
+    def test_uniform_blocks_keep_the_per_device_stream(self, num_devices):
+        # the room box puts about half of the draws below 1 m: the block
+        # draws keep, bit for bit, one draw per attempt, device by device
+        box = ((-2.0, 2.0), (-2.0, 2.0), (0.0, 2.0))
+        rejected = 0
+        for seed in range(100):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+            want = []
+            while len(want) < num_devices:
+                pos = rng.uniform([-2.0, -2.0, 0.0], [2.0, 2.0, 2.0])
+                if pos[2] >= MIN_DEVICE_DISTANCE:
+                    want.append(pos)
+                else:
+                    rejected += 1
+            devs = place_devices_uniform(num_devices, box,
+                                         np.random.SeedSequence([seed, 0]))
+            assert [d.index for d in devs] == list(range(num_devices))
+            np.testing.assert_array_equal([d.position for d in devs], want)
+        assert rejected > 0
 
     def test_uniform_rejects_impossible_box(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from lisrate.channel import (
     nlos_scattering,
 )
 from lisrate.experiments import ScenarioConfig, make_drop
-from lisrate.geometry import Device, build_grid
+from lisrate.geometry import Device, build_grid, distance
 from lisrate import mc_engine
 from lisrate.mc_engine import (
     BASIS_ROWS,
@@ -36,9 +36,19 @@ from lisrate.mc_engine import (
     draw_fading,
     rate_sample,
     run_monte_carlo,
-    sample_yn2_normalized,
     sinr_direct,
 )
+
+
+def device_los(dev, grid):
+    """One device's LOS channel, from its own distances."""
+    return los_channel(distance(dev.position, grid.positions), dev.z, grid)
+
+
+def device_paths(dev, grid, angles, beta_pl):
+    """One device's planar-array paths, from its own distances."""
+    return nlos_scattering(distance(dev.position, grid.positions), grid,
+                           angles, beta_pl)
 
 
 def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
@@ -47,16 +57,16 @@ def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
     rng = np.random.default_rng(seed)
     grid = build_grid((0.0, 0.0), 0.25, m, 0.1)
     target = Device(position=np.array([0.0, 0.0, 1.0]))
-    h_kk = los_channel(target, grid)
+    h_kk = device_los(target, grid)
     links = []
     for j in range(n_interferers):
         dev = Device(position=np.array([rng.uniform(-3, 3),
                                         rng.uniform(-3, 3),
                                         rng.uniform(1, 2)]), index=j + 1)
         angles = rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths))
-        paths = nlos_scattering(dev, grid, angles, 3.7)
+        paths = device_paths(dev, grid, angles, 3.7)
         links.append(Link(kappa=kappa if j % 2 == 0 else 0.0,
-                          h_los=los_channel(dev, grid), paths=paths,
+                          h_los=device_los(dev, grid), paths=paths,
                           rho=float(rng.uniform(1, 10))))
     return Drop(desired=los_link(h_kk, 12.0), links=tuple(links),
                 err_amp=np.abs(h_kk), tau=tau, grid=grid, target_z=1.0)
@@ -424,7 +434,7 @@ class TestBasisPath:
         theta[:, :4] = [[np.pi / 2, -np.pi / 2, 0.0, 0.0],
                         [0.0, 0.0, np.pi / 4, -np.pi / 4]]
         extra = Link(kappa=0.0, h_los=np.zeros(1600, complex), rho=1.0,
-                     paths=nlos_scattering(dev, drop.grid, theta, 3.7))
+                     paths=device_paths(dev, drop.grid, theta, 3.7))
         drop = dataclasses.replace(drop, links=(*drop.links, extra))
         assert set(route_names(drop).values()) == {"_basis_power"}
         rng = np.random.default_rng(1)
@@ -521,7 +531,7 @@ class TestRoutePlan:
                             step_v=np.zeros(50),
                             step_h=rng.uniform(-np.pi, np.pi, 50),
                             n_v=1, n_h=400)
-        links = (los_link(los_channel(Device(np.array([1.0, 1.0, 1.0])),
+        links = (los_link(device_los(Device(np.array([1.0, 1.0, 1.0])),
                                       base.grid), 3.0),
                  planar, dataclasses.replace(planar, paths=linear),
                  dataclasses.replace(planar, paths=dataclasses.replace(
@@ -875,7 +885,7 @@ class TestRunMonteCarlo:
     def test_perfect_csi_single_device_rate_is_deterministic(self):
         grid = build_grid((0.0, 0.0), 0.25, 16, 0.1)
         target = Device(position=np.array([0.0, 0.0, 1.0]))
-        h = los_channel(target, grid)
+        h = device_los(target, grid)
         drop = Drop(desired=los_link(h, 2.0), links=(), err_amp=np.abs(h),
                     tau=0.0, grid=grid, target_z=1.0)
         expect = math.log1p(2.0 * float(np.sum(np.abs(h) ** 2)) ** 2
@@ -1022,6 +1032,23 @@ class TestRunMonteCarlo:
         assert los.chunk_size == BASIS_ROWS
         assert stochastic.chunk_size == DEFAULT_CHUNK
         assert small_drop().chunk_size == DEFAULT_CHUNK
+
+
+def sample_yn2_normalized(drop: Drop, link_idx: int, n_real: int,
+                          seed) -> np.ndarray:
+    """Draws of the error-times-scattering interference term, normalized to
+    unit variance; asymptotically standard complex Gaussian."""
+    link = drop.links[link_idx]
+    if link.num_paths == 0:
+        raise ValueError("link has no scattered paths")
+    w = correlation_factor(link.paths, drop.err_amp, conjugate=True)
+    scale = math.sqrt(float(drop.err_amp**2 @ link.paths.row_power()))
+    out = []
+    for rng, n in _chunks(n_real, DEFAULT_CHUNK, seed, link_idx):
+        eps = crandn(rng, (n, drop.num_antennas))
+        g = crandn(rng, (n, link.num_paths))
+        out.append(np.einsum("ij,ij->i", (eps @ w).conj(), g) / scale)
+    return np.concatenate(out)
 
 
 class TestYn2Sampler:
