@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Scattering
 from .mc_engine import Drop
 
 UNBOUNDED = math.inf
@@ -101,26 +100,24 @@ def interference_term_moments(drop: Drop) -> MomentPair:
     """Moments of every interference term as (J,) arrays: mean s + |mu|^2
     and variance s^2 + 2 |mu|^2 s, with mu the coherent LOS mean and s the
     variance of the LOS, channel-side scattered and error-times-scattering
-    parts, from stacks of the separable paths of one (n_v, n_h, P), loss
-    shape and at most RAMP_BYTES of ramps, without building R; each link's
-    row powers take one dot, rounded as the link's own dot."""
+    parts, from slices of the interferers' stack of separable paths with at
+    most RAMP_BYTES of ramps each, without building R; each link's row
+    powers take one dot, rounded as the link's own dot."""
     return _term_moments(drop, _los_coupling(drop)[0])
 
 
 def _term_moments(drop: Drop, mu_c: np.ndarray) -> MomentPair:
     h = _require_los_desired(drop)
-    los, a, b, _ = drop.stacked
+    links = drop.links
+    (a, b), p = links.weights, links.paths
     beta_k2, mu2, tau2 = np.abs(h) ** 2, np.abs(mu_c) ** 2, drop.tau**2
-    groups, (projected, rows) = {}, np.zeros((2, len(drop.links)))
-    for j, p in enumerate(link.paths for link in drop.links):
-        per = RAMP_BYTES // (32 * max(p.n_v, p.n_h) * max(p.num_paths, 1)) + 1
-        groups.setdefault((p.n_v, p.n_h, p.num_paths, np.ndim(p.loss),
-                           j // per), []).append(j)
-    for js in groups.values():
-        paths = Scattering.stack([drop.links[j].paths for j in js])
-        projected[js] = paths.projected_power(h)
-        rows[js] = (paths.row_power()[:, None] @ beta_k2)[:, 0]
-    s = (a**2 * tau2 * (beta_k2 @ np.abs(los) ** 2)
+    projected, rows = np.zeros((2, len(links)))
+    per = RAMP_BYTES // (32 * max(p.n_v, p.n_h) * max(p.num_paths, 1)) + 1
+    for start in range(0, len(links), per):
+        js = slice(start, start + per)
+        projected[js] = p[js].projected_power(h)
+        rows[js] = (p[js].row_power()[:, None] @ beta_k2)[:, 0]
+    s = (a**2 * tau2 * (beta_k2 @ np.abs(links.h_los.T) ** 2)
          + b**2 * (1 - tau2) * projected + b**2 * tau2 * rows)
     return MomentPair(mean=s + mu2, variance=s**2 + 2 * mu2 * s)
 
@@ -138,8 +135,7 @@ def _los_coupling(drop: Drop) -> tuple[np.ndarray, np.ndarray]:
     and the LOS vectors (M, J) their error leaks project on; the pair
     covariance of links i and j is 2 Re(mu_c,i conj(mu_c,j) mu_a,i^H mu_a,j)."""
     h = _require_los_desired(drop)
-    los, a, _, _ = drop.stacked
-    tau = drop.tau
+    los, a, tau = drop.links.h_los.T, drop.links.weights[0], drop.tau
     return (a * math.sqrt(1 - tau**2) * (h.conj() @ los),
             a * tau * np.abs(h)[:, None] * los)
 
@@ -161,7 +157,7 @@ def total_interference_moments(drop: Drop, asymptotic: bool = True) -> MomentPai
     x = error_leak_moments(drop, asymptotic)
     z = noise_term_moments(drop, asymptotic)
     y = _term_moments(drop, mu_c)
-    tau, rho_k, rho = drop.tau, drop.desired.rho, drop.stacked[3]
+    tau, rho_k, rho = drop.tau, drop.desired.rho, drop.links.rho
 
     mean = rho_k * tau**2 * x.mean + z.mean + float(rho @ y.mean)
     var = rho_k**2 * tau**4 * x.variance + z.variance \
@@ -212,8 +208,7 @@ def asymptotic_rate_moments(drop: Drop, asymptotic: bool = True) -> MomentPair:
 def interference_mean_limit(drop: Drop) -> float:
     """Large-M limit of the normalized interference mean; only the LOS
     components of the interferers survive."""
-    rho = drop.stacked[3]
-    return float(rho @ np.abs(_los_coupling(drop)[0]) ** 2) \
+    return float(drop.links.rho @ np.abs(_los_coupling(drop)[0]) ** 2) \
         / drop.num_antennas**2
 
 

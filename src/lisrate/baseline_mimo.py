@@ -19,9 +19,10 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     Every link (desired one included) is pure NLOS with P = M/2 paths and the
     distance to all antennas equal to the device-to-origin distance.  Its
     paths are a scalar path loss times unit-gain steering of a
-    half-wavelength ULA at uniform angles, kept as `Scattering` with
-    n_v = 1.  Each device's transmit SNR inverts its own path-loss power so
-    the per-antenna received SNR meets the target.
+    half-wavelength ULA at uniform angles, kept as one `Scattering` stack
+    with n_v = 1 whose row 0 is the desired link.  Each device's transmit
+    SNR inverts its own path-loss power so the per-antenna received SNR
+    meets the target.
     """
     if num_antennas < 2 or num_antennas % 2:
         raise ValueError("num_antennas must be even so that P = M/2 is integral")
@@ -30,19 +31,20 @@ def build_mimo_drop(devices: list[Device], num_antennas: int, wavelength: float,
     seed_words = [int(seed)] if np.isscalar(seed) else [int(w) for w in seed]
     snr_lin = 10.0 ** (target_snr_db / 10.0)
 
-    zero_los = np.zeros(num_antennas, dtype=complex)
-    links = []
+    loss, rho, steps = [], [], []
     for j, dev in enumerate(devices):
         d = max(float(np.linalg.norm(dev.position)), NLOS_MIN_DISTANCE)
         rng = np.random.default_rng(np.random.SeedSequence([*seed_words, j]))
         angles = rng.uniform(-np.pi / 2, np.pi / 2, num_paths)
-        paths = Scattering(
-            loss=d ** (-beta_pl / 2.0), gains=np.ones(num_paths),
-            step_v=np.zeros(num_paths),
-            step_h=2.0 * np.pi * spacing / wavelength * np.sin(angles),
-            n_v=1, n_h=num_antennas)
-        links.append(Link(kappa=0.0, h_los=zero_los, paths=paths,
-                          rho=snr_lin * d**beta_pl))
-    return Drop(desired=links[0], links=tuple(links[1:]),
-                err_amp=np.full(num_antennas, links[0].paths.loss),
+        loss.append([d ** (-beta_pl / 2.0)])
+        rho.append(snr_lin * d**beta_pl)
+        steps.append(2.0 * np.pi * spacing / wavelength * np.sin(angles))
+    k = len(devices)
+    paths = Scattering(loss=np.array(loss), gains=np.ones((k, num_paths)),
+                       step_v=np.zeros((k, num_paths)),
+                       step_h=np.array(steps), n_v=1, n_h=num_antennas)
+    stack = Link(kappa=np.zeros(k), h_los=np.zeros((k, num_antennas), complex),
+                 paths=paths, rho=np.array(rho))
+    return Drop(desired=stack[0], links=stack[1:],
+                err_amp=np.full(num_antennas, loss[0][0]),
                 tau=tau, grid=None, target_z=None)

@@ -1,12 +1,9 @@
 """Deterministic channel construction for all links of a drop at once,
 from their distances: LOS vectors and scattered paths in separable form
 (`Scattering`, one link or a stack of links), expanded to a link's dense
-correlation factor only on demand.  The closed form's ||h^H R||^2
-contracts a stack (`Scattering.projected_power`), which the Monte-Carlo
-kernel never calls, so a fault there cannot move both engines together.
-The kernel's basis route (`mc_engine.Drop.routes`) reads the real
-coordinates of a link's ramps (`_centred_coordinates`) in a cached ramp
-basis of even and odd vectors (`ramp_basis`)."""
+correlation factor only on demand.  The closed form contracts a stack
+(`Scattering.projected_power`), which the Monte-Carlo kernel never calls;
+the kernel's basis route reads `ramp_basis` and `_centred_coordinates`."""
 
 from __future__ import annotations
 
@@ -102,7 +99,8 @@ def _centred_coordinates(u: np.ndarray, steps) -> np.ndarray:
 @dataclass(frozen=True)
 class Scattering:
     """The P scattered paths of one link in separable form, or of J links
-    of one n_v, n_h and P as a stack: a leading axis J on every array.
+    of one n_v, n_h, P and band as a stack: a leading axis J on every array,
+    whose rows are the links (`stack[j]`).
     Their correlation factor is R[m, p] = loss_m gains_p
     (d_v,p kron d_h,p)_m / sqrt(M), with phase ramps
     d_v,p = exp(1j step_v,p k), k < n_v, and d_h,p likewise over n_h;
@@ -111,7 +109,7 @@ class Scattering:
     when known, bounds (|step_v|, |step_h|), so that a ramp basis of the
     band may span the paths with fewer than P directions."""
 
-    loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude, or one for all
+    loss: np.ndarray | float  # (M,) per-antenna NLOS amplitude or (1,) for all
     gains: np.ndarray         # (P,) per-path antenna gains
     step_v: np.ndarray        # (P,) vertical phase steps, radians
     step_h: np.ndarray        # (P,) horizontal phase steps, radians
@@ -120,22 +118,16 @@ class Scattering:
     band: tuple[float, float] | None = None  # bounds on |step_v|, |step_h|
 
     @classmethod
-    def none(cls, num_antennas: int) -> "Scattering":
-        """No scattered paths (P = 0)."""
-        empty = np.empty(0)
-        return cls(0.0, empty, empty, empty, 1, num_antennas)
+    def none(cls, num_antennas: int, *stack: int) -> "Scattering":
+        """No scattered paths (P = 0): one link, or J links for stack = J."""
+        empty = np.empty((*stack, 0))
+        return cls(np.zeros((*stack, 1)), empty, empty, empty, 1,
+                   num_antennas)
 
-    @classmethod
-    def stack(cls, paths) -> "Scattering":
-        """The links `paths`, of one n_v, n_h, P and loss shape, stacked."""
-        return cls(*(np.array([getattr(q, name) for q in paths]).reshape(
-            len(paths), -1) for name in ("loss", "gains", "step_v", "step_h")),
-            paths[0].n_v, paths[0].n_h)
-
-    def rows(self) -> list["Scattering"]:
-        """Each link of a stack, its arrays views of the stack's rows."""
-        return [Scattering(*row, self.n_v, self.n_h, self.band) for row in
-                zip(self.loss, self.gains, self.step_v, self.step_h)]
+    def __getitem__(self, key) -> "Scattering":
+        """Link `key` of a stack, or a slice of it as a stack: row views."""
+        return Scattering(self.loss[key], self.gains[key], self.step_v[key],
+                          self.step_h[key], self.n_v, self.n_h, self.band)
 
     @property
     def num_antennas(self) -> int:

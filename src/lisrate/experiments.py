@@ -137,10 +137,11 @@ def make_drop(config: ScenarioConfig, drop_index: int,
               half_length: float | None = None) -> Drop:
     """Build the frozen drop `drop_index` from one (K, M) distance array,
     with one array pass each for the LOS vectors, NLOS losses, gains and
-    phase steps of all links; each `Link` holds row views of them.  The
-    frozen randomness (device positions, LOS flags, one angle stream per
-    device) depends only on (seed, drop_index), so sweeping M or the unit
-    size re-materializes the same geometric realization."""
+    phase steps of all links; the interferers are one stacked `Link` of
+    row views of them.  The frozen randomness (device positions, LOS flags,
+    one angle stream per device) depends only on (seed, drop_index), so
+    sweeping M or the unit size re-materializes the same geometric
+    realization."""
     m = num_antennas if num_antennas is not None else config.m_grid[0]
     hl = half_length if half_length is not None else config.half_length
     devices = _place_devices(config, drop_index)
@@ -161,31 +162,29 @@ def make_drop(config: ScenarioConfig, drop_index: int,
     rho = [snr_lin * 4.0 * math.pi * dev.z**2 for dev in devices]
     flags = np.random.default_rng(np.random.SeedSequence(
         [config.seed, drop_index, 1])).uniform(size=len(others))
-    paths = [channel.Scattering.none(m)] * len(others)
+    paths = channel.Scattering.none(m, len(others))
     if config.mode != "los-only":
         shape = (len(others), 2, int(round(m * config.paths_per_antenna)))
         angles = np.reshape([np.random.default_rng(np.random.SeedSequence(
             [config.seed, drop_index, 2, dev.index])).uniform(
                 -np.pi / 2, np.pi / 2, shape[1:]) for dev in others], shape)
-        paths = channel.nlos_scattering(d[1:], grid, angles,
-                                        config.beta_pl).rows()
+        paths = channel.nlos_scattering(d[1:], grid, angles, config.beta_pl)
 
-    links = []
-    for off, u, h, p, r in zip(pos[1:] - grid.center, flags, h_los[1:],
-                               paths, rho[1:]):
+    kappa = []
+    for off, u in zip(pos[1:] - grid.center, flags):
         # scalar d_center and kappa: norm(axis=1) and array 10**x round apart
         d_center = math.sqrt(off @ off)
         is_los = config.mode == "los-only" or (
             config.mode == "probabilistic"
             and u < los_probability(d_center, config.d_c))
-        links.append(Link(kappa=rician_factor(d_center) if is_los else 0.0,
-                          h_los=h, paths=p, rho=r))
+        kappa.append(rician_factor(d_center) if is_los else 0.0)
 
+    links = Link(kappa=np.array(kappa), h_los=h_los[1:], paths=paths,
+                 rho=np.array(rho[1:]))
     desired = Link(kappa=math.inf, h_los=h_los[0],
                    paths=channel.Scattering.none(m), rho=rho[0])
-    return Drop(desired=desired, links=tuple(links),
-                err_amp=np.abs(h_los[0]), tau=config.tau, grid=grid,
-                target_z=target.z)
+    return Drop(desired=desired, links=links, err_amp=np.abs(h_los[0]),
+                tau=config.tau, grid=grid, target_z=target.z)
 
 
 # ---------------------------------------------------------------------------

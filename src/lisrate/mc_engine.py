@@ -1,12 +1,9 @@
-"""Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI.
-
-The README's engine paragraph describes the two SINR paths, the three
-routes of `Drop.routes`, the one fading draw per interferer and the chunked
-moments: a chunk of `Drop.chunk_size` draws is one compute_terms call.
-Chunks run on the threads that `chunk_threads` sets, each on one BLAS
-thread, and merge in index order with seeds from (seed, drop, chunk), so
-the bytes follow no worker, thread or CPU count.  sinr_direct always takes
-the dense factor, so the two paths check each other.
+"""Monte-Carlo engine for the matched-filter uplink SINR under imperfect CSI:
+the Rician `Link` (one link, or a drop's interferers as one stack), the
+`Drop` and its one route (`Drop.route`), the batch kernels `compute_terms`
+and `sinr_direct`, which check each other, and the chunked moments of
+`run_monte_carlo`, whose bytes follow no worker, thread or CPU count.  The
+README's engine paragraph describes them.
 """
 
 from __future__ import annotations
@@ -46,18 +43,27 @@ class Link:
     """One device's channel to the surface: the Rician mix
     sqrt(kappa/(kappa+1)) h_los + sqrt(1/(kappa+1)) R g of a deterministic
     LOS vector and P scattered paths with correlation factor R and CN(0, 1)
-    fading g.  kappa == inf means the channel is h_los itself."""
+    fading g.  kappa == inf means the channel is h_los itself.  A stack of
+    J links (`Drop.links`) has a leading axis J on every field, and
+    `link[j]` is link j as row views."""
 
-    kappa: float            # Rician factor (linear); 0 means pure NLOS
-    h_los: np.ndarray       # (M,) deterministic LOS component
-    paths: Scattering       # the scattered paths; P may be 0
-    rho: float              # transmit SNR (linear)
+    kappa: float | np.ndarray  # Rician factor (linear); 0 means pure NLOS
+    h_los: np.ndarray          # (M,) deterministic LOS component
+    paths: Scattering          # the scattered paths; P may be 0
+    rho: float | np.ndarray    # transmit SNR (linear)
 
     def __post_init__(self):
-        if not self.kappa >= 0:
+        if not np.all(self.kappa >= 0):
             raise ValueError(f"Rician factor must be nonnegative, got {self.kappa}")
-        if self.paths.num_antennas != self.h_los.shape[0]:
+        if self.paths.num_antennas != self.h_los.shape[-1]:
             raise ValueError("LOS vector and scattered paths disagree on M")
+
+    def __len__(self) -> int:
+        return len(self.rho)
+
+    def __getitem__(self, key) -> Link:
+        return Link(self.kappa[key], self.h_los[key], self.paths[key],
+                    self.rho[key])
 
     @property
     def num_paths(self) -> int:
@@ -68,12 +74,13 @@ class Link:
         return math.isinf(self.kappa)
 
     @property
-    def weights(self) -> tuple[float, float]:
-        """(LOS, scattered) amplitudes sqrt(kappa/(kappa+1)), sqrt(1/(kappa+1))."""
-        k = self.kappa
-        if math.isinf(k):
-            return 1.0, 0.0
-        return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
+    def weights(self):
+        """(LOS, scattered) amplitudes sqrt(kappa/(kappa+1)) and
+        sqrt(1/(kappa+1)), (1, 0) at kappa = inf without evaluating
+        inf/inf, which the tasks' traps would raise on."""
+        k = np.asarray(self.kappa, float)
+        los = np.divide(k, k + 1.0, out=np.ones_like(k), where=k < math.inf)
+        return np.sqrt(los), np.sqrt(1.0 / (k + 1.0))
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ class Drop:
     """One frozen geometric realization for a single target device."""
 
     desired: Link
-    links: tuple[Link, ...]
+    links: Link                      # the K-1 interferers, one stack
     err_amp: np.ndarray              # (M,) per-antenna estimation-error amplitudes
     tau: float                       # CSI imperfectness in [0, 1)
     grid: AntennaGrid | None = None  # None for the linear-array baseline
@@ -90,17 +97,17 @@ class Drop:
     def __post_init__(self):
         if not 0.0 <= self.tau < 1.0:
             raise ValueError("tau must lie in [0, 1); tau = 1 leaves no estimate")
-        if self.desired.rho <= 0 or any(l.rho <= 0 for l in self.links):
+        if not (np.all(self.desired.rho > 0) and np.all(self.links.rho > 0)):
             raise ValueError("transmit SNRs must be positive")
 
     @property
     def num_antennas(self) -> int:
         return self.desired.h_los.shape[0]
 
-    @cached_property
+    @property
     def pathless(self) -> bool:
         """No interferer has scattered paths, so w draws nothing."""
-        return not any(link.num_paths for link in self.links)
+        return not self.links.paths.gains.size
 
     @property
     def chunk_size(self) -> int:
@@ -111,46 +118,31 @@ class Drop:
         return BASIS_ROWS if los_only else DEFAULT_CHUNK
 
     @cached_property
-    def routes(self):
-        """The one home of the route rule for ||f^H R_j||^2: (columns,
-        route) pairs, built once per drop, where route(xs, d, k), which
-        looks its kernel up when called, gives those columns of
-        `compute_terms`' power.  The links with one scalar loss on a linear
-        array (n_v = 1), whose R_j R_j^H is Toeplitz, share one spectral
-        pair and its weights (`_spectral_weights`).  A link whose band's
-        ramp bases have r_v r_h < P directions takes the basis, with its
-        coordinates (`_basis_power`).  Each other link with paths takes its
-        dense factor, and keeps nothing; a pathless link keeps power 0."""
-        spectral, plan = [], []
-        for j, p in enumerate(link.paths for link in self.links):
-            if p.num_paths and p.n_v == 1 and not np.ndim(p.loss):
-                spectral.append(j)
-            elif p.num_paths:
-                u = p.band and (ramp_basis(p.n_v, p.band[0]),
-                                ramp_basis(p.n_h, p.band[1]))
-                if u and u[0].shape[1] * u[1].shape[1] < p.num_paths:
-                    c = (p, *u, _centred_coordinates(u[0], p.step_v),
-                         _centred_coordinates(u[1], p.step_h)
-                         * (p.gains / math.sqrt(p.num_antennas)))
-                    plan.append((j, lambda xs, d, k, c=c:
-                                 _basis_power(*c, xs, d, k)))
-                else:
-                    plan.append((j, lambda xs, d, k, p=p:
-                                 _dense_power(p, xs, d, k)))
-        if spectral:
-            t = _spectral_weights([self.links[j].paths for j in spectral])
-            plan.insert(0, (spectral, lambda xs, d, k:
-                            _spectral_power(t, xs, d, k)))
-        return plan
-
-    @cached_property
-    def stacked(self):
-        """The interferers over J = K-1 columns, built once: LOS vectors
-        (M, J), LOS and scattered weights (J,) each, transmit SNRs (J,)."""
-        m = self.num_antennas
-        los = np.array([l.h_los for l in self.links], complex).reshape(-1, m)
-        a, b = np.array([l.weights for l in self.links]).reshape(-1, 2).T
-        return los.T, a, b, np.array([l.rho for l in self.links], float)
+    def route(self):
+        """The one home of the route rule for ||f^H R_j||^2: route(xs, d, k),
+        built once per drop, gives `compute_terms`' (n, J) power and looks
+        its kernel up when called; None for a pathless drop, whose power
+        is 0.  The interferers share P, loss shape, array and band, so one
+        route serves them all: spectral on a linear array (n_v = 1) with
+        one loss per link, as R_j R_j^H is then Toeplitz
+        (`_spectral_weights`); the basis where the band's ramp bases have
+        r_v r_h < P directions, keeping each link's coordinates
+        (`_basis_power`); else dense, keeping nothing."""
+        if self.pathless:
+            return None
+        p = self.links.paths
+        if p.n_v == 1 and np.shape(p.loss)[-1] == 1:
+            t = _spectral_weights(p)
+            return lambda xs, d, k: _spectral_power(t, xs, d, k)
+        u = p.band and (ramp_basis(p.n_v, p.band[0]),
+                        ramp_basis(p.n_h, p.band[1]))
+        if u and u[0].shape[1] * u[1].shape[1] < p.num_paths:
+            # each link's own calls: one call over the stack rounds apart
+            c = [(_centred_coordinates(u[0], q.step_v),
+                  _centred_coordinates(u[1], q.step_h)
+                  * (q.gains / math.sqrt(p.num_antennas))) for q in p]
+            return lambda xs, d, k: _basis_power(p, *u, c, xs, d, k)
+        return lambda xs, d, k: _dense_power(p, xs, d, k)
 
 
 def crandn(rng, shape) -> np.ndarray:
@@ -276,59 +268,69 @@ def _row_blocks(block, out: np.ndarray) -> np.ndarray:
 
 
 def _dense_power(paths, xs, d, k) -> np.ndarray:
-    """||f^H R||^2 per row of f = k + d xs from one dense conj(R), which
-    serves both terms: conj(k^H R) = k conj(R), taken before its rows are
-    scaled by d in place for one (n, M) x (M, P) product over all rows,
-    which packs the factor once.  So it shares no contraction with the
-    closed form (`Scattering.projected_power`)."""
-    r = correlation_factor(paths, conjugate=True)
-    k_r = k @ r
-    r *= np.reshape(d, (-1, 1))
-    q = xs @ r
-    return _row_power(np.add(q, k_r, out=q))
+    """||f^H R_j||^2 per row of f = k + d xs and link j of the stack, each
+    from its own dense conj(R), which serves both terms: conj(k^H R) =
+    k conj(R), taken before its rows are scaled by d in place for one
+    (n, M) x (M, P) product over all rows, which packs the factor once.
+    So it shares no contraction with the closed form
+    (`Scattering.projected_power`).  One link's factor is alive at a
+    time."""
+    def link_power(link):
+        r = correlation_factor(link, conjugate=True)
+        k_r = k @ r
+        r *= np.reshape(d, (-1, 1))
+        q = xs @ r
+        return _row_power(np.add(q, k_r, out=q))
+    return np.column_stack([link_power(link) for link in paths])
 
 
-def _basis_power(paths, u_v, u_h, c_v, c_h, xs, d, k) -> np.ndarray:
-    """||f^H R||^2 per row of f = k + d xs, as the power of
-    q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).  The ramp
-    bases U_v, U_h of the link's band span every steering vector, so
+def _basis_power(paths, u_v, u_h, coords, xs, d, k) -> np.ndarray:
+    """||f^H R_j||^2 per row of f = k + d xs and link j of the stack, as
+    the power of q = conj(f^H R) = y conj(R / loss) with y = loss (d xs + k).
+    The ramp bases U_v, U_h of the band span every steering vector, so
     R / loss = B C diag(phase) with B = U_v kron U_h, unit-modulus phases
     exp(1j (step_v (n_v - 1) + step_h (n_h - 1)) / 2) and the real (r, P) C,
-    formed per call, whose column p is c_v,p kron c_h,p: the coordinates of
-    the centred ramps, c_h's times gains_p / sqrt(M) (`Drop.routes`).  So
-    |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
-    reshape of y, its k-part projected once per call and added per
+    formed per call and link, one link's at a time, whose column p is
+    c_v,p kron c_h,p: the coordinates of the centred ramps, c_h's times
+    gains_p / sqrt(M), one (c_v, c_h) per link in `coords` (`Drop.route`).
+    So |q| = |v C| with v = y conj(B): two small GEMMs on the (n_v, n_h)
+    reshape of y, its k-part projected once per call and link and added per
     `_row_blocks` block, then one real (2 rows, r) x (r, P) product on v's
     real and imaginary planes, half the flops of a complex one."""
-    c = (c_v[:, None] * c_h[None, :]).reshape(-1, paths.num_paths)
     conj_v, conj_h = u_v.conj().T, u_h.conj()
 
     def project(y):
         t = (y.reshape(-1, paths.n_h) @ conj_h).reshape(len(y), paths.n_v, -1)
         return (conj_v @ t).reshape(len(y), -1)
-    v_k, scale = project(paths.loss * k[None]), paths.loss * d
 
-    def block(rows):
-        v = project(xs[rows] * scale)
-        v += v_k
-        power = _row_power(np.concatenate((v.real, v.imag)) @ c)
-        return power[:len(v)] + power[len(v):]
-    return _row_blocks(block, np.empty(len(xs)))
+    def link_power(loss, c_v, c_h):
+        c = (c_v[:, None] * c_h[None, :]).reshape(-1, paths.num_paths)
+        v_k, scale = project(loss * k[None]), loss * d
+
+        def block(rows):
+            v = project(xs[rows] * scale)
+            v += v_k
+            power = _row_power(np.concatenate((v.real, v.imag)) @ c)
+            return power[:len(v)] + power[len(v):]
+        return _row_blocks(block, np.empty(len(xs)))
+    return np.column_stack([link_power(loss, *c)
+                            for loss, c in zip(paths.loss, coords)])
 
 
 def _spectral_weights(paths) -> np.ndarray:
     """The (2L, J) weights T_j = (2 Re DFT(t_j) - t_j(0)) / L,
-    L = 2^k >= 2M - 1, repeated per (re, im), of J linear-array links with
-    one scalar loss, whose R_j R_j^H is the Hermitian Toeplitz
+    L = 2^k >= 2M - 1, repeated per (re, im), of a stack of J linear-array
+    links with one loss each, whose R_j R_j^H is the Hermitian Toeplitz
     [t_j(m - m')] of the lags t_j(delta) = loss^2 sum_p gains_p^2
     exp(1j step_h,p delta) / M, delta < M.  Each lag sum is one
     (ceil(M/b), P) x (P, b) product of `_ramp_factors`' coarse and fine
-    ramps, so no (M, P) array is formed."""
+    ramps, so no (M, P) array is formed; each loss is squared as a Python
+    float, by pow, which rounds apart from numpy's square."""
     lags = []
     for s in paths:
         coarse, fine = _ramp_factors(s.n_h, s.step_h)
         lags.append(((coarse * s.gains**2) @ fine.T).reshape(-1)[:s.n_h]
-                    * (s.loss**2 / s.n_h))
+                    * (s.loss.item() ** 2 / s.n_h))
     lags = np.array(lags)
     size = 1 << (2 * lags.shape[1] - 2).bit_length()
     spectrum = 2.0 * np.fft.fft(lags, size).real - lags[:, :1].real
@@ -360,23 +362,17 @@ def compute_terms(drop: Drop, eps, g_des, w) -> dict:
     """Decomposed SINR terms for a batch of realizations from draw_fading,
     each row's from that row alone: arrays s, x, y (n, K-1), z, i, gamma,
     f_los = f^H h_los,j and power = ||f^H R_j||^2 (n, K-1).  w must be
-    (n, K-1).
-
-    f = sqrt(1-tau^2) h + tau err is affine in the draws, f = k + d X, so
-    f^H V = k^H V + conj(X @ (d conj V)): one (n, M) x (M, J) product for
-    the LOS vectors, and ||f^H R_j||^2 from the routes of `Drop.routes`:
-    the spectral links' at once, each other link with paths by its basis
-    or its dense factor, which also gives its k^H R_j, and 0 for a
-    pathless link.  A deterministic desired h has k = sqrt(1-tau^2) h,
-    d = tau err_amp and X = eps, only read; a stochastic one has k = 0
-    (no k^H V for the LOS vectors, zeros for the routes), d = 1 and X = f,
-    built in place of its rows with one (n, M) temporary.  f^H h_j is drawn
-    as a f^H h_los + b ||f^H R_j|| w_j, so y_j = |a f_los + b sqrt(power)
-    w_j|^2.  Every route runs in the calling thread."""
+    (n, K-1).  With f = k + d X affine in the draws (README, engine), one
+    (n, M) x (M, J) product serves the LOS vectors and the drop's route
+    the scattered powers, in the calling thread.  A deterministic desired
+    h has k = sqrt(1-tau^2) h, d = tau err_amp and X = eps, only read; a
+    stochastic one has k = 0, d = 1 and X = f, built in place of its rows
+    with one (n, M) temporary.  y_j = |a f_los + b sqrt(power) w_j|^2."""
     _check_links(drop, eps, w)
     tau = drop.tau
     c = math.sqrt(1.0 - tau**2)
-    los, a, b, rhos = drop.stacked
+    links = drop.links
+    los, (a, b) = links.h_los.T, links.weights
     h = _desired_channel(drop, g_des)                     # (M,) or (n, M)
     s = np.broadcast_to(_row_power(h) ** 2, len(eps))
     if drop.desired.deterministic:
@@ -396,11 +392,10 @@ def compute_terms(drop: Drop, eps, g_des, w) -> dict:
         d, xs, k = 1.0, h, np.zeros(drop.num_antennas, complex)
         z = _row_power(h)
         f_los = np.conj(h @ los.conj())
-    power = np.zeros((len(eps), len(drop.links)))      # ||f^H R_j||^2
-    for js, route in drop.routes:
-        power[:, js] = route(xs, d, k)
+    power = np.zeros((len(eps), len(links))) if drop.route is None \
+        else drop.route(xs, d, k)                       # ||f^H R_j||^2
     y = np.abs(a * f_los + b * np.sqrt(power) * w) ** 2
-    i_total = drop.desired.rho * tau**2 * x + y @ rhos + z
+    i_total = drop.desired.rho * tau**2 * x + y @ links.rho + z
     gamma = drop.desired.rho * s * (1.0 - tau**2) / i_total
     return {"s": s, "x": x, "y": y, "z": z, "i": i_total, "gamma": gamma,
             "f_los": f_los, "power": power}

@@ -11,7 +11,7 @@ from lisrate.experiments import ScenarioConfig, make_drop
 from lisrate.geometry import Device, build_grid
 from lisrate.mc_engine import Y, crandn, compute_terms, run_monte_carlo
 
-from test_mc_engine import device_los, random_paths, small_drop
+from test_mc_engine import device_los, random_paths, small_drop, stack_links
 
 
 def beta_density(z):
@@ -132,16 +132,19 @@ class TestTermMoments:
         rng = np.random.default_rng(0)
         desired = Link(kappa=0.0, h_los=np.zeros(4, complex),
                        paths=random_paths(rng, 2, 2, 2), rho=1.0)
-        drop = Drop(desired=desired, links=(), err_amp=np.ones(4), tau=0.5)
+        drop = Drop(desired=desired, links=Link(
+            kappa=np.empty(0), h_los=np.empty((0, 4), complex),
+            paths=Scattering.none(4, 0), rho=np.empty(0)),
+            err_amp=np.ones(4), tau=0.5)
         with pytest.raises(ValueError):
             asy.error_leak_moments(drop)
         with pytest.raises(ValueError):  # no links, so no coupling to check
             asy.interference_mean_limit(drop)
         with pytest.raises(ValueError):
             asy.interference_term_moments(Drop(
-                desired=desired, links=(Link(
+                desired=desired, links=stack_links(Link(
                     kappa=1.0, h_los=np.zeros(4, complex),
-                    paths=Scattering.none(4), rho=1.0),),
+                    paths=Scattering.none(4), rho=1.0)),
                 err_amp=np.ones(4), tau=0.5))
 
 
@@ -173,33 +176,35 @@ class TestSeparableForms:
 
 
     def test_grouped_stacks_match_per_link_terms(self):
-        # a hand-built drop whose links fall in several stacks: pathless,
-        # planar with two path counts, and linear (n_v = 1) with a scalar
-        # and an array loss; each term against its per-link dense form
+        # one hand-built drop per path shape: planar with two path counts,
+        # linear (n_v = 1) with a scalar and an array loss, and pathless;
+        # each term against its per-link dense form
         rng = np.random.default_rng(5)
         base = small_drop(m=16, n_interferers=3, num_paths=4, seed=3)
         nine = small_drop(m=16, n_interferers=1, num_paths=9, seed=4)
         linear = random_paths(rng, 1, 16, 5)
-        links = (*base.links, *nine.links,
-                 dataclasses.replace(base.links[0], paths=linear),
-                 dataclasses.replace(base.links[1], paths=dataclasses.replace(
-                     linear, loss=0.7)),
-                 dataclasses.replace(base.links[2],
-                                     paths=Scattering.none(16)))
-        drop = dataclasses.replace(base, links=links)
-        h, tau = drop.desired.h_los, drop.tau
-        beta2 = np.abs(h) ** 2
-        lm = asy.interference_term_moments(drop)
-        for j, link in enumerate(drop.links):
-            r = correlation_factor(link.paths)
-            a, b = link.weights
-            mu2 = a**2 * (1 - tau**2) * abs(h.conj() @ link.h_los) ** 2
-            s = (a**2 * tau**2 * beta2 @ np.abs(link.h_los) ** 2
-                 + b**2 * (1 - tau**2) * np.sum(np.abs(h.conj() @ r) ** 2)
-                 + b**2 * tau**2 * beta2 @ np.sum(np.abs(r) ** 2, 1))
-            assert lm.mean[j] == pytest.approx(s + mu2, rel=1e-12, abs=0)
-            assert lm.variance[j] == pytest.approx(s**2 + 2 * mu2 * s,
-                                                   rel=1e-12, abs=0)
+        drops = [base, dataclasses.replace(base, links=nine.links)]
+        for paths in (dataclasses.replace(linear, loss=np.array([0.7])),
+                      linear, Scattering.none(16)):
+            links = stack_links(*(dataclasses.replace(link, paths=paths)
+                                  for link in base.links))
+            drops.append(dataclasses.replace(base, links=links))
+        for drop in drops:
+            h, tau = drop.desired.h_los, drop.tau
+            beta2 = np.abs(h) ** 2
+            lm = asy.interference_term_moments(drop)
+            assert lm.mean.shape == (len(drop.links),)
+            for j, link in enumerate(drop.links):
+                r = correlation_factor(link.paths)
+                a, b = link.weights
+                mu2 = a**2 * (1 - tau**2) * abs(h.conj() @ link.h_los) ** 2
+                s = (a**2 * tau**2 * beta2 @ np.abs(link.h_los) ** 2
+                     + b**2 * (1 - tau**2)
+                     * np.sum(np.abs(h.conj() @ r) ** 2)
+                     + b**2 * tau**2 * beta2 @ np.sum(np.abs(r) ** 2, 1))
+                assert lm.mean[j] == pytest.approx(s + mu2, rel=1e-12, abs=0)
+                assert lm.variance[j] == pytest.approx(s**2 + 2 * mu2 * s,
+                                                       rel=1e-12, abs=0)
 
     def test_one_contraction_per_stack(self, monkeypatch):
         # the 29 links of a make_drop drop form one stack: one contraction

@@ -17,8 +17,8 @@ from lisrate.channel import (
 from lisrate.geometry import Device, build_grid, distance, los_gain
 from lisrate.mc_engine import Drop, Link
 
-from test_mc_engine import (device_los, device_paths, planned_routes,
-                             route_names)
+from test_mc_engine import (device_los, device_paths, planned_route,
+                             route_name, stack_links)
 
 
 @pytest.fixture
@@ -249,22 +249,24 @@ class TestRampBasis:
         # diag(loss) B C diag(phase) rebuilds R from the constants of a
         # drop's planned basis route, with a real C whose column p is
         # c_v,p kron c_h,p and each path's centring phase; without a band,
-        # or with r >= P, the plan takes the dense route
+        # or with r >= P, the drop takes the dense route
         grid = build_grid((0.0, 0.0), 0.25, 1600, 0.1)
         dev = Device(position=np.array([1.0, 2.0, 1.5]))
         angles = np.random.default_rng(2).uniform(-np.pi / 2, np.pi / 2,
                                                   (2, 800))
         paths = device_paths(dev, grid, angles, 3.7)
-        links = tuple(
+        links = [
             Link(kappa=0.0, h_los=np.zeros(1600, complex), paths=s, rho=1.0)
             for s in (paths, dataclasses.replace(paths, band=None),
-                      device_paths(dev, grid, angles[:, :500], 3.7)))
-        drop = Drop(desired=links[0], links=links, err_amp=np.ones(1600),
-                    tau=0.5)
-        assert route_names(drop) == {0: "_basis_power", 1: "_dense_power",
-                                     2: "_dense_power"}
-        kept, u_v, u_h, c_v, c_h = planned_routes(drop)[0][1]
-        assert kept is paths and c_v.dtype == c_h.dtype == float
+                      device_paths(dev, grid, angles[:, :500], 3.7))]
+        drops = [Drop(desired=links[0], links=stack_links(link),
+                      err_amp=np.ones(1600), tau=0.5) for link in links]
+        assert [route_name(drop) for drop in drops] == [
+            "_basis_power", "_dense_power", "_dense_power"]
+        kept, u_v, u_h, ((c_v, c_h),) = planned_route(drops[0])[1]
+        assert kept is drops[0].links.paths
+        np.testing.assert_array_equal(kept.gains[0], paths.gains)
+        assert c_v.dtype == c_h.dtype == float
         c = (c_v[:, None] * c_h[None, :]).reshape(-1, 800)
         assert c.shape == (u_v.shape[1] * u_h.shape[1], 800)
         phase = np.exp(0.5j * (paths.step_v * (paths.n_v - 1)

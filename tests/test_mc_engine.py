@@ -53,23 +53,43 @@ def device_paths(dev, grid, angles, beta_pl):
 
 def small_drop(m=16, n_interferers=3, tau=0.5, seed=0, kappa=5.0,
                num_paths=4):
-    """Hand-built drop on a 0.5 m unit at 3 GHz with mixed Rician links."""
+    """Hand-built drop on a 0.5 m unit at 3 GHz with mixed Rician links,
+    stacked as make_drop stacks them: one LOS and one scattering pass over
+    the (J, M) distances."""
     rng = np.random.default_rng(seed)
     grid = build_grid((0.0, 0.0), 0.25, m, 0.1)
     target = Device(position=np.array([0.0, 0.0, 1.0]))
     h_kk = device_los(target, grid)
-    links = []
-    for j in range(n_interferers):
-        dev = Device(position=np.array([rng.uniform(-3, 3),
-                                        rng.uniform(-3, 3),
-                                        rng.uniform(1, 2)]), index=j + 1)
-        angles = rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths))
-        paths = device_paths(dev, grid, angles, 3.7)
-        links.append(Link(kappa=kappa if j % 2 == 0 else 0.0,
-                          h_los=device_los(dev, grid), paths=paths,
-                          rho=float(rng.uniform(1, 10))))
-    return Drop(desired=los_link(h_kk, 12.0), links=tuple(links),
+    pos, angles, rho = [], [], []
+    for _ in range(n_interferers):
+        pos.append([rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(1, 2)])
+        angles.append(rng.uniform(-np.pi / 2, np.pi / 2, (2, num_paths)))
+        rho.append(float(rng.uniform(1, 10)))
+    pos = np.reshape(pos, (-1, 3))
+    d = distance(pos[:, None], grid.positions)
+    links = Link(kappa=np.where(np.arange(n_interferers) % 2, 0.0, kappa),
+                 h_los=los_channel(d, pos[:, 2:], grid),
+                 paths=nlos_scattering(d, grid, np.reshape(
+                     angles, (-1, 2, num_paths)), 3.7),
+                 rho=np.array(rho))
+    return Drop(desired=los_link(h_kk, 12.0), links=links,
                 err_amp=np.abs(h_kk), tau=tau, grid=grid, target_z=1.0)
+
+
+def stack_links(*links):
+    """The links, of one n_v, n_h, P, loss shape and band, as one stacked
+    Link, the form of `Drop.links`."""
+    p = links[0].paths
+
+    def rows(name):
+        return np.array([np.reshape(getattr(link.paths, name), -1)
+                         for link in links])
+    return Link(kappa=np.array([link.kappa for link in links], float),
+                h_los=np.array([link.h_los for link in links]),
+                paths=Scattering(*map(rows, ("loss", "gains", "step_v",
+                                             "step_h")),
+                                 p.n_v, p.n_h, p.band),
+                rho=np.array([link.rho for link in links], float))
 
 
 def los_link(h, rho):
@@ -90,28 +110,29 @@ def random_paths(rng, n_v, n_h, num_paths):
 ROUTE_KERNELS = ("_spectral_power", "_basis_power", "_dense_power")
 
 
-def planned_routes(drop):
-    """{j: (kernel name, the kernel's arguments before xs, d, k)} for each
-    interferer j with paths, read by calling each route of drop.routes with
-    the three route kernels stubbed.  Checks that the plan covers each link
-    with paths exactly once and no pathless link."""
-    taken = {}
+def planned_route(drop):
+    """(kernel name, the kernel's arguments before xs, d, k) of the drop's
+    one route, read by calling drop.route with the three route kernels
+    stubbed, or None for a pathless drop.  Checks that the route covers
+    every interferer, each once."""
+    if drop.route is None:
+        assert drop.pathless
+        return None
     with pytest.MonkeyPatch.context() as mp:
         for name in ROUTE_KERNELS:
             mp.setattr(mc_engine, name,
                        lambda *args, name=name: (name, args[:-3]))
-        for js, route in drop.routes:
-            for j in np.atleast_1d(js).tolist():
-                assert j not in taken
-                taken[j] = route(None, None, None)
-    assert sorted(taken) == [j for j, link in enumerate(drop.links)
-                             if link.num_paths]
-    return taken
+        name, args = drop.route(None, None, None)
+    covered = args[0].shape[1] if name == "_spectral_power" \
+        else len(args[0].gains)
+    assert covered == len(drop.links) and not drop.pathless
+    return name, args
 
 
-def route_names(drop):
-    """{j: the name of the kernel that link j's planned route calls}."""
-    return {j: name for j, (name, _) in planned_routes(drop).items()}
+def route_name(drop):
+    """The name of the kernel that the drop's route calls, or None."""
+    planned = planned_route(drop)
+    return planned and planned[0]
 
 
 class TestPrimitives:
@@ -175,16 +196,48 @@ class TestDropValidation:
         with pytest.raises(ValueError):
             Drop(desired=bad, links=d.links, err_amp=d.err_amp, tau=0.5)
 
+    def test_rejects_nan_power(self):
+        # nan <= 0 is False: a NaN SNR on the desired link or on an
+        # interferer must fail the positivity check all the same
+        d = small_drop()
+        rho = d.links.rho.copy()
+        rho[1] = math.nan
+        for desired, links in (
+                (los_link(d.desired.h_los, math.nan), d.links),
+                (d.desired, dataclasses.replace(d.links, rho=rho))):
+            with pytest.raises(ValueError, match="must be positive"):
+                Drop(desired=desired, links=links, err_amp=d.err_amp,
+                     tau=0.5)
+
     def test_counts(self):
         d = small_drop(m=25, n_interferers=4)
         assert d.num_antennas == 25
 
-    def test_stacked_is_built_once(self):
+    def test_links_are_one_stack(self):
+        # the interferers are one Link with a leading axis J on every
+        # field, whose rows are the links as views
         d = small_drop(m=25, n_interferers=4)
-        assert d.stacked is d.stacked
-        los, a, b, rhos = d.stacked
-        assert los.shape == (25, 4)
-        assert a.shape == b.shape == rhos.shape == (4,)
+        links = d.links
+        assert len(links) == 4 and links.h_los.shape == (4, 25)
+        a, b = links.weights
+        assert a.shape == b.shape == links.rho.shape == (4,)
+        for j, link in enumerate(links):
+            assert np.shares_memory(link.h_los, links.h_los)
+            np.testing.assert_array_equal(link.h_los, links.h_los[j])
+            np.testing.assert_array_equal(link.paths.gains,
+                                          links.paths.gains[j])
+            assert link.weights == (a[j], b[j]) and link.rho == links.rho[j]
+        assert len(links[1:3]) == 2 and len(links[:0]) == 0
+
+    def test_stacked_weights_skip_inf_over_inf(self):
+        # a deterministic link in a stack has weights (1, 0), with no
+        # invalid-value fault from kappa / (kappa + 1)
+        link = dataclasses.replace(small_drop().links,
+                                   kappa=np.array([math.inf, 0.0, 3.0]))
+        with np.errstate(all="raise"):
+            a, b = link.weights
+        np.testing.assert_array_equal(a, [1.0, 0.0, math.sqrt(0.75)])
+        np.testing.assert_array_equal(b, [0.0, 1.0, 0.5])
 
 
 class TestSinrPaths:
@@ -240,8 +293,8 @@ class TestSinrPaths:
                        paths=random_paths(rng, 2, 4, p), rho=2.0)
         link = Link(kappa=0.0, h_los=np.zeros(m, complex),
                     paths=random_paths(rng, 2, 4, p), rho=1.5)
-        drop = Drop(desired=desired, links=(link,), err_amp=np.full(m, 0.7),
-                    tau=0.4)
+        drop = Drop(desired=desired, links=stack_links(link),
+                    err_amp=np.full(m, 0.7), tau=0.4)
         for trial in range(10):
             fading = draw_fading(drop, np.random.default_rng(trial), 1)
             a = compute_terms(drop, *fading)["gamma"][0]
@@ -260,7 +313,7 @@ class TestSinrPaths:
                               paths=random_paths(rng, 2, 4, 4), rho=rho)
                          for rho in (2.0, 1.5))
         drops = [build_mimo_drop(devices, 64, 0.1, seed=5),
-                 Drop(desired=desired, links=(link,),
+                 Drop(desired=desired, links=stack_links(link),
                       err_amp=np.full(8, 0.7), tau=0.4)]
         seen = []
 
@@ -389,16 +442,21 @@ class TestSinrPaths:
                 kernel(drop, eps, g_des, short)
 
     def test_direct_lift_of_pathless_and_blind_links(self):
-        # los-only links have no paths (P = 0) and a link with a zero factor
-        # has R^H f = 0: the receiver path's lift must give g = 0 there
-        # without evaluating 0/0, and still agree with the kernel
+        # los-only links have no paths (P = 0) and links with a zero factor
+        # have R^H f = 0: the receiver path's lift must give g = 0 there
+        # without evaluating 0/0, and still agree with the kernel, on a
+        # pathless drop and on one whose links are all blind
         drop = make_drop(ScenarioConfig(
             kind="grid-plane", mode="los-only", num_devices=5,
             m_grid=(16,), drops=1, realizations=2, seed=3), 0)
-        paths = dataclasses.replace(small_drop().links[0].paths, loss=0.0)
-        blind = Link(kappa=1.0, h_los=drop.links[0].h_los, paths=paths,
-                     rho=2.0)
-        for d in (drop, dataclasses.replace(drop, links=(*drop.links, blind))):
+        paths = small_drop(n_interferers=4).links.paths
+        blind = dataclasses.replace(drop.links, kappa=np.ones(4),
+                                    paths=dataclasses.replace(
+                                        paths, loss=np.zeros((4, 1))))
+        assert route_name(drop) is None
+        assert route_name(dataclasses.replace(drop, links=blind)) \
+            == "_dense_power"
+        for d in (drop, dataclasses.replace(drop, links=blind)):
             with np.errstate(all="raise"):
                 fading = draw_fading(d, np.random.default_rng(5), 8)
                 direct = sinr_direct(d, *fading)
@@ -435,20 +493,21 @@ class TestBasisPath:
                         [0.0, 0.0, np.pi / 4, -np.pi / 4]]
         extra = Link(kappa=0.0, h_los=np.zeros(1600, complex), rho=1.0,
                      paths=device_paths(dev, drop.grid, theta, 3.7))
-        drop = dataclasses.replace(drop, links=(*drop.links, extra))
-        assert set(route_names(drop).values()) == {"_basis_power"}
+        drop = dataclasses.replace(drop, links=stack_links(*drop.links, extra))
+        assert route_name(drop) == "_basis_power" and len(drop.links) == 10
         rng = np.random.default_rng(1)
         xs = crandn(rng, (BASIS_ROWS + 9, 1600))
         d = drop.tau * drop.err_amp
         k = math.sqrt(1 - drop.tau**2) * drop.desired.h_los
-        for j, route in drop.routes:
-            paths = drop.links[j].paths
-            q = xs @ correlation_factor(paths, d, conjugate=True)
-            np.testing.assert_allclose(route(xs, d, np.zeros_like(k)),
+        plain, shifted = drop.route(xs, d, np.zeros_like(k)), \
+            drop.route(xs, d, k)
+        for j, link in enumerate(drop.links):
+            q = xs @ correlation_factor(link.paths, d, conjugate=True)
+            np.testing.assert_allclose(plain[:, j],
                                        np.sum(np.abs(q) ** 2, axis=1),
                                        rtol=1e-12)
-            q += np.conj(k.conj() @ correlation_factor(paths))
-            np.testing.assert_allclose(route(xs, d, k),
+            q += np.conj(k.conj() @ correlation_factor(link.paths))
+            np.testing.assert_allclose(shifted[:, j],
                                        np.sum(np.abs(q) ** 2, axis=1),
                                        rtol=1e-12)
 
@@ -457,7 +516,7 @@ class TestBasisPath:
         # L = 0.05 at M = 400 has r = 180 < P = 200: the kernel takes the
         # basis, builds no dense factor, and matches the receiver path
         drop = nlos_drop("uniform-room", 400, 0.05, mode=mode, num_devices=6)
-        assert route_names(drop) == dict.fromkeys(range(5), "_basis_power")
+        assert route_name(drop) == "_basis_power" and len(drop.links) == 5
         fading = draw_fading(drop, np.random.default_rng(3), 100)
         direct = sinr_direct(drop, *fading)
 
@@ -476,7 +535,7 @@ class TestBasisPath:
         drop = nlos_drop(kind, m, half_length)
         route = "_spectral_power" if kind == "mimo-baseline" \
             else "_dense_power"
-        assert route_names(drop) == dict.fromkeys(range(9), route)
+        assert route_name(drop) == route and len(drop.links) == 9
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_dense_route_shares_no_contraction(self, tau, monkeypatch):
@@ -488,7 +547,7 @@ class TestBasisPath:
         drop = make_drop(ScenarioConfig(
             kind="uniform-room", mode="nlos-only", num_devices=6,
             m_grid=(100,), drops=1, realizations=2, seed=7, tau=tau), 0)
-        assert route_names(drop) == dict.fromkeys(range(5), "_dense_power")
+        assert route_name(drop) == "_dense_power" and len(drop.links) == 5
         fading = draw_fading(drop, np.random.default_rng(2), 16)
         direct = sinr_direct(drop, *fading)
 
@@ -504,7 +563,12 @@ class TestBasisPath:
         monkeypatch.setattr(mc_engine, "correlation_factor", counted)
         np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
                                    direct, rtol=1e-12)
-        assert list(map(id, built)) == [id(link.paths) for link in drop.links]
+        # one factor per link, in order, each from that link's own rows
+        assert len(built) == len(drop.links)
+        for paths, link in zip(built, drop.links):
+            assert np.shares_memory(paths.gains, drop.links.paths.gains)
+            np.testing.assert_array_equal(paths.gains, link.paths.gains)
+            np.testing.assert_array_equal(paths.loss, link.paths.loss)
 
     def test_pathless_links_draw_no_fading(self):
         # a los-only drop draws eps and nothing after it: w is zeros
@@ -520,29 +584,49 @@ class TestBasisPath:
 
 class TestRoutePlan:
     def test_plan_covers_each_link_once(self):
-        # a hand-built M = 400 drop: a pathless link, a basis link, a linear
-        # scalar-loss link and the basis link without its band each take
-        # their own route once, pathless none, and the kernel matches the
-        # receiver path
-        base = nlos_drop("uniform-room", 400, 0.05, num_devices=2)
-        (planar,) = base.links
+        # one hand-built M = 400 drop per route: pathless (no route),
+        # linear scalar-loss links (spectral), planar links whose band has
+        # r < P (basis), the same links without their band (dense) and
+        # planar links with r >= P (dense).  On each, the one route covers
+        # every interferer once, each column matches that link's dense
+        # factor, and the kernel matches the receiver path
+        base = nlos_drop("uniform-room", 400, 0.05, num_devices=3)
         rng = np.random.default_rng(8)
-        linear = Scattering(loss=0.3, gains=rng.uniform(0.5, 1.0, 50),
-                            step_v=np.zeros(50),
-                            step_h=rng.uniform(-np.pi, np.pi, 50),
+        linear = Scattering(loss=np.array([[0.3], [0.5]]),
+                            gains=rng.uniform(0.5, 1.0, (2, 50)),
+                            step_v=np.zeros((2, 50)),
+                            step_h=rng.uniform(-np.pi, np.pi, (2, 50)),
                             n_v=1, n_h=400)
-        links = (los_link(device_los(Device(np.array([1.0, 1.0, 1.0])),
-                                      base.grid), 3.0),
-                 planar, dataclasses.replace(planar, paths=linear),
-                 dataclasses.replace(planar, paths=dataclasses.replace(
-                     planar.paths, band=None)))
-        drop = dataclasses.replace(base, links=links)
-        assert route_names(drop) == {1: "_basis_power",
-                                     2: "_spectral_power",
-                                     3: "_dense_power"}
-        fading = draw_fading(drop, np.random.default_rng(4), BASIS_ROWS + 9)
-        np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
-                                   sinr_direct(drop, *fading), rtol=1e-10)
+        cases = [
+            (None, nlos_drop("uniform-room", 400, 0.05, mode="los-only",
+                             num_devices=3)),
+            ("_spectral_power", dataclasses.replace(
+                base, links=dataclasses.replace(base.links, paths=linear))),
+            ("_basis_power", base),
+            ("_dense_power", dataclasses.replace(
+                base, links=dataclasses.replace(
+                    base.links, paths=dataclasses.replace(base.links.paths,
+                                                          band=None)))),
+            ("_dense_power", nlos_drop("uniform-room", 400, 0.25,
+                                       num_devices=3))]
+        xs = crandn(np.random.default_rng(2), (BASIS_ROWS + 9, 400))
+        for route, drop in cases:
+            assert route_name(drop) == route and len(drop.links) == 2
+            if route is not None:
+                d = drop.tau * drop.err_amp
+                k = math.sqrt(1 - drop.tau**2) * drop.desired.h_los
+                power = drop.route(xs, d, k)
+                assert power.shape == (len(xs), 2)
+                for j, link in enumerate(drop.links):
+                    q = xs @ correlation_factor(link.paths, d, conjugate=True)
+                    q += np.conj(k.conj() @ correlation_factor(link.paths))
+                    np.testing.assert_allclose(
+                        power[:, j], np.sum(np.abs(q) ** 2, axis=1),
+                        rtol=1e-10)
+            fading = draw_fading(drop, np.random.default_rng(4),
+                                 BASIS_ROWS + 9)
+            np.testing.assert_allclose(compute_terms(drop, *fading)["gamma"],
+                                       sinr_direct(drop, *fading), rtol=1e-10)
 
 
 def baseline_drop(m, num_devices, seed=2):
@@ -584,8 +668,8 @@ class TestSpectralPath:
         xs = crandn(rng, (BASIS_ROWS + 9, 100))
         d = rng.uniform(0.5, 1.5, 100)
         k = crandn(rng, 100)
-        (js, route), = drop.routes
-        assert js == list(range(len(drop.links)))
+        assert route_name(drop) == "_spectral_power"
+        route = drop.route
         for kk in (np.zeros_like(k), k):
             power = route(xs, d, kk)
             for link, col in zip(drop.links, power.T, strict=True):
@@ -600,19 +684,19 @@ class TestSpectralPath:
         # Toeplitz, and the kernel never takes the spectral route for them;
         # a los-only drop's pathless links take no route at all and keep
         # power 0, so its kernel builds no factor
-        link = small_drop().links[0]
-        blind = dataclasses.replace(
-            link, paths=dataclasses.replace(link.paths, loss=0.0))
+        links = small_drop().links
+        blind = dataclasses.replace(links, paths=dataclasses.replace(
+            links.paths, loss=np.zeros((len(links), 1))))
         drops = [nlos_drop(kind, 100, 0.25, mode=mode, num_devices=4)
                  for kind in ("grid-plane", "uniform-room")
                  for mode in ("los-only", "nlos-only", "probabilistic")]
-        drops.append(dataclasses.replace(small_drop(), links=(blind,)))
+        drops.append(dataclasses.replace(small_drop(), links=blind))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("took a route")
         monkeypatch.setattr(mc_engine, "_spectral_power", forbidden)
         for drop in drops:
-            assert "_spectral_power" not in route_names(drop).values()
+            assert route_name(drop) != "_spectral_power"
             compute_terms(drop, *draw_fading(drop, np.random.default_rng(0),
                                              4))
         monkeypatch.setattr(mc_engine, "_basis_power", forbidden)
@@ -620,10 +704,10 @@ class TestSpectralPath:
         monkeypatch.setattr(mc_engine, "correlation_factor", forbidden)
         for drop in drops[:6:3]:              # the two los-only drops
             assert not any(link.num_paths for link in drop.links)
-            assert not drop.routes
+            assert drop.route is None
             fading = draw_fading(drop, np.random.default_rng(0), 4)
             terms = compute_terms(drop, *fading)
-            los, a = drop.stacked[:2]
+            los, a = drop.links.h_los.T, drop.links.weights[0]
             f = (math.sqrt(1 - drop.tau**2) * drop.desired.h_los
                  + drop.tau * drop.err_amp * fading[0])
             np.testing.assert_allclose(terms["y"],
@@ -646,8 +730,7 @@ class TestSpectralPath:
             / (drop.tau * drop.err_amp)
         w = crandn(rng, (n, 1))
         with np.errstate(invalid="raise"):
-            (_, route), = drop.routes
-            power = route(f, 1.0, np.zeros(2, complex))
+            power = drop.route(f, 1.0, np.zeros(2, complex))
             gamma = compute_terms(drop, eps, g_des, w)["gamma"]
         assert np.all(power >= 0.0)
         assert np.all(np.isfinite(gamma))
@@ -744,8 +827,8 @@ class TestRowBlocks:
                                    np.zeros(paths), side, side)
             h = np.ones(m, complex)
             drop = Drop(desired=los_link(h, 1.0),
-                        links=(Link(kappa=1.0, h_los=h, paths=scattered,
-                                    rho=1.0),),
+                        links=stack_links(Link(kappa=1.0, h_los=h,
+                                               paths=scattered, rho=1.0)),
                         err_amp=np.ones(m), tau=0.5)
             assert drop.pathless == (paths == 0)
             with mc_engine.chunk_threads(8), pytest.raises(RuntimeError):
@@ -886,8 +969,8 @@ class TestRunMonteCarlo:
         grid = build_grid((0.0, 0.0), 0.25, 16, 0.1)
         target = Device(position=np.array([0.0, 0.0, 1.0]))
         h = device_los(target, grid)
-        drop = Drop(desired=los_link(h, 2.0), links=(), err_amp=np.abs(h),
-                    tau=0.0, grid=grid, target_z=1.0)
+        drop = Drop(desired=los_link(h, 2.0), links=small_drop().links[:0],
+                    err_amp=np.abs(h), tau=0.0, grid=grid, target_z=1.0)
         expect = math.log1p(2.0 * float(np.sum(np.abs(h) ** 2)) ** 2
                             / float(np.sum(np.abs(h) ** 2)))
         # one chunk, and three merged ones
@@ -933,8 +1016,8 @@ class TestRunMonteCarlo:
         else:
             basis, dense = (nlos_drop("uniform-room", 400, 0.05),
                             nlos_drop("uniform-room", 100, 0.25))
-            assert set(route_names(basis).values()) == {"_basis_power"}
-            assert set(route_names(dense).values()) == {"_dense_power"}
+            assert route_name(basis) == "_basis_power"
+            assert route_name(dense) == "_dense_power"
             drops = [small_drop(seed=4), basis, dense,
                      nlos_drop("uniform-room", 400, 0.25,
                                mode="probabilistic", num_devices=6)]
@@ -1027,7 +1110,7 @@ class TestRunMonteCarlo:
         # BASIS_ROWS draws only when nothing is drawn past eps: a
         # deterministic desired channel and no interferer with paths
         los = nlos_drop("grid-plane", 100, 0.25, mode="los-only")
-        stochastic = dataclasses.replace(baseline_drop(16, 2), links=())
+        stochastic = baseline_drop(16, 1)
         assert los.pathless and stochastic.pathless
         assert los.chunk_size == BASIS_ROWS
         assert stochastic.chunk_size == DEFAULT_CHUNK
@@ -1081,7 +1164,7 @@ class TestYn2Sampler:
         drop = small_drop(seed=0)
         bare = Link(kappa=1.0, h_los=drop.links[0].h_los,
                     paths=Scattering.none(16), rho=1.0)
-        d2 = Drop(desired=drop.desired, links=(bare,), err_amp=drop.err_amp,
-                  tau=0.5)
+        d2 = Drop(desired=drop.desired, links=stack_links(bare),
+                  err_amp=drop.err_amp, tau=0.5)
         with pytest.raises(ValueError):
             sample_yn2_normalized(d2, 0, 10, seed=0)
